@@ -1,0 +1,167 @@
+"""Record the golden CLI corpus: argv, exit code, stdout and stderr for a
+fixed list of cases covering every command and cone at n = 2..6.
+
+Each case runs in process through ``betticone.cli.main``; the inputs are
+built from fixed ray combinations, so two recordings of the same code are
+byte-identical. Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/record.py
+
+and commit ``tests/golden/cli_corpus.json``. ``tests/test_golden.py``
+replays every case and requires the same three outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+from pathlib import Path
+
+from betticone.cli import main
+from betticone.sequences import (BettiVector, TailPeriodicSequence, embed, ray,
+                                 rho_vector, sequence_to_json)
+
+CORPUS = Path(__file__).with_name("cli_corpus.json")
+NS = range(2, 7)
+MULTS = (2, 3, 5)
+
+
+def _json(seq) -> str:
+    return json.dumps(sequence_to_json(seq))
+
+
+def _combine(coeffs, rays):
+    total = TailPeriodicSequence.zero()
+    for c, r in zip(coeffs, rays):
+        total = total + r.scale(c)
+    return total
+
+
+def _coeffs(n: int, count: int, salt: int) -> list[Fraction]:
+    # small, tie-heavy integer and rational coefficients, fixed per (n, salt)
+    return [Fraction((3 * k + n + salt) % 4, 1 + (k + salt) % 2) for k in range(count)]
+
+
+def _total_rays(n):
+    return ([ray("rho", i, n) for i in range(-1, n - 1)]
+            + [ray("tau_inf", n - 2, n), ray("tau_inf", n - 1, n)])
+
+
+def _fixed_rays(n, d):
+    return ([ray("rho", i, n) for i in range(-1, n - 1)]
+            + [ray("tau_d", n - 2, n, d), ray("tau_d", n - 1, n, d)])
+
+
+def _finite(n, salt):
+    v = BettiVector(n, (Fraction(0),) * (n + 1))
+    for i, c in zip(range(-1, n), _coeffs(n, n + 1, salt)):
+        v = v + rho_vector(i, n).scale(c)
+    return v
+
+
+def _finite_nonmember(n):
+    # a two-term ray with its first entry pushed below zero
+    return rho_vector(0, n) + rho_vector(-1, n).scale(-1)
+
+
+def _tail_nonmember(n):
+    # a member with 3 added at index n-1, which breaks windows ending at n
+    w = _combine(_coeffs(n, n + 2, 1), _total_rays(n))
+    return w + TailPeriodicSequence(n, (Fraction(0),) * (n - 1) + (Fraction(3),),
+                                    Fraction(0), Fraction(0))
+
+
+def cases() -> list[list[str]]:
+    out = []
+    out += [["hk", "--degrees", "0,1,2", "--n", "2"],
+            ["hk", "--degrees", "0,1,3,5", "--n", "3"],
+            ["hk", "--degrees", "0,2,3,7,8", "--n", "4", "--normalize-at", "0"],
+            ["hk", "--degrees", "0,1,11", "--n", "2", "--normalize-at", "0"],
+            ["hk", "--degrees", "a,b", "--n", "2"],
+            ["hk", "--degrees", "1,1", "--n", "2"]]
+    for n in NS:
+        out.append(["limit", "--j", str(n % 2), "--t", str(n + 3), "--n", str(n)])
+    out.append(["limit", "--j", "0", "--t", "1", "--n", "2"])
+    for n in NS:
+        out.append(["phi", "--inline", _json(_finite(n, 0))])
+        out.append(["phi", "--inline", _json(_finite(n, 1)), "--n", str(n)])
+    out.append(["phi", "--inline", _json(ray("tau_inf", 1, 3))])
+    for n in NS:
+        member_f, member_t = _finite(n, 0), _combine(_coeffs(n, n + 2, 0), _total_rays(n))
+        for inline in (_json(member_f), _json(_finite_nonmember(n))):
+            out.append(["member", "--cone", "regular", "--n", str(n), "--inline", inline])
+            out.append(["decompose", "--cone", "regular", "--n", str(n), "--inline", inline])
+            out.append(["classify", "--n", str(n), "--inline", inline])
+        out.append(["classify", "--n", str(n), "--inline", _json(rho_vector(n - 2, n))])
+        out.append(["classify", "--n", str(n), "--inline",
+                    _json(rho_vector(0, n) + rho_vector(n - 1, n))])
+        for inline in (_json(member_t), _json(embed(member_f)), _json(_tail_nonmember(n))):
+            out.append(["member", "--cone", "total", "--n", str(n), "--inline", inline])
+            for tri in ("1", "2"):
+                out.append(["decompose", "--cone", "total", "--n", str(n),
+                            "--triangulation", tri, "--inline", inline])
+            out.append(["split", "--n", str(n), "--inline", inline])
+        for d in MULTS:
+            member_x = _combine(_coeffs(n, n + 2, d), _fixed_rays(n, d))
+            for inline in (_json(member_x), _json(member_t)):
+                out.append(["member", "--cone", "fixed", "--n", str(n), "--mult", str(d),
+                            "--inline", inline])
+                for tri in ("1", "2"):
+                    out.append(["decompose", "--cone", "fixed", "--n", str(n),
+                                "--mult", str(d), "--triangulation", tri, "--inline", inline])
+        out.append(["plot", "--len", str(n + 2), "--inline", _json(member_f)])
+        out.append(["plot", "--len", str(n + 3), "--inline", _json(member_t)])
+    finite2, tail3 = _json(_finite(2, 0)), _json(ray("tau_inf", 2, 3))
+    # windows, then flatness, then xi violations in one answer
+    mixed = _json(TailPeriodicSequence(4, (0, 0, 0, 1), Fraction(1), Fraction(2)))
+    out += [
+        ["member", "--cone", "fixed", "--n", "3", "--mult", "3", "--inline", mixed],
+        ["decompose", "--cone", "fixed", "--n", "3", "--mult", "3", "--inline", mixed],
+        ["member", "--cone", "total", "--n", "3", "--inline", mixed],
+        # an alternating tail that is not flat
+        ["member", "--cone", "total", "--n", "2", "--inline",
+         _json(TailPeriodicSequence(0, (), Fraction(1), Fraction(0)))],
+        # the wrong sequence kind
+        ["member", "--cone", "regular", "--n", "3", "--inline", tail3],
+        ["decompose", "--cone", "regular", "--n", "3", "--inline", tail3],
+        ["classify", "--n", "3", "--inline", tail3],
+        ["phi", "--inline", tail3, "--n", "3"],
+        # a finite input whose length disagrees with --n
+        ["member", "--cone", "regular", "--n", "4", "--inline", finite2],
+        # --mult missing
+        ["member", "--cone", "fixed", "--n", "3", "--inline", tail3],
+        ["decompose", "--cone", "fixed", "--n", "3", "--inline", tail3],
+        # n below the cone's minimum
+        ["member", "--cone", "total", "--n", "1", "--inline", tail3],
+        ["decompose", "--cone", "total", "--n", "1", "--inline", tail3],
+        ["member", "--cone", "fixed", "--n", "1", "--mult", "3", "--inline", tail3],
+        ["decompose", "--cone", "fixed", "--n", "1", "--mult", "3", "--inline", tail3],
+        ["split", "--n", "1", "--inline", tail3],
+        ["member", "--cone", "fixed", "--n", "3", "--mult", "1", "--inline", tail3],
+        # usage and malformed input
+        ["member", "--cone", "regular", "--n", "2"],
+        ["member", "--cone", "cubic", "--n", "2", "--inline", finite2],
+        ["decompose", "--cone", "total", "--n", "3", "--triangulation", "3",
+         "--inline", tail3],
+        ["member", "--cone", "regular", "--n", "2", "--inline", "{not json"],
+        ["member", "--cone", "regular", "--n", "2", "--inline",
+         '{"kind":"finite","n":2,"entries":["0.5","1","0.5"]}'],
+        ["plot", "--len", "0", "--inline", finite2],
+        ["verify", "--n-max", "3", "--mult-max", "3"],
+    ]
+    return out
+
+
+def run_case(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+if __name__ == "__main__":
+    corpus = [run_case(argv) for argv in cases()]
+    CORPUS.write_text(json.dumps(corpus, indent=1, ensure_ascii=False) + "\n")
+    print(f"{len(corpus)} cases written to {CORPUS}")
