@@ -8,7 +8,10 @@ over exact rational arithmetic:
 * the total hypersurface cone for embedding dimension n (`hyper_total`),
   with the prefix-sum transform, the two triangulations, and the split
   into transform image plus finite part;
-* the conjectured cone at fixed multiplicity d (`hyper_fixed`).
+* the conjectured cone at fixed multiplicity d (`hyper_fixed`);
+
+each builds a `cones.Cone`, the one description that membership,
+certificates and `verification` all read.
 
 `pure` provides the pure-resolution shape numerics feeding the limit
 arguments, and `oracle` is an independent double-description engine that

@@ -38,14 +38,15 @@ def _load_sequence(input_path: str | None, inline: str | None):
         raise click.UsageError("exactly one of --input and --inline is required")
     if input_path is not None:
         try:
-            text = Path(input_path).read_text()
-        except OSError as exc:
+            text = Path(input_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise MalformedInputError(f"cannot read {input_path}: {exc}") from exc
     else:
         text = inline
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's recursion limit
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
     return sequence_from_json(data)
 
@@ -123,39 +124,20 @@ def phi(input_path, inline, n):
     _echo_json(sequence_to_json(hyper_total.phi(v)))
 
 
-@cli.command()
-@input_option
-@inline_option
-@click.option("--cone", type=click.Choice(["regular", "total", "fixed"]),
-              required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--mult", type=int, default=None,
-              help="Multiplicity d (required for --cone fixed).")
-def member(input_path, inline, cone, n, mult):
-    """Cone membership with the violated constraints named."""
-    seq = _load_sequence(input_path, inline)
-    payload = {"cone": cone, "n": n}
-    if cone == "regular":
-        v = _finite(seq, n)
-        violations = regular.facet_violations(v)
-        payload["member"] = not violations
-        payload["violations"] = _violations_json(violations)
-    elif cone == "total":
-        report = hyper_total.facets_check(_tail(seq), n)
-        payload["member"] = report.ok
-        payload["violations"] = _violations_json(report.violations)
-    else:
-        if mult is None:
-            raise click.UsageError("--cone fixed requires --mult")
-        report = hyper_fixed.member(_tail(seq), FixedConeParams(n, mult))
-        payload["multiplicity"] = mult
-        payload["member"] = report.ok
-        payload["violations"] = _violations_json(report.violations)
-        payload["caveat"] = MEMBERSHIP_CAVEAT
-    _echo_json(payload)
+def _fixed(seq, n, mult):
+    if mult is None:
+        raise click.UsageError("--cone fixed requires --mult")
+    return (hyper_fixed.cone(FixedConeParams(n, mult)), _tail(seq),
+            {"multiplicity": mult}, {"caveat": MEMBERSHIP_CAVEAT})
 
 
-def _hyper_decomposition_json(dec) -> dict:
+def _regular_certificate(cone, v, which) -> dict:
+    dec = regular.decompose(v)
+    return {"coefficients": {name: rational_str(c) for name, c in zip(cone.names, dec.a)}}
+
+
+def _hyper_certificate(cone, w, which) -> dict:
+    dec = cone.decompose(w, which)
     return {
         "triangulation": dec.label,
         "simplex": [dec.names[k] for k in dec.simplex_used],
@@ -164,36 +146,48 @@ def _hyper_decomposition_json(dec) -> dict:
     }
 
 
+# --cone -> (reader, certificate).  The reader takes the parsed input, --n
+# and --mult and returns the Cone, the input in the cone's space, and the
+# payload fields printed before and after the answer; the certificate is
+# the answer of `decompose`.
+CONES = {"regular": (lambda seq, n, mult: (regular.cone(n), _finite(seq, n), {}, {}),
+                     _regular_certificate),
+         "total": (lambda seq, n, mult: (hyper_total.cone(n), _tail(seq), {}, {}),
+                   _hyper_certificate),
+         "fixed": (_fixed, _hyper_certificate)}
+cone_option = click.option("--cone", type=click.Choice(list(CONES)), required=True)
+
+
 @cli.command()
 @input_option
 @inline_option
-@click.option("--cone", type=click.Choice(["regular", "total", "fixed"]),
-              required=True)
+@cone_option
+@click.option("--n", type=int, required=True)
+@click.option("--mult", type=int, default=None,
+              help="Multiplicity d (required for --cone fixed).")
+def member(input_path, inline, cone, n, mult):
+    """Cone membership with the violated constraints named."""
+    read, _ = CONES[cone]
+    described, point, before, after = read(_load_sequence(input_path, inline), n, mult)
+    violations = described.violations(point)
+    _echo_json({"cone": cone, "n": n, **before, "member": not violations,
+                "violations": _violations_json(violations), **after})
+
+
+@cli.command()
+@input_option
+@inline_option
+@cone_option
 @click.option("--n", type=int, required=True)
 @click.option("--mult", type=int, default=None)
 @click.option("--triangulation", type=click.Choice(["1", "2"]), default="1",
               help="1 = omit_odd, 2 = omit_even (total/fixed cones, n >= 3).")
 def decompose(input_path, inline, cone, n, mult, triangulation):
     """Nonnegative ray-coefficient certificate for a member vector."""
-    seq = _load_sequence(input_path, inline)
-    which = int(triangulation)
-    payload = {"cone": cone, "n": n}
-    if cone == "regular":
-        dec = regular.decompose(_finite(seq, n))
-        payload["coefficients"] = {
-            name: rational_str(c)
-            for name, c in zip(regular.ray_names(n), dec.a)}
-    elif cone == "total":
-        dec = hyper_total.decompose(_tail(seq), n, which)
-        payload.update(_hyper_decomposition_json(dec))
-    else:
-        if mult is None:
-            raise click.UsageError("--cone fixed requires --mult")
-        dec = hyper_fixed.decompose(_tail(seq), FixedConeParams(n, mult), which)
-        payload["multiplicity"] = mult
-        payload.update(_hyper_decomposition_json(dec))
-        payload["caveat"] = MEMBERSHIP_CAVEAT
-    _echo_json(payload)
+    read, certificate = CONES[cone]
+    described, point, before, after = read(_load_sequence(input_path, inline), n, mult)
+    _echo_json({"cone": cone, "n": n, **before,
+                **certificate(described, point, int(triangulation)), **after})
 
 
 @cli.command()
@@ -237,6 +231,9 @@ def split(input_path, inline, n):
 @click.pass_context
 def verify(ctx, n_max: int, mult_max: int):
     """Run the oracle sweep re-deriving every rays/facets equivalence."""
+    if n_max < 2 or mult_max < 2:
+        raise MalformedInputError(
+            f"--n-max and --mult-max must be at least 2, got {n_max} and {mult_max}")
     results = verification.run_sweep(n_max, mult_max)
     failures = 0
     for result in results:

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConeInputError, InternalInconsistencyError, NotInConeError
-from .hyper_total import (MembershipReport, HyperDecomposition, _assemble,
-                          _locate_simplex, _parity_triangulation,
-                          _reconstruction_matches, TRIANGULATION_LABELS,
-                          chi_window_violations, facets_check,
-                          flatness_violations)
+from . import hyper_total
+from .cones import Cone, Decomposition, MembershipReport
+from .errors import ConeInputError
 from .sequences import TailPeriodicSequence, ray, xi, xi_name
 
 MEMBERSHIP_CAVEAT = ("membership in the conjectured cone; does not certify "
@@ -38,91 +35,52 @@ class FixedConeParams:
             raise ConeInputError(f"multiplicity must be >= 2, got d={self.d}")
 
 
-def rays(p: FixedConeParams) -> list[TailPeriodicSequence]:
+def _rays(p: FixedConeParams) -> list[tuple[str, TailPeriodicSequence]]:
     """Generating rays rho[-1..n-2] plus the two multiplicity-adjusted
     tail rays; at d = 2 those two coincide and the list is deduplicated
     down to n+1 rays."""
-    out = [ray("rho", i, p.n) for i in range(-1, p.n - 1)]
-    out.append(ray("tau_d", p.n - 2, p.n, p.d))
+    out = [(f"rho[{i}]", ray("rho", i, p.n)) for i in range(-1, p.n - 1)]
+    out.append((f"tau_d[{p.n - 2}]", ray("tau_d", p.n - 2, p.n, p.d)))
     if p.d > 2:
-        out.append(ray("tau_d", p.n - 1, p.n, p.d))
+        out.append((f"tau_d[{p.n - 1}]", ray("tau_d", p.n - 1, p.n, p.d)))
     return out
+
+
+def cone(p: FixedConeParams) -> Cone:
+    """The conjectured multiplicity-d cone: the total cone cut by
+    xi[i,n] >= 0 for 0 <= i <= n.
+
+    d = 2 collapses the two tail rays, leaving an outright simplicial
+    cone; n = 2 leaves one redundant tail ray, tau_d[0] = (d-2)/d *
+    rho[-1] + tau_d[1], that is set aside.  Otherwise the same two parity
+    triangulations as in the total cone apply (the unique ray relation
+    has the same support and signs).
+    """
+    n, d = p.n, p.d
+    core = tuple(range(n + 1)) if d == 2 else (0, 1, 3) if n == 2 else None
+    return Cone(f"the multiplicity-{d} cone", n,
+                lambda: [(xi_name(i, n), xi(i, n, d)) for i in range(n + 1)],
+                lambda: _rays(p), within=hyper_total.cone(n), core=core)
+
+
+def rays(p: FixedConeParams) -> list[TailPeriodicSequence]:
+    return list(cone(p).rays)
 
 
 def ray_names(p: FixedConeParams) -> list[str]:
-    names = [f"rho[{i}]" for i in range(-1, p.n - 1)]
-    names.append(f"tau_d[{p.n - 2}]")
-    if p.d > 2:
-        names.append(f"tau_d[{p.n - 1}]")
-    return names
-
-
-def xi_violations(w: TailPeriodicSequence, p: FixedConeParams
-                  ) -> list[tuple[str, Fraction]]:
-    out = []
-    for i in range(p.n + 1):
-        value = xi(i, p.n, p.d)(w)
-        if value < 0:
-            out.append((xi_name(i, p.n), value))
-    return out
+    return list(cone(p).names)
 
 
 def member(w: TailPeriodicSequence, p: FixedConeParams) -> MembershipReport:
     """Membership in the conjectured multiplicity-d cone: the total-cone
     constraints plus xi[i,n] >= 0 for 0 <= i <= n."""
-    violations = (chi_window_violations(w, p.n)
-                  + flatness_violations(w, p.n)
-                  + xi_violations(w, p))
-    return MembershipReport(not violations, tuple(violations))
+    return cone(p).member(w)
 
 
 def decompose(w: TailPeriodicSequence, p: FixedConeParams,
-              which: str | int = "omit_odd") -> HyperDecomposition:
-    """Nonnegative ray certificate with exact reconstruction.
-
-    d = 2 collapses the two tail rays, leaving an outright simplicial
-    cone; n = 2 leaves one redundant tail ray that is set aside before a
-    direct solve.  Otherwise the same two parity triangulations as in the
-    total cone apply (the unique ray relation has the same support and
-    signs), and simplices are tried in omitted-ray order.
-    """
-    if isinstance(which, int):
-        if which not in (1, 2):
-            raise ConeInputError(f"triangulation choice must be 1 or 2, got {which}")
-        which = TRIANGULATION_LABELS[which - 1]
-    if which not in TRIANGULATION_LABELS:
-        raise ConeInputError(f"unknown triangulation label {which!r}")
-    report = member(w, p)
-    if not report.ok:
-        name, value = report.violations[0]
-        raise NotInConeError(
-            f"not in the multiplicity-{p.d} cone: {name} = {value}",
-            report.violations)
-    basis = rays(p)
-    names = tuple(ray_names(p))
-    projected = [r.prefix(p.n + 1) for r in basis]
-    target = w.prefix(p.n + 1)
-
-    if p.d == 2:
-        simplices = [tuple(range(len(basis)))]
-        label = "simplicial"
-    elif p.n == 2:
-        # tau_d[0] = (d-2)/d * rho[-1] + tau_d[1] is redundant.
-        simplices = [(0, 1, 3)]
-        label = "simplicial"
-    else:
-        tri = _parity_triangulation(p.n, which)
-        simplices = list(tri.simplices)
-        label = tri.label
-    located = _locate_simplex(projected, simplices, target)
-    if located is None:
-        raise InternalInconsistencyError(
-            "member vector admits no nonnegative simplex certificate")
-    simplex, sol = located
-    coeffs = _assemble(len(basis), simplex, sol)
-    if not _reconstruction_matches(basis, coeffs, w):
-        raise InternalInconsistencyError("decomposition failed exact reconstruction")
-    return HyperDecomposition(p.n, names, coeffs, simplex, label)
+              which: str | int = "omit_odd") -> Decomposition:
+    """Nonnegative ray certificate with exact reconstruction."""
+    return cone(p).decompose(w, which)
 
 
 @dataclass(frozen=True)
@@ -157,8 +115,9 @@ def containment_report(p: FixedConeParams, p2: Optional[FixedConeParams] = None
             raise ConeInputError(
                 f"containment holds for growing multiplicity; got d'={p2.d} < d={p.d}")
     entries = []
-    for name, r in zip(ray_names(p), rays(p)):
-        total_report = facets_check(r, p.n)
+    fixed = cone(p)
+    for name, r in zip(fixed.names, fixed.rays):
+        total_report = hyper_total.facets_check(r, p.n)
         in_larger = None
         certificate = None
         if p2 is not None:

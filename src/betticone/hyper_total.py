@@ -1,25 +1,25 @@
 """The total hypersurface cone for embedding dimension n: the prefix-sum
-transform, ray basis, facet checks, the unique linear relation among the
-rays, the cone's two triangulations, certificate-producing decomposition,
-and the split into a transform image plus a lower-dimensional finite part.
+transform, the cone's `Cone` description (ray basis and facets), the
+unique linear relation among the rays, the cone's two triangulations,
+certificate-producing decomposition, and the split into a transform image
+plus a lower-dimensional finite part.
 
 Every element of this cone is flat from index n on, so all linear algebra
 happens on the projection to coordinates 0..n; the flatness constraints
-are checked separately first.  That projection does not change the face
+are checked separately.  That projection does not change the face
 structure of the cone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import ConeInputError, InternalInconsistencyError, NotInConeError
+from .cones import (Cone, Decomposition, MembershipReport, Triangulation,
+                    parity_triangulation)
+from .errors import ConeInputError, InternalInconsistencyError
 from .sequences import (BettiVector, TailPeriodicSequence, chi, chi_name, embed,
                         ray, rho_vector)
-
-TRIANGULATION_LABELS = ("omit_odd", "omit_even")
 
 
 def phi(v: BettiVector) -> TailPeriodicSequence:
@@ -45,85 +45,39 @@ def phi(v: BettiVector) -> TailPeriodicSequence:
     return TailPeriodicSequence(v.n + 1, tuple(head), even_total, odd_total)
 
 
-@dataclass(frozen=True)
-class HyperRayBasis:
-    """The n+2 generating rays, in the fixed order rho[-1], rho[0], ...,
+def cone(n: int) -> Cone:
+    """The total hypersurface cone: nonnegative chi[i,j] for the
+    even-length windows with j <= n and chi[n-1,n], flat from index n on.
+
+    The n+2 generating rays come in the fixed order rho[-1], rho[0], ...,
     rho[n-2], tau_inf[n-2], tau_inf[n-1].  They satisfy exactly one linear
-    relation (for n = 2 one tau ray is a combination of the others, so the
-    extremal rays are only n+1 of these)."""
-
-    n: int
-    rays: tuple[TailPeriodicSequence, ...]
-    names: tuple[str, ...]
-
-    def projected(self) -> list[tuple[Fraction, ...]]:
-        return [r.prefix(self.n + 1) for r in self.rays]
-
-
-def ray_basis(n: int) -> HyperRayBasis:
+    relation; for n = 2 the ray tau_inf[0] is a combination of the others,
+    and the cone is the simplex on rho[-1], rho[0], tau_inf[1].
+    """
     if n < 2:
         raise ConeInputError(f"the total hypersurface cone needs n >= 2, got n={n}")
-    rays = [ray("rho", i, n) for i in range(-1, n - 1)]
-    names = [f"rho[{i}]" for i in range(-1, n - 1)]
-    rays += [ray("tau_inf", n - 2, n), ray("tau_inf", n - 1, n)]
-    names += [f"tau_inf[{n - 2}]", f"tau_inf[{n - 1}]"]
-    return HyperRayBasis(n, tuple(rays), tuple(names))
+    return Cone("the total hypersurface cone", n,
+                lambda: ([(chi_name(i, j), chi(i, j))
+                          for i in range(n + 1) for j in range(i, n + 1, 2)]
+                         + [(chi_name(n - 1, n), chi(n - 1, n))]),
+                lambda: ([(f"rho[{i}]", ray("rho", i, n)) for i in range(-1, n - 1)]
+                         + [(f"tau_inf[{i}]", ray("tau_inf", i, n)) for i in (n - 2, n - 1)]),
+                flat_from=n, core=(0, 1, 3) if n == 2 else None)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Outcome of a membership check with the violated constraints, as
-    (name, value) pairs like ("chi[1,2]", Fraction(-1))."""
-
-    ok: bool
-    violations: tuple[tuple[str, Fraction], ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def flatness_violations(w: TailPeriodicSequence, n: int
-                        ) -> list[tuple[str, Fraction]]:
-    """Violations of entry(i) = entry(i+1) for i >= n.  Scanning up to two
-    indices past the stabilization point decides the whole infinite family
-    because the tail is 2-periodic."""
-    out = []
-    for i in range(n, max(n, w.stab) + 2):
-        gap = w.entry(i) - w.entry(i + 1)
-        if gap != 0:
-            out.append((chi_name(i, i + 1), gap))
-    return out
-
-
-def chi_window_violations(w: TailPeriodicSequence, n: int
-                          ) -> list[tuple[str, Fraction]]:
-    """Violated constraints among chi[i,j] >= 0 for even-length windows
-    with j <= n, plus chi[n-1,n] >= 0."""
-    out = []
-    for i in range(n + 1):
-        for j in range(i, n + 1, 2):
-            value = chi(i, j)(w)
-            if value < 0:
-                out.append((chi_name(i, j), value))
-    value = chi(n - 1, n)(w)
-    if value < 0:
-        out.append((chi_name(n - 1, n), value))
-    return out
+ray_basis = cone  # the cone's ``rays`` and ``names`` are the ray basis
 
 
 def facets_check(w: TailPeriodicSequence, n: int) -> MembershipReport:
     """Membership in the total hypersurface cone."""
-    if n < 2:
-        raise ConeInputError(f"the total hypersurface cone needs n >= 2, got n={n}")
-    violations = chi_window_violations(w, n) + flatness_violations(w, n)
-    return MembershipReport(not violations, tuple(violations))
+    return cone(n).member(w)
 
 
 def linear_relation(n: int) -> tuple[Fraction, ...]:
     """The unique (up to scale) linear relation among the n+2 rays,
     normalized so the tau_inf[n-1] coefficient is +1, and verified to sum
     to the zero sequence exactly."""
-    basis = ray_basis(n)
+    basis = cone(n)
     columns = basis.projected()
     rows = [[columns[k][i] for k in range(n + 2)] for i in range(n + 1)]
     kernel = linalg.nullspace(rows)
@@ -143,127 +97,18 @@ def linear_relation(n: int) -> tuple[Fraction, ...]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    """One of the cone's two triangulations.  Simplices are index tuples
-    into the ray basis, listed by ascending omitted-ray position; the
-    label records which parity class of rays gets omitted (the ray at
-    position i has index label i-1 for the finite rays and tail start
-    n-2 or n-1 for the tau rays; position n-1, the last finite ray, sits
-    outside the unique relation and is omitted by neither family)."""
-
-    label: str
-    n: int
-    simplices: tuple[tuple[int, ...], ...]
-    omitted: tuple[int, ...]
-
-
-def _index_label(position: int, n: int) -> int:
-    if position <= n - 1:
-        return position - 1
-    return n - 2 if position == n else n - 1
-
-
-def _parity_triangulation(n: int, label: str) -> Triangulation:
-    parity = 1 if label == "omit_odd" else 0
-    omitted = tuple(p for p in range(n + 2)
-                    if p != n - 1 and _index_label(p, n) % 2 == parity)
-    simplices = tuple(tuple(q for q in range(n + 2) if q != p) for p in omitted)
-    return Triangulation(label, n, simplices, omitted)
-
-
 def triangulations(n: int) -> tuple[Triangulation, Triangulation]:
     """Both triangulations of the total cone; defined for n >= 3 (at n = 2
     the ray list is redundant and the cone is already simplicial)."""
     if n < 3:
         raise ConeInputError(f"triangulations are defined for n >= 3, got n={n}")
-    return (_parity_triangulation(n, "omit_odd"),
-            _parity_triangulation(n, "omit_even"))
-
-
-@dataclass(frozen=True)
-class HyperDecomposition:
-    """Nonnegative ray coefficients supported on one simplex, plus which
-    simplex was used.  ``coefficients`` is aligned with the ray basis."""
-
-    n: int
-    names: tuple[str, ...]
-    coefficients: tuple[Fraction, ...]
-    simplex_used: tuple[int, ...]
-    label: str
-
-    def supported(self) -> list[tuple[str, Fraction]]:
-        return [(name, c) for name, c in zip(self.names, self.coefficients) if c != 0]
-
-
-def _locate_simplex(projected, simplices, target):
-    """First simplex (in the given order) whose exact barycentric solve is
-    nonnegative; returns (simplex, coefficients) or None."""
-    for simplex in simplices:
-        columns = [projected[k] for k in simplex]
-        sol = linalg.solve_columns(columns, target)
-        if sol is not None and all(c >= 0 for c in sol):
-            return simplex, sol
-    return None
-
-
-def _assemble(basis_len, simplex, sol):
-    coeffs = [Fraction(0)] * basis_len
-    for k, c in zip(simplex, sol):
-        coeffs[k] = c
-    return tuple(coeffs)
-
-
-def _reconstruction_matches(rays, coeffs, w) -> bool:
-    total = TailPeriodicSequence.zero()
-    for c, r in zip(coeffs, rays):
-        total = total + r.scale(c)
-    return total == w
+    return (parity_triangulation(n, "omit_odd"), parity_triangulation(n, "omit_even"))
 
 
 def decompose(w: TailPeriodicSequence, n: int, which: str | int = "omit_odd"
-              ) -> HyperDecomposition:
-    """Nonnegative ray certificate for a member of the total cone.
-
-    For n >= 3 the simplices of the chosen triangulation are tried in
-    order (ascending omitted-ray position) and the first exact nonnegative
-    solve wins, so output is deterministic; points on shared faces get the
-    same answer from both triangulations.  For n = 2 the cone is
-    simplicial once the redundant ray tau_inf[0] is set aside, and a
-    direct solve is used.
-    """
-    if isinstance(which, int):
-        if which not in (1, 2):
-            raise ConeInputError(f"triangulation choice must be 1 or 2, got {which}")
-        which = TRIANGULATION_LABELS[which - 1]
-    if which not in TRIANGULATION_LABELS:
-        raise ConeInputError(f"unknown triangulation label {which!r}")
-    report = facets_check(w, n)
-    if not report.ok:
-        name, value = report.violations[0]
-        raise NotInConeError(
-            f"not in the total hypersurface cone: {name} = {value}",
-            report.violations)
-    basis = ray_basis(n)
-    projected = basis.projected()
-    target = w.prefix(n + 1)
-
-    if n == 2:
-        core = (0, 1, 3)  # rho[-1], rho[0], tau_inf[1]; tau_inf[0] is redundant
-        located = _locate_simplex(projected, [core], target)
-        label = "simplicial"
-    else:
-        tri = _parity_triangulation(n, which)
-        located = _locate_simplex(projected, tri.simplices, target)
-        label = which
-    if located is None:
-        raise InternalInconsistencyError(
-            "member vector admits no nonnegative simplex certificate")
-    simplex, sol = located
-    coeffs = _assemble(n + 2, simplex, sol)
-    if not _reconstruction_matches(basis.rays, coeffs, w):
-        raise InternalInconsistencyError("decomposition failed exact reconstruction")
-    return HyperDecomposition(n, basis.names, coeffs, simplex, label)
+              ) -> Decomposition:
+    """Nonnegative ray certificate for a member of the total cone."""
+    return cone(n).decompose(w, which)
 
 
 def split(w: TailPeriodicSequence, n: int) -> tuple[BettiVector, BettiVector]:

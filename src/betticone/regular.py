@@ -13,38 +13,48 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .cones import Cone
 from .errors import NotInConeError
 from .sequences import BettiVector, LinearFunctional, chi, chi_name, rho_vector
 
 
+def cone(n: int) -> Cone:
+    """The regular cone: facets chi[j,n], j = 0..n, and rays rho[-1..n-1].
+    It is simplicial and rho[i] is dual to chi[i+1,n], so the facet values
+    of a vector are its ray coefficients."""
+    return Cone("the regular cone", n,
+                lambda: [(chi_name(j, n), chi(j, n)) for j in range(n + 1)],
+                lambda: [(f"rho[{i}]", rho_vector(i, n)) for i in range(-1, n)],
+                core=tuple(range(n + 1)))
+
+
 def facets(n: int) -> list[LinearFunctional]:
     """The n+1 facet functionals chi[j,n], j = 0..n."""
-    return [chi(j, n) for j in range(n + 1)]
+    return [f for _, f in cone(n).facets]
 
 
 def rays(n: int) -> list[BettiVector]:
     """The n+1 extremal rays: the free shape, then the two-term shapes."""
-    return [rho_vector(i, n) for i in range(-1, n)]
+    return list(cone(n).rays)
 
 
 def ray_names(n: int) -> list[str]:
-    return [f"rho[{i}]" for i in range(-1, n)]
+    return list(cone(n).names)
 
 
-def _coefficients(v: BettiVector) -> tuple[Fraction, ...]:
-    # Coefficient of rho_i is chi[i+1, n](v); index i runs -1..n-1.
-    return tuple(chi(i + 1, v.n)(v) for i in range(-1, v.n))
+def _facet_values(v: BettiVector) -> list[tuple[str, Fraction]]:
+    # The value of chi[i+1,n] is the coefficient of rho_i; i runs -1..n-1.
+    return [(name, f(v)) for name, f in cone(v.n).facets]
 
 
 def member(v: BettiVector) -> bool:
     """Closure membership: all partial Euler characteristics chi[j,n] >= 0."""
-    return all(a >= 0 for a in _coefficients(v))
+    return not cone(v.n).violations(v)
 
 
 def facet_violations(v: BettiVector) -> list[tuple[str, Fraction]]:
     """The facet functionals chi[j,n] that are negative on v, with values."""
-    return [(chi_name(i + 1, v.n), c)
-            for i, c in zip(range(-1, v.n), _coefficients(v)) if c < 0]
+    return cone(v.n).violations(v)
 
 
 @dataclass(frozen=True)
@@ -81,12 +91,12 @@ def decompose(v: BettiVector) -> RegularDecomposition:
     Raises NotInConeError naming the violated facet when some chi[j,n] is
     negative.
     """
-    coeffs = _coefficients(v)
-    bad = [(chi_name(i + 1, v.n), c) for i, c in zip(range(-1, v.n), coeffs) if c < 0]
+    values = _facet_values(v)
+    bad = [(name, c) for name, c in values if c < 0]
     if bad:
         raise NotInConeError(
             f"not in the regular cone: {bad[0][0]} = {bad[0][1]}", bad)
-    return RegularDecomposition(v.n, coeffs)
+    return RegularDecomposition(v.n, tuple(c for _, c in values))
 
 
 @dataclass(frozen=True)
@@ -110,7 +120,7 @@ class ShapeClass:
 
 def classify(v: BettiVector) -> ShapeClass:
     n = v.n
-    coeffs = _coefficients(v)
+    coeffs = tuple(c for _, c in _facet_values(v))
     dec = RegularDecomposition(n, coeffs)
     is_member = all(c >= 0 for c in coeffs)
     cm = coeffs[0] == 0

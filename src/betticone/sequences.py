@@ -20,7 +20,8 @@ from .errors import ConeInputError, MalformedInputError
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# [0-9], not \d: \d also matches non-ASCII digits such as "１".
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -32,9 +33,17 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value.strip()):
+        text = value.strip()
+        if not _RATIONAL_RE.match(text):
             raise MalformedInputError(f"not a rational string: {value!r}")
-        return Fraction(value.strip())
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise MalformedInputError(f"zero denominator in {value!r}") from None
+        except ValueError:
+            # int() refuses strings longer than sys.get_int_max_str_digits()
+            raise MalformedInputError(
+                f"rational string of {len(text)} characters has too many digits") from None
     raise MalformedInputError(f"not a rational: {value!r}")
 
 
@@ -359,6 +368,10 @@ def sequence_from_json(data) -> Sequence:
     if not isinstance(data, dict):
         raise MalformedInputError("sequence JSON must be an object")
     kind = data.get("kind")
+    for key in ("n", "stab"):
+        # `type(...) is int`: bool is an int subclass, so `true` would read as 1
+        if key in data and type(data[key]) is not int:
+            raise MalformedInputError(f'"{key}" must be an integer, got {data[key]!r}')
     try:
         if kind == "finite":
             entries = data["entries"]

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hyper_fixed, hyper_total, oracle, regular
+from .cones import Cone
 from .hyper_fixed import FixedConeParams
 from .linalg import primitive
 from .oracle import ConeDescription
-from .sequences import chi, xi
 
 
 @dataclass(frozen=True)
@@ -23,32 +23,16 @@ class SweepResult:
     detail: str = ""
 
 
-def _regular_cone_pair(n: int) -> tuple[ConeDescription, ConeDescription]:
-    rays = tuple(r.entries for r in regular.rays(n))
-    facets = tuple(f.as_vector(n + 1) for f in regular.facets(n))
-    return (ConeDescription(n + 1, rays=rays), ConeDescription(n + 1, facets=facets))
-
-
-def total_facet_vectors(n: int) -> list[tuple]:
-    """The defining functional list of the total cone, projected to
-    coordinates 0..n (the flatness constraints vanish under projection)."""
-    out = []
-    for i in range(n + 1):
-        for j in range(i, n + 1, 2):
-            out.append(chi(i, j).as_vector(n + 1))
-    out.append(chi(n - 1, n).as_vector(n + 1))
-    return out
-
-
-def fixed_facet_vectors(n: int, d: int) -> list[tuple]:
-    out = total_facet_vectors(n)
-    for i in range(n + 1):
-        out.append(xi(i, n, d).as_vector(n + 1))
-    return out
+def _description_pair(cone: Cone) -> tuple[ConeDescription, ConeDescription]:
+    """The cone from its rays and from the facet list membership evaluates,
+    both projected to coordinates 0..n (flatness vanishes there)."""
+    dim = cone.n + 1
+    return (ConeDescription(dim, rays=tuple(cone.projected())),
+            ConeDescription(dim, facets=tuple(f.as_vector(dim) for _, f in cone.facets)))
 
 
 def check_regular(n: int) -> SweepResult:
-    a, b = _regular_cone_pair(n)
+    a, b = _description_pair(regular.cone(n))
     ok = oracle.cone_equal(a, b)
     ok = ok and sorted(oracle.canonical_facets(a)) == sorted(
         primitive(f) for f in b.facets)
@@ -56,10 +40,8 @@ def check_regular(n: int) -> SweepResult:
 
 
 def check_total(n: int) -> SweepResult:
-    basis = hyper_total.ray_basis(n)
-    a = ConeDescription(n + 1, rays=tuple(basis.projected()))
-    b = ConeDescription(n + 1, facets=tuple(total_facet_vectors(n)))
-    if not oracle.cone_equal(a, b):
+    cone = hyper_total.cone(n)
+    if not oracle.cone_equal(*_description_pair(cone)):
         return SweepResult(f"total n={n}: rays <-> facets", False, "cones differ")
     try:
         relation = hyper_total.linear_relation(n)
@@ -68,21 +50,17 @@ def check_total(n: int) -> SweepResult:
     return SweepResult(
         f"total n={n}: rays <-> facets, relation space 1-dim", True,
         "relation " + "+".join(f"({c})*{name}" for c, name
-                               in zip(relation, basis.names) if c != 0))
+                               in zip(relation, cone.names) if c != 0))
 
 
 def check_fixed(n: int, d: int) -> SweepResult:
-    p = FixedConeParams(n, d)
-    rays = tuple(r.prefix(n + 1) for r in hyper_fixed.rays(p))
-    a = ConeDescription(n + 1, rays=rays)
-    b = ConeDescription(n + 1, facets=tuple(fixed_facet_vectors(n, d)))
-    ok = oracle.cone_equal(a, b)
+    cone = hyper_fixed.cone(FixedConeParams(n, d))
+    ok = oracle.cone_equal(*_description_pair(cone))
     return SweepResult(f"fixed n={n} d={d}: rays <-> facets", ok)
 
 
 def check_triangulations(n: int) -> SweepResult:
-    basis = hyper_total.ray_basis(n)
-    cone = ConeDescription(n + 1, rays=tuple(basis.projected()))
+    cone = ConeDescription(n + 1, rays=tuple(hyper_total.cone(n).projected()))
     details = []
     ok = True
     for tri in hyper_total.triangulations(n):

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from betticone import verification
 from betticone.cli import main
 from betticone.hyper_total import phi
@@ -162,6 +164,12 @@ class TestVerify:
         assert code == 0
         assert "checks passed" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("option", ["--n-max", "--mult-max"])
+    def test_bound_below_two_is_usage_error(self, capsys, option):
+        code, out, err = run(capsys, "verify", option, "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(verification, "run_sweep",
                             lambda n, m: [verification.SweepResult("forced", False)])
@@ -205,6 +213,34 @@ class TestInputHandling:
         code, _, _ = run(capsys, "member", "--cone", "regular", "--n", "2",
                          "--input", str(path), "--inline", finite_json([1, 2, 1]))
         assert code == 1
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "seq.json"
+        path.write_bytes(b"\xff\xfe" + finite_json([1, 2, 1]).encode())
+        code, _, err = run(capsys, "member", "--cone", "regular", "--n", "2",
+                           "--input", str(path))
+        assert code == 1
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "seq.json"
+        path.write_text("[" * 200000)
+        for source in (("--inline", "[" * 200000), ("--input", str(path))):
+            code, _, err = run(capsys, "member", "--cone", "regular", "--n", "2", *source)
+            assert code == 1
+            assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "finite", "n": 1, "entries": ["1/0", "1"]},
+        {"kind": "finite", "n": 1, "entries": ["7" * 4301, "1"]},
+        {"kind": "finite", "n": 1, "entries": ["\uff11", "1"]},
+        {"kind": "finite", "n": True, "entries": ["1", "1"]},
+    ], ids=["zero_denominator", "huge_integer", "non_ascii_digit", "bool_n"])
+    def test_input_boundary_defects(self, capsys, data):
+        code, out, err = run(capsys, "member", "--cone", "regular", "--n", "1",
+                             "--inline", json.dumps(data))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_invalid_json(self, capsys):
         code, _, _ = run(capsys, "member", "--cone", "regular", "--n", "2",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from betticone import hyper_fixed, hyper_total, oracle, verification
+from betticone.cones import parity_triangulation
 from betticone.errors import ConeInputError, NotInConeError
 from betticone.hyper_fixed import (ContainmentReport, FixedConeParams,
                                    containment_report, decompose, member, rays)
@@ -118,7 +119,7 @@ class TestDecompose:
         projected = tuple(r.prefix(n + 1) for r in rays(p))
         cone = ConeDescription(n + 1, rays=projected)
         for label in ("omit_odd", "omit_even"):
-            tri = hyper_total._parity_triangulation(n, label)
+            tri = parity_triangulation(n, label)
             report = oracle.validate_triangulation(cone, tri)
             assert report.valid, (n, d, label, report.problems)
 
@@ -164,8 +165,27 @@ class TestSweepIntegration:
         # the functional cone's rays must reproduce the list exactly
         from betticone.linalg import primitive
         n, d = 3, 3
-        facets = tuple(verification.fixed_facet_vectors(n, d))
+        facets = tuple(f.as_vector(n + 1)
+                       for _, f in hyper_fixed.cone(FixedConeParams(n, d)).facets)
         found = oracle.canonical_rays(ConeDescription(n + 1, facets=facets))
         expected = sorted(primitive(r.prefix(n + 1))
                           for r in rays(FixedConeParams(n, d)))
         assert found == expected
+
+
+class TestSharedDriver:
+    @pytest.mark.parametrize("which", [0, 3, "foo"])
+    def test_bad_triangulation_choice(self, which):
+        w = ray("tau_inf", 2, 3)
+        with pytest.raises(ConeInputError):
+            hyper_total.decompose(w, 3, which)
+        with pytest.raises(ConeInputError):
+            decompose(ray("tau_d", 2, 3, 3), FixedConeParams(3, 3), which)
+
+    def test_violation_order(self):
+        # chi windows, then flatness, then xi
+        w = TailPeriodicSequence(4, (0, 0, 0, 1), Fraction(1), Fraction(2))
+        report = member(w, FixedConeParams(3, 3))
+        assert report.violations == (
+            ("chi[2,3]", -1), ("chi[4,5]", -1), ("chi[5,6]", 1),
+            ("xi[0,3]", -1), ("xi[2,3]", -1))

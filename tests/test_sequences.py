@@ -260,3 +260,17 @@ class TestJsonSchema:
     def test_malformed(self, bad):
         with pytest.raises(MalformedInputError):
             sequence_from_json(bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"kind": "finite", "entries": ["1/0", "1"]},
+        {"kind": "finite", "entries": ["7" * 4301, "1"]},
+        {"kind": "finite", "entries": ["１", "1"]},  # FULLWIDTH DIGIT ONE
+        {"kind": "finite", "n": True, "entries": ["1", "1"]},
+        {"kind": "tail", "stab": True, "head": ["1"], "tail_even": "1", "tail_odd": "0"},
+    ], ids=["zero_denominator", "huge_integer", "non_ascii_digit", "bool_n", "bool_stab"])
+    def test_input_boundary_defects(self, bad):
+        # each was once accepted or escaped as another exception type
+        with pytest.raises(MalformedInputError) as info:
+            sequence_from_json(bad)
+        message = str(info.value)
+        assert "\n" not in message and len(message) < 200
