@@ -150,12 +150,12 @@ def _hyper_certificate(cone, w, which) -> dict:
 # and --mult and returns the Cone, the input in the cone's space, and the
 # payload fields printed before and after the answer; the certificate is
 # the answer of `decompose`.
-CONES = {"regular": (lambda seq, n, mult: (regular.cone(n), _finite(seq, n), {}, {}),
+_CONES = {"regular": (lambda seq, n, mult: (regular.cone(n), _finite(seq, n), {}, {}),
                      _regular_certificate),
          "total": (lambda seq, n, mult: (hyper_total.cone(n), _tail(seq), {}, {}),
                    _hyper_certificate),
          "fixed": (_fixed, _hyper_certificate)}
-cone_option = click.option("--cone", type=click.Choice(list(CONES)), required=True)
+cone_option = click.option("--cone", type=click.Choice(list(_CONES)), required=True)
 
 
 @cli.command()
@@ -167,7 +167,7 @@ cone_option = click.option("--cone", type=click.Choice(list(CONES)), required=Tr
               help="Multiplicity d (required for --cone fixed).")
 def member(input_path, inline, cone, n, mult):
     """Cone membership with the violated constraints named."""
-    read, _ = CONES[cone]
+    read, _ = _CONES[cone]
     described, point, before, after = read(_load_sequence(input_path, inline), n, mult)
     violations = described.violations(point)
     _echo_json({"cone": cone, "n": n, **before, "member": not violations,
@@ -184,7 +184,7 @@ def member(input_path, inline, cone, n, mult):
               help="1 = omit_odd, 2 = omit_even (total/fixed cones, n >= 3).")
 def decompose(input_path, inline, cone, n, mult, triangulation):
     """Nonnegative ray-coefficient certificate for a member vector."""
-    read, certificate = CONES[cone]
+    read, certificate = _CONES[cone]
     described, point, before, after = read(_load_sequence(input_path, inline), n, mult)
     _echo_json({"cone": cone, "n": n, **before,
                 **certificate(described, point, int(triangulation)), **after})

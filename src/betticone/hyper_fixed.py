@@ -59,7 +59,7 @@ def cone(p: FixedConeParams) -> Cone:
     n, d = p.n, p.d
     core = tuple(range(n + 1)) if d == 2 else (0, 1, 3) if n == 2 else None
     return Cone(f"the multiplicity-{d} cone", n,
-                lambda: [(xi_name(i, n), xi(i, n, d)) for i in range(n + 1)],
+                lambda: ((xi_name(i, n), xi(i, n, d)) for i in range(n + 1)),
                 lambda: _rays(p), within=hyper_total.cone(n), core=core)
 
 

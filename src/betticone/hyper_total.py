@@ -13,13 +13,14 @@ structure of the cone.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from . import linalg
 from .cones import (Cone, Decomposition, MembershipReport, Triangulation,
                     parity_triangulation)
 from .errors import ConeInputError, InternalInconsistencyError
-from .sequences import (BettiVector, TailPeriodicSequence, chi, chi_name, embed,
-                        ray, rho_vector)
+from .sequences import (BettiVector, LinearFunctional, TailPeriodicSequence, chi,
+                        chi_name, embed, ray, rho_vector)
 
 
 def phi(v: BettiVector) -> TailPeriodicSequence:
@@ -45,6 +46,13 @@ def phi(v: BettiVector) -> TailPeriodicSequence:
     return TailPeriodicSequence(v.n + 1, tuple(head), even_total, odd_total)
 
 
+def _windows(n: int) -> Iterator[tuple[str, LinearFunctional]]:
+    for i in range(n + 1):
+        for j in range(i, n + 1, 2):
+            yield chi_name(i, j), chi(i, j)
+    yield chi_name(n - 1, n), chi(n - 1, n)
+
+
 def cone(n: int) -> Cone:
     """The total hypersurface cone: nonnegative chi[i,j] for the
     even-length windows with j <= n and chi[n-1,n], flat from index n on.
@@ -56,12 +64,10 @@ def cone(n: int) -> Cone:
     """
     if n < 2:
         raise ConeInputError(f"the total hypersurface cone needs n >= 2, got n={n}")
-    return Cone("the total hypersurface cone", n,
-                lambda: ([(chi_name(i, j), chi(i, j))
-                          for i in range(n + 1) for j in range(i, n + 1, 2)]
-                         + [(chi_name(n - 1, n), chi(n - 1, n))]),
+    return Cone("the total hypersurface cone", n, lambda: _windows(n),
                 lambda: ([(f"rho[{i}]", ray("rho", i, n)) for i in range(-1, n - 1)]
-                         + [(f"tau_inf[{i}]", ray("tau_inf", i, n)) for i in (n - 2, n - 1)]),
+                         + [(f"tau_inf[{i}]", ray("tau_inf", i, n))
+                            for i in (n - 2, n - 1)]),
                 flat_from=n, core=(0, 1, 3) if n == 2 else None)
 
 

@@ -23,7 +23,7 @@ def cone(n: int) -> Cone:
     It is simplicial and rho[i] is dual to chi[i+1,n], so the facet values
     of a vector are its ray coefficients."""
     return Cone("the regular cone", n,
-                lambda: [(chi_name(j, n), chi(j, n)) for j in range(n + 1)],
+                lambda: ((chi_name(j, n), chi(j, n)) for j in range(n + 1)),
                 lambda: [(f"rho[{i}]", rho_vector(i, n)) for i in range(-1, n)],
                 core=tuple(range(n + 1)))
 
@@ -40,11 +40,6 @@ def rays(n: int) -> list[BettiVector]:
 
 def ray_names(n: int) -> list[str]:
     return list(cone(n).names)
-
-
-def _facet_values(v: BettiVector) -> list[tuple[str, Fraction]]:
-    # The value of chi[i+1,n] is the coefficient of rho_i; i runs -1..n-1.
-    return [(name, f(v)) for name, f in cone(v.n).facets]
 
 
 def member(v: BettiVector) -> bool:
@@ -91,7 +86,7 @@ def decompose(v: BettiVector) -> RegularDecomposition:
     Raises NotInConeError naming the violated facet when some chi[j,n] is
     negative.
     """
-    values = _facet_values(v)
+    values = [(name, f(v)) for name, f in cone(v.n).facets]
     bad = [(name, c) for name, c in values if c < 0]
     if bad:
         raise NotInConeError(
@@ -120,7 +115,7 @@ class ShapeClass:
 
 def classify(v: BettiVector) -> ShapeClass:
     n = v.n
-    coeffs = tuple(c for _, c in _facet_values(v))
+    coeffs = tuple(f(v) for _, f in cone(n).facets)
     dec = RegularDecomposition(n, coeffs)
     is_member = all(c >= 0 for c in coeffs)
     cm = coeffs[0] == 0

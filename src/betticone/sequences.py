@@ -386,9 +386,9 @@ def sequence_from_json(data) -> Sequence:
             head = data["head"]
             if not isinstance(head, list):
                 raise MalformedInputError('"head" must be a list of rational strings')
-            seq = TailPeriodicSequence(len(head), tuple(as_fraction(e) for e in head),
-                                       as_fraction(data["tail_even"]),
-                                       as_fraction(data["tail_odd"]))
+            # the constructor coerces every entry through as_fraction
+            seq = TailPeriodicSequence(len(head), tuple(head), data["tail_even"],
+                                       data["tail_odd"])
             if "stab" in data and data["stab"] != len(head):
                 raise MalformedInputError(
                     f'"stab"={data["stab"]} does not match head length {len(head)}')
