@@ -150,7 +150,8 @@ class Cone:
 
     def decompose(self, w: TailPeriodicSequence, which: str | int = "omit_odd"
                   ) -> Decomposition:
-        """Nonnegative ray certificate with exact reconstruction.
+        """Nonnegative ray certificate for a member of a tail cone, with
+        exact reconstruction.
 
         The simplices of the chosen triangulation are tried in order
         (ascending omitted-ray position) and the first exact nonnegative

@@ -108,7 +108,8 @@ def triangulations(n: int) -> tuple[Triangulation, Triangulation]:
     the ray list is redundant and the cone is already simplicial)."""
     if n < 3:
         raise ConeInputError(f"triangulations are defined for n >= 3, got n={n}")
-    return (parity_triangulation(n, "omit_odd"), parity_triangulation(n, "omit_even"))
+    return (parity_triangulation(n, "omit_odd"),
+            parity_triangulation(n, "omit_even"))
 
 
 def decompose(w: TailPeriodicSequence, n: int, which: str | int = "omit_odd"

@@ -24,8 +24,7 @@ def cone(n: int) -> Cone:
     of a vector are its ray coefficients."""
     return Cone("the regular cone", n,
                 lambda: ((chi_name(j, n), chi(j, n)) for j in range(n + 1)),
-                lambda: [(f"rho[{i}]", rho_vector(i, n)) for i in range(-1, n)],
-                core=tuple(range(n + 1)))
+                lambda: [(f"rho[{i}]", rho_vector(i, n)) for i in range(-1, n)])
 
 
 def facets(n: int) -> list[LinearFunctional]:
