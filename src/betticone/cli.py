@@ -9,7 +9,7 @@ are strings, never JSON numbers, so nothing is ever rounded):
 
 Exit codes: 0 success, 1 malformed input or usage error, 2 precondition
 violation (e.g. a vector outside the requested cone, with the violated
-functional named), 3 internal verification failure.
+functional named), 3 internal verification failure or any other error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import click
 
 from . import hyper_fixed, hyper_total, pure, regular, verification
 from .errors import (ConeInputError, InternalInconsistencyError,
-                     MalformedInputError, NotInConeError)
+                     MalformedInputError, NotInConeError, quoted)
 from .hyper_fixed import MEMBERSHIP_CAVEAT, FixedConeParams
 from .sequences import (BettiVector, TailPeriodicSequence, embed, rational_str,
                         sequence_from_json, sequence_to_json)
@@ -45,7 +45,8 @@ def _load_sequence(input_path: str | None, inline: str | None):
         text = inline
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: also an integer past the interpreter's digit limit;
         # RecursionError: nesting deeper than the interpreter's recursion limit
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
     return sequence_from_json(data)
@@ -93,7 +94,7 @@ def hk(degrees: str, n: int, normalize_at: int | None):
     try:
         parsed = tuple(int(part) for part in degrees.split(","))
     except ValueError as exc:
-        raise MalformedInputError(f"invalid --degrees {degrees!r}") from exc
+        raise MalformedInputError(f"invalid --degrees {quoted(degrees)}") from exc
     v = pure.herzog_kuhl(pure.DegreeSequence(parsed), n)
     if normalize_at is not None:
         v = pure.normalize_at(v, normalize_at)
@@ -231,9 +232,6 @@ def split(input_path, inline, n):
 @click.pass_context
 def verify(ctx, n_max: int, mult_max: int):
     """Run the oracle sweep re-deriving every rays/facets equivalence."""
-    if n_max < 2 or mult_max < 2:
-        raise MalformedInputError(
-            f"--n-max and --mult-max must be at least 2, got {n_max} and {mult_max}")
     results = verification.run_sweep(n_max, mult_max)
     failures = 0
     for result in results:
@@ -290,6 +288,9 @@ def main(argv=None) -> int:
         return 3
     except click.Abort:
         return 1
+    except Exception as exc:
+        click.echo(f"internal error: {type(exc).__name__}: {quoted(str(exc))}", err=True)
+        return 3
     return 0
 
 

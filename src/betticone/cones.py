@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from . import linalg
-from .errors import ConeInputError, InternalInconsistencyError, NotInConeError
+from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
 from .sequences import (BettiVector, LinearFunctional, Sequence,
                         TailPeriodicSequence, chi_name)
 
@@ -124,6 +124,14 @@ class Cone:
         return [r.entries if isinstance(r, BettiVector) else r.prefix(self.n + 1)
                 for r in self.rays]
 
+    def combine(self, coeffs) -> Sequence:
+        """The exact sum of ``coeffs[k] * rays[k]`` over this cone's rays, in
+        the rays' own sequence type; zero coefficients are skipped."""
+        if len(coeffs) != len(self.rays):
+            raise ConeInputError(f"{len(coeffs)} coefficients for {len(self.rays)} rays")
+        return sum((r.scale(c) for c, r in zip(coeffs, self.rays) if c != 0),
+                   self.rays[0].scale(0))
+
     def violations(self, w: Sequence) -> list[tuple[str, Fraction]]:
         """Violated constraints with their values: the enclosing cone's,
         then this cone's negative facets, then flatness."""
@@ -164,7 +172,7 @@ class Cone:
                 raise ConeInputError(f"triangulation choice must be 1 or 2, got {which}")
             which = TRIANGULATION_LABELS[which - 1]
         if which not in TRIANGULATION_LABELS:
-            raise ConeInputError(f"unknown triangulation label {which!r}")
+            raise ConeInputError(f"unknown triangulation label {quoted(which)}")
         tri = (parity_triangulation(self.n, which) if self.core is None
                else Triangulation("simplicial", self.n, (self.core,), ()))
         violations = self.violations(w)
@@ -183,9 +191,6 @@ class Cone:
         coeffs = [Fraction(0)] * len(self.rays)
         for k, c in zip(simplex, sol):
             coeffs[k] = c
-        total = TailPeriodicSequence.zero()
-        for c, r in zip(coeffs, self.rays):
-            total = total + r.scale(c)
-        if total != w:
+        if self.combine(coeffs) != w:
             raise InternalInconsistencyError("decomposition failed exact reconstruction")
         return Decomposition(self.n, self.names, tuple(coeffs), simplex, tri.label)

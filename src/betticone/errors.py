@@ -3,7 +3,7 @@
 The split matters for the CLI contract: malformed serialized input exits
 with status 1, a violated operation precondition (not-in-cone, bad cone
 parameters) exits with status 2, and an internal verification failure
-exits with status 3.
+exits with status 3.  Messages quote rejected input through `quoted`.
 """
 
 from __future__ import annotations
@@ -32,3 +32,10 @@ class NotInConeError(ConeInputError):
 
 class InternalInconsistencyError(RuntimeError):
     """A state that should be impossible for valid inputs; signals a bug."""
+
+
+def quoted(value) -> str:
+    """A rejected value for an error message: its repr, cut to 40
+    characters plus "..." so that hostile input keeps the message short."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."

@@ -115,17 +115,16 @@ def containment_report(p: FixedConeParams, p2: Optional[FixedConeParams] = None
             raise ConeInputError(
                 f"containment holds for growing multiplicity; got d'={p2.d} < d={p.d}")
     entries = []
-    fixed = cone(p)
+    fixed, total = cone(p), hyper_total.cone(p.n)
+    larger = cone(p2) if p2 is not None else None
     for name, r in zip(fixed.names, fixed.rays):
-        total_report = hyper_total.facets_check(r, p.n)
+        total_report = total.member(r)
         in_larger = None
         certificate = None
-        if p2 is not None:
-            larger_report = member(r, p2)
-            in_larger = larger_report.ok
+        if larger is not None:
+            in_larger = larger.member(r).ok
             if in_larger:
-                dec = decompose(r, p2)
-                certificate = tuple(dec.supported())
+                certificate = tuple(larger.decompose(r).supported())
         entries.append(RayContainment(name, total_report.ok,
                                       total_report.violations,
                                       in_larger, certificate))

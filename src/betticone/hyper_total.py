@@ -15,12 +15,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from . import linalg
+from . import linalg, regular
 from .cones import (Cone, Decomposition, MembershipReport, Triangulation,
                     parity_triangulation)
 from .errors import ConeInputError, InternalInconsistencyError
 from .sequences import (BettiVector, LinearFunctional, TailPeriodicSequence, chi,
-                        chi_name, embed, ray, rho_vector)
+                        chi_name, embed, ray)
 
 
 def phi(v: BettiVector) -> TailPeriodicSequence:
@@ -31,19 +31,12 @@ def phi(v: BettiVector) -> TailPeriodicSequence:
     even-index entries, the odd tail the sum of the odd-index ones.  The
     two tails agree exactly when the alternating sum chi[0,n](v) is 0.
     """
-    even_total = sum((v[i] for i in range(0, v.n + 1, 2)), Fraction(0))
-    odd_total = sum((v[i] for i in range(1, v.n + 1, 2)), Fraction(0))
     head = []
-    even_acc = Fraction(0)
-    odd_acc = Fraction(0)
+    acc = [Fraction(0), Fraction(0)]  # running even and odd sums
     for i in range(v.n + 1):
-        if i % 2 == 0:
-            even_acc += v[i]
-            head.append(even_acc)
-        else:
-            odd_acc += v[i]
-            head.append(odd_acc)
-    return TailPeriodicSequence(v.n + 1, tuple(head), even_total, odd_total)
+        acc[i % 2] += v[i]
+        head.append(acc[i % 2])
+    return TailPeriodicSequence(v.n + 1, tuple(head), acc[0], acc[1])
 
 
 def _windows(n: int) -> Iterator[tuple[str, LinearFunctional]]:
@@ -95,10 +88,7 @@ def linear_relation(n: int) -> tuple[Fraction, ...]:
     if last == 0:
         raise InternalInconsistencyError("relation does not involve tau_inf[n-1]")
     coeffs = tuple(c / last for c in coeffs)
-    total = TailPeriodicSequence.zero()
-    for c, r in zip(coeffs, basis.rays):
-        total = total + r.scale(c)
-    if not total.is_zero:
+    if not basis.combine(coeffs).is_zero:
         raise InternalInconsistencyError("ray relation failed exact verification")
     return coeffs
 
@@ -123,18 +113,15 @@ def split(w: TailPeriodicSequence, n: int) -> tuple[BettiVector, BettiVector]:
     vector) + (embedded member of the one-smaller finite cone).
 
     The tau coefficients of the ray certificate pull back through the
-    transform to the last two finite rays (the transform sends rho_i to
-    tau_inf[i]); the finite coefficients assemble the second part.
+    transform to the last two rays of the n-dimensional regular cone (the
+    transform sends rho_i to tau_inf[i]); the finite coefficients combine
+    the rays of the (n-1)-dimensional one into the second part.
     Returns (v1 of length n+1, v2 of length n); the reconstruction
     phi(v1) + embed(v2) = w is verified exactly.
     """
-    dec = decompose(w, n, "omit_odd")
-    c = dec.coefficients
-    v1 = (rho_vector(n - 2, n).scale(c[n])
-          + rho_vector(n - 1, n).scale(c[n + 1]))
-    v2 = BettiVector(n - 1, (Fraction(0),) * n)
-    for position in range(n):
-        v2 = v2 + rho_vector(position - 1, n - 1).scale(c[position])
+    c = decompose(w, n, "omit_odd").coefficients
+    v1 = regular.cone(n).combine((0,) * (n - 1) + c[n:])
+    v2 = regular.cone(n - 1).combine(c[:n])
     if phi(v1) + embed(v2) != w:
         raise InternalInconsistencyError("split failed exact reconstruction")
     return v1, v2

@@ -24,6 +24,8 @@ from .errors import ConeInputError
 from .linalg import dot, primitive
 
 MAX_DIM = 12
+COVERAGE_SAMPLES = 40  # random ray combinations `validate_triangulation` tests
+COVERAGE_SEED = 20240817
 
 IntVector = tuple[int, ...]
 
@@ -204,9 +206,7 @@ def _simplex_membership(inverse, point) -> bool:
     return all(dot(row, point) >= 0 for row in inverse)
 
 
-def validate_triangulation(cone: ConeDescription, triangulation,
-                           samples: int = 40, seed: int = 20240817
-                           ) -> TriangulationReport:
+def validate_triangulation(cone: ConeDescription, triangulation) -> TriangulationReport:
     """Check that the given simplices triangulate the cone.
 
     ``triangulation`` is anything with a ``simplices`` attribute (or a bare
@@ -284,12 +284,12 @@ def validate_triangulation(cone: ConeDescription, triangulation,
                 f"wall {sorted(ridge)} belongs to {count} simplices, expected {expected}"))
 
     # Sampled coverage with deterministic witnesses.
-    rng = random.Random(seed)
+    rng = random.Random(COVERAGE_SEED)
     points = [tuple(sum(r[c] for r in rays) for c in range(dim))]
     for i in range(len(rays)):
         for j in range(i + 1, len(rays)):
             points.append(tuple(rays[i][c] + rays[j][c] for c in range(dim)))
-    for _ in range(samples):
+    for _ in range(COVERAGE_SAMPLES):
         coeffs = [Fraction(rng.randint(0, 9)) for _ in rays]
         if all(c == 0 for c in coeffs):
             coeffs[0] = Fraction(1)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import ConeInputError
+from .errors import ConeInputError, quoted
 from .sequences import BettiVector, rho_vector
 
 
@@ -25,7 +25,7 @@ class DegreeSequence:
             raise ConeInputError("degree sequence must be nonempty")
         if any(a >= b for a, b in zip(degrees, degrees[1:])):
             raise ConeInputError(
-                f"degree sequence must be strictly increasing, got {degrees}")
+                f"degree sequence must be strictly increasing, got {quoted(degrees)}")
         object.__setattr__(self, "degrees", degrees)
 
     @property

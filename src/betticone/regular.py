@@ -73,10 +73,7 @@ class RegularDecomposition:
         return self.a[0]
 
     def reconstruct(self) -> BettiVector:
-        out = BettiVector(self.n, (Fraction(0),) * (self.n + 1))
-        for i in range(-1, self.n):
-            out = out + rho_vector(i, self.n).scale(self.a[i + 1])
-        return out
+        return cone(self.n).combine(self.a)
 
 
 def decompose(v: BettiVector) -> RegularDecomposition:

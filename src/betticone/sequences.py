@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import ConeInputError, MalformedInputError
+from .errors import ConeInputError, MalformedInputError, quoted
 
 RationalLike = Union[Fraction, int, str]
 
@@ -28,23 +28,21 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions, and "p/q" strings; floats are rejected."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise MalformedInputError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
         if not _RATIONAL_RE.match(text):
-            raise MalformedInputError(f"not a rational string: {value!r}")
+            raise MalformedInputError(f"not a rational string: {quoted(value)}")
         try:
             return Fraction(text)
         except ZeroDivisionError:
-            raise MalformedInputError(f"zero denominator in {value!r}") from None
+            raise MalformedInputError(f"zero denominator in {quoted(value)}") from None
         except ValueError:
             # int() refuses strings longer than sys.get_int_max_str_digits()
             raise MalformedInputError(
                 f"rational string of {len(text)} characters has too many digits") from None
-    raise MalformedInputError(f"not a rational: {value!r}")
+    raise MalformedInputError(f"not a rational: {quoted(value)}")
 
 
 def rational_str(value: Fraction) -> str:
@@ -319,7 +317,7 @@ def ray(kind: str, i: int, n: int, d: int | None = None) -> TailPeriodicSequence
         at_corner = Fraction(d - 1, d) if i == n - 2 else Fraction(1, d)
         head = (Fraction(0),) * (n - 2) + (at_corner,)
         return TailPeriodicSequence(n - 1, head, Fraction(1), Fraction(1))
-    raise ConeInputError(f"unknown ray kind: {kind!r}")
+    raise ConeInputError(f"unknown ray kind: {quoted(kind)}")
 
 
 def shape_equal(a: Sequence, b: Sequence) -> bool:
@@ -371,7 +369,7 @@ def sequence_from_json(data) -> Sequence:
     for key in ("n", "stab"):
         # `type(...) is int`: bool is an int subclass, so `true` would read as 1
         if key in data and type(data[key]) is not int:
-            raise MalformedInputError(f'"{key}" must be an integer, got {data[key]!r}')
+            raise MalformedInputError(f'"{key}" must be an integer, got {quoted(data[key])}')
     try:
         if kind == "finite":
             entries = data["entries"]
@@ -380,7 +378,7 @@ def sequence_from_json(data) -> Sequence:
             vec = BettiVector.of(entries)
             if "n" in data and data["n"] != vec.n:
                 raise MalformedInputError(
-                    f'"n"={data["n"]} does not match {len(entries)} entries')
+                    f'"n"={quoted(data["n"])} does not match {len(entries)} entries')
             return vec
         if kind == "tail":
             head = data["head"]
@@ -391,10 +389,10 @@ def sequence_from_json(data) -> Sequence:
                                        data["tail_odd"])
             if "stab" in data and data["stab"] != len(head):
                 raise MalformedInputError(
-                    f'"stab"={data["stab"]} does not match head length {len(head)}')
+                    f'"stab"={quoted(data["stab"])} does not match head length {len(head)}')
             return seq
     except KeyError as exc:
         raise MalformedInputError(f"sequence JSON is missing field {exc}") from exc
     except ConeInputError as exc:
         raise MalformedInputError(str(exc)) from exc
-    raise MalformedInputError(f'unknown sequence kind: {kind!r}')
+    raise MalformedInputError(f'unknown sequence kind: {quoted(kind)}')

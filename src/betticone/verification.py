@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from . import hyper_fixed, hyper_total, oracle, regular
 from .cones import Cone
+from .errors import MalformedInputError
 from .hyper_fixed import FixedConeParams
 from .linalg import primitive
 from .oracle import ConeDescription
@@ -72,8 +73,11 @@ def check_triangulations(n: int) -> SweepResult:
 
 
 def run_sweep(n_max: int = 8, mult_max: int = 6) -> list[SweepResult]:
-    if n_max < 2 or mult_max < 2:
-        raise ValueError("sweep bounds must be at least 2")
+    # regular n = n_max is checked in dimension n_max + 1
+    if not 2 <= n_max <= oracle.MAX_DIM - 1 or mult_max < 2:
+        raise MalformedInputError(
+            f"sweep bounds need 2 <= n_max <= {oracle.MAX_DIM - 1} and mult_max >= 2, "
+            f"got n_max={n_max}, mult_max={mult_max}")
     results = [check_regular(n) for n in range(0, n_max + 1)]
     results += [check_total(n) for n in range(2, n_max + 1)]
     results += [check_fixed(n, d)

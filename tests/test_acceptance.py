@@ -125,6 +125,7 @@ def test_criterion_6_decompose_round_trips():
             for i, c in enumerate(coeffs):
                 v = v + rho_vector(i - 1, n).scale(c)
             assert regular.decompose(v).a == coeffs
+            assert regular.cone(n).combine(regular.decompose(v).a) == v
 
         for _ in range(1000):
             n = rng.randint(2, 6)
@@ -137,6 +138,7 @@ def test_criterion_6_decompose_round_trips():
             for c, r in zip(dec.coefficients, basis.rays):
                 total = total + r.scale(c)
             assert total == w and all(c >= 0 for c in dec.coefficients)
+            assert basis.combine(dec.coefficients) == w
 
         for _ in range(1000):
             n = rng.randint(2, 6)
@@ -151,6 +153,7 @@ def test_criterion_6_decompose_round_trips():
             for c, r in zip(dec.coefficients, listed):
                 total = total + r.scale(c)
             assert total == w and all(c >= 0 for c in dec.coefficients)
+            assert hyper_fixed.cone(p).combine(dec.coefficients) == w
 
 
 def test_criterion_7a_spike_vector_is_depth_zero():

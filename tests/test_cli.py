@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from betticone import verification
+from betticone import hyper_total, verification
 from betticone.cli import main
 from betticone.hyper_total import phi
 from betticone.sequences import (BettiVector, embed, ray, rho_vector,
@@ -176,6 +180,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify")
         assert code == 3 and "FAIL" in out
 
+    @pytest.mark.parametrize("n_max, code", [("11", 0), ("12", 1), ("13", 1)])
+    def test_n_max_capped_before_any_check(self, capsys, monkeypatch, n_max, code):
+        calls = []
+        for name in ("check_regular", "check_total", "check_fixed", "check_triangulations"):
+            monkeypatch.setattr(verification, name, lambda *args, name=name: (
+                calls.append(name) or verification.SweepResult(name, True)))
+        got, out, err = run(capsys, "verify", "--n-max", n_max)
+        assert got == code
+        if code:
+            assert out == "" and calls == []
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert "check_regular" in calls and err == ""
+
 
 class TestPlot:
     def test_csv_columns(self, capsys):
@@ -272,3 +290,58 @@ class TestDeterminism:
         code, out, _ = run(capsys, "phi", "--inline", finite_json([1, 0, 0]))
         payload = json.loads(out)
         assert sequence_to_json(sequence_from_json(payload)) == payload
+
+
+class TestFailurePaths:
+    def test_unexpected_exception_exits_3_on_one_line(self, capsys, monkeypatch):
+        def broken(v):
+            raise RuntimeError("boom\nsecond line")
+        monkeypatch.setattr(hyper_total, "phi", broken)
+        code, out, err = run(capsys, "phi", "--inline", finite_json([1, 3, 3, 1]))
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: 'boom\\nsecond line'\n"
+
+    @pytest.mark.parametrize("argv, code", [
+        (["member", "--cone", "regular", "--n", "2", "--inline",
+          '{"kind":"finite","entries":[' + "[" * 500 + "]" * 500 + "]}"], 1),
+        (["member", "--cone", "regular", "--n", "1", "--inline",
+          json.dumps({"kind": "finite", "entries": ["x" * 5000, "1"]})], 1),
+        (["member", "--cone", "regular", "--n", "1", "--inline",
+          json.dumps({"kind": "finite", "entries": ["7" * 4000 + "/0", "1"]})], 1),
+        (["member", "--cone", "regular", "--n", "1", "--inline",
+          json.dumps({"kind": "finite", "n": "9" * 5000, "entries": ["1", "1"]})], 1),
+        (["member", "--cone", "regular", "--n", "1", "--inline",
+          json.dumps({"kind": "k" * 5000})], 1),
+        (["member", "--cone", "regular", "--n", "1", "--inline",
+          '{"kind":"finite","entries":[' + "1" * 5000 + ',1]}'], 1),
+        (["hk", "--degrees", "0," * 2500 + "x", "--n", "2"], 1),
+        (["hk", "--degrees", ",".join(str(3000 - i) for i in range(3000)), "--n", "3000"], 2),
+    ], ids=["nested_list", "long_string", "zero_denominator", "long_n", "long_kind",
+            "json_integer_past_digit_limit", "long_degrees", "decreasing_degrees"])
+    def test_message_quotes_bounded_input(self, capsys, argv, code):
+        got, out, err = run(capsys, *argv)
+        assert got == code and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.from_regex(r"-?[0-9]{1,3}(/[0-9])?", fullmatch=True),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+sequence_like = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["finite", "tail"]) | json_values},
+    optional={key: json_values
+              for key in ("n", "stab", "entries", "head", "tail_even", "tail_odd")})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=json_values | sequence_like, cone=st.sampled_from(["regular", "total"]))
+def test_member_on_arbitrary_json_ends_in_a_documented_exit(data, cone):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["member", "--cone", cone, "--n", "2", "--inline", json.dumps(data)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == (0 if code == 0 else 1)

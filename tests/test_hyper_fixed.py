@@ -107,6 +107,7 @@ class TestDecompose:
                 total = total + r.scale(c)
             assert total == w
             assert all(c >= 0 for c in dec.coefficients)
+            assert hyper_fixed.cone(p).combine(dec.coefficients) == w
 
     def test_not_in_cone(self):
         with pytest.raises(NotInConeError):

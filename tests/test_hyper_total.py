@@ -232,6 +232,7 @@ class TestDecompose:
                 for c, r in zip(dec.coefficients, ray_basis(n).rays):
                     total = total + r.scale(c)
                 assert total == w
+                assert ray_basis(n).combine(dec.coefficients) == w
                 assert all(c >= 0 for c in dec.coefficients)
 
     def test_n2_direct(self):

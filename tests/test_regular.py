@@ -98,6 +98,7 @@ class TestDecompose:
             dec = regular.decompose(combine(n, coeffs))
             assert dec.a == coeffs
             assert dec.reconstruct() == combine(n, coeffs)
+            assert regular.cone(n).combine(dec.a) == combine(n, coeffs)
 
     def test_alternating_sum_is_free_coefficient(self):
         rng = random.Random(12)
