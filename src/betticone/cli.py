@@ -23,7 +23,7 @@ import click
 
 from . import hyper_fixed, hyper_total, pure, regular, verification
 from .errors import (ConeInputError, InternalInconsistencyError,
-                     MalformedInputError, NotInConeError, quoted)
+                     MalformedInputError, NotInConeError, bounded, quoted)
 from .hyper_fixed import MEMBERSHIP_CAVEAT, FixedConeParams
 from .sequences import (BettiVector, TailPeriodicSequence, embed, rational_str,
                         sequence_from_json, sequence_to_json)
@@ -39,8 +39,13 @@ def _load_sequence(input_path: str | None, inline: str | None):
     if input_path is not None:
         try:
             text = Path(input_path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise MalformedInputError(f"cannot read {input_path}: {exc}") from exc
+        except OSError as exc:
+            # strerror, not str(exc): that repeats the path in full
+            raise MalformedInputError(
+                f"cannot read {quoted(input_path)}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(
+                f"cannot read {quoted(input_path)}: not UTF-8 ({exc.reason})") from exc
     else:
         text = inline
     try:
@@ -104,7 +109,8 @@ def hk(degrees: str, n: int, normalize_at: int | None):
 @cli.command()
 @click.option("--j", type=int, required=True, help="Which two-term ray to approach.")
 @click.option("--t", type=int, required=True, help="Family parameter (>= 2).")
-@click.option("--n", type=int, required=True, help="Ambient homological length.")
+@click.option("--n", type=int, required=True,
+              help=f"Ambient homological length (at most {pure.LIMIT_MAX_N}).")
 def limit(j: int, t: int, n: int):
     """Exact max-norm gap between the normalized pure shape and its limit ray."""
     click.echo(rational_str(pure.limit_gap(j, t, n)))
@@ -278,7 +284,7 @@ def main(argv=None) -> int:
     except NotInConeError as exc:
         click.echo(f"error: {exc}", err=True)
         for name, value in exc.violations:
-            click.echo(f"  violated: {name} = {rational_str(value)}", err=True)
+            click.echo(f"  violated: {name} = {bounded(rational_str(value))}", err=True)
         return 2
     except ConeInputError as exc:
         click.echo(f"error: {exc}", err=True)

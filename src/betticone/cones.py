@@ -1,27 +1,55 @@
 """One description shared by the three cone families, and one driver for
 membership and certificates.
 
-A `Cone` names its facet functionals and its extremal rays and builds
-each list on first use: membership never builds a ray, and `verification`
-projects the same facet list that membership evaluates.  Members of the
-two hyperplane families (total and multiplicity-d) are flat from index n
-on, so their linear algebra happens on coordinates 0..n and flatness is
-checked separately.
+A `Cone` describes each facet once, by its window (see `Window`), and
+names its extremal rays, built on first use: membership never builds a
+ray, and `verification` projects functionals built from the same windows
+that membership evaluates.  Members of the two hyperplane families
+(total and multiplicity-d) are flat from index n on, so their linear
+algebra happens on coordinates 0..n and flatness is checked separately.
+
+Costs: one alternating prefix-sum array gives every window value in
+O(1), so membership is O(n^2) (the total cone has about n^2/4 windows)
+and the regular cone's n+1 values are O(n).  The n+2 rays of a
+hyperplane-family cone satisfy exactly one linear relation (the cone is
+a pyramid over a circuit, and the two parity triangulations are the two
+triangulations of that circuit), so a certificate is one banded solve
+plus one ratio test along the relation: O(n) after membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Optional
 
-from . import linalg
 from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
-from .sequences import (BettiVector, LinearFunctional, Sequence,
-                        TailPeriodicSequence, chi_name)
+from .sequences import (BettiVector, LinearFunctional, Sequence, TailPeriodicSequence,
+                        as_fraction, chi, chi_name, xi, xi_name)
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
+
+# A Cone is immutable and builds its rays once, so the cone builders keep
+# the cones of the most recent parameters instead of rebuilding the rays
+# for every certificate.
+cone_cache = lru_cache(maxsize=64)
+
+Window = tuple[int, int, Optional[int]]
+"""A facet by its window (i, j, d): chi[i,j], the alternating sum of the
+entries i..j starting with +1, when d is None; else xi[i,j] of
+multiplicity d, which is d * chi[i,j-1] plus (d-1) or -1 (for j-i even
+or odd) times entry j."""
+
+
+def window_name(window: Window) -> str:
+    i, j, d = window
+    return chi_name(i, j) if d is None else xi_name(i, j)
+
+
+def window_functional(window: Window) -> LinearFunctional:
+    i, j, d = window
+    return chi(i, j) if d is None else xi(i, j, d)
 
 
 @dataclass(frozen=True)
@@ -86,26 +114,36 @@ def parity_triangulation(n: int, label: str) -> Triangulation:
 
 @dataclass(frozen=True, eq=False)
 class Cone:
-    """A cone of shapes on coordinates 0..n: named facet functionals, each
-    nonnegative on members, and named extremal rays, each list built on
-    first use.  ``title`` names the cone in errors; the constraints of the
-    enclosing cone ``within`` are checked and reported first; tail cones
-    are flat from index ``flat_from`` on; ``core`` is the one simplex of a
-    simplicial cone, else certificates use the parity triangulations."""
+    """A cone of shapes on coordinates 0..n: facets described by their
+    windows, each facet nonnegative on members, and named extremal rays,
+    built on first use.  ``title`` names the cone in errors; the
+    constraints of the enclosing cone ``within`` are checked and reported
+    first; tail cones are flat from index ``flat_from`` on; ``core`` is
+    the one simplex of a simplicial cone, else certificates use the
+    parity triangulations.
+
+    Certificates (`decompose`) assume the ray layout of the hyperplane
+    families: rho[-1], ..., rho[n-2] at positions 0..n-1, then one or two
+    tail rays that are 1 from index n-1 on, 0 below n-2 and hold a corner
+    value at n-2."""
 
     title: str
     n: int
-    facet_list: Callable[[], Iterable[tuple[str, LinearFunctional]]]
+    windows: Callable[[], Iterable[Window]]
     ray_list: Callable[[], list[tuple[str, Sequence]]]
     within: Optional["Cone"] = None
     flat_from: Optional[int] = None
     core: Optional[tuple[int, ...]] = None
 
-    @cached_property
+    @property
     def facets(self) -> tuple[tuple[str, LinearFunctional], ...]:
-        """Every named facet functional, in the order violations are reported."""
+        """Every named facet functional, in the order violations are
+        reported, built from the same windows that membership evaluates.
+        Built on each use rather than kept on the cached cone: only
+        `verification` and tests read them."""
         inherited = self.within.facets if self.within is not None else ()
-        return inherited + tuple(self.facet_list())
+        return inherited + tuple((window_name(w), window_functional(w))
+                                 for w in self.windows())
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -126,22 +164,61 @@ class Cone:
 
     def combine(self, coeffs) -> Sequence:
         """The exact sum of ``coeffs[k] * rays[k]`` over this cone's rays, in
-        the rays' own sequence type; zero coefficients are skipped."""
+        the rays' own sequence type.  Coordinates are accumulated in one
+        pass; zero coefficients and zero ray entries are skipped."""
         if len(coeffs) != len(self.rays):
             raise ConeInputError(f"{len(coeffs)} coefficients for {len(self.rays)} rays")
-        return sum((r.scale(c) for c, r in zip(coeffs, self.rays) if c != 0),
-                   self.rays[0].scale(0))
+        terms = [(c, r) for c, r in zip(map(as_fraction, coeffs), self.rays) if c != 0]
+        if isinstance(self.rays[0], BettiVector):
+            acc = [Fraction(0)] * len(self.rays[0].entries)
+            for c, r in terms:
+                for i, e in enumerate(r.entries):
+                    if e:
+                        acc[i] += c * e
+            return BettiVector(len(acc) - 1, tuple(acc))
+        stab = max((r.stab for _, r in terms), default=0)
+        acc = [Fraction(0)] * stab
+        even = odd = Fraction(0)
+        for c, r in terms:
+            for i, e in enumerate(r.head):
+                if e:
+                    acc[i] += c * e
+            for i in range(r.stab, stab):  # r's tail inside the sum's head
+                e = r.tail_even if i % 2 == 0 else r.tail_odd
+                if e:
+                    acc[i] += c * e
+            even += c * r.tail_even
+            odd += c * r.tail_odd
+        return TailPeriodicSequence(stab, tuple(acc), even, odd)
+
+    def _window_values(self, w: Sequence) -> Iterator[tuple[Window, Fraction]]:
+        """This cone's own windows with their values on w.  With sums[k]
+        the sum of (-1)^m w_m over m < k, chi[i,j] = (-1)^i (sums[j+1] -
+        sums[i]), and xi[i,j] adds d * chi[i,j-1] and the end coefficient
+        times w_j."""
+        entries = w.entries if isinstance(w, BettiVector) else w.prefix(self.n + 1)
+        sums = [Fraction(0)]
+        for m, v in enumerate(entries):
+            sums.append(sums[-1] - v if m % 2 else sums[-1] + v)
+        for window in self.windows():
+            i, j, d = window
+            s = sums[j + 1 if d is None else j] - sums[i]
+            if i % 2:
+                s = -s
+            if d is not None:
+                s = d * s + (d - 1 if (j - i) % 2 == 0 else -1) * entries[j]
+            yield window, s
+
+    def facet_values(self, w: Sequence) -> list[tuple[str, Fraction]]:
+        """(name, value) of each of this cone's own facets on w, in report
+        order; the enclosing cone's facets are not included."""
+        return [(window_name(window), v) for window, v in self._window_values(w)]
 
     def violations(self, w: Sequence) -> list[tuple[str, Fraction]]:
         """Violated constraints with their values: the enclosing cone's,
         then this cone's negative facets, then flatness."""
         out = self.within.violations(w) if self.within is not None else []
-        # evaluated as built, not read from `facets`: holding all O(n^2)
-        # functionals at once measured slower at n = 48
-        for name, f in self.facet_list():
-            value = f(w)
-            if value < 0:
-                out.append((name, value))
+        out += [(window_name(window), v) for window, v in self._window_values(w) if v < 0]
         if self.flat_from is not None:
             # entry(i) = entry(i+1) for i >= flat_from; scanning up to two
             # indices past the stabilization point decides the whole
@@ -156,15 +233,54 @@ class Cone:
         violations = self.violations(w)
         return MembershipReport(not violations, tuple(violations))
 
+    @cached_property
+    def relation(self) -> tuple[Fraction, ...]:
+        """The one linear relation among the n+2 rays of a hyperplane-family
+        cone, scaled so the last ray has coefficient +1.
+
+        The two tail rays differ by g * e_{n-2}, g the difference of their
+        corner values (1 in the total cone, (d-2)/d in the multiplicity-d
+        cone), and e_{n-2} is the alternating sum of rho[n-3], rho[n-4],
+        ..., rho[-1].  So the ray at position k <= n-2 carries
+        (-1)^(n-k) g, rho[n-2] carries 0 and the tails -1 and +1.
+        """
+        n = self.n
+        if len(self.rays) != n + 2:
+            raise ConeInputError(f"{self.title} has no relation among {len(self.rays)} rays")
+        g = self.rays[n].entry(n - 2) - self.rays[n + 1].entry(n - 2)
+        return (tuple(g if (n - k) % 2 == 0 else -g for k in range(n - 1))
+                + (Fraction(0), Fraction(-1), Fraction(1)))
+
+    def _solve(self, w: TailPeriodicSequence) -> list[Fraction]:
+        """Exact coefficients of a member on rho[-1..n-2] and the last ray
+        (0 on any ray between), by back substitution on the banded system:
+        coordinate n meets only the tail ray, coordinate n-1 also
+        rho[n-2], coordinate n-2 also rho[n-3] and the tail's corner, and
+        each lower coordinate k only rho[k-1] and rho[k]."""
+        n = self.n
+        y = w.prefix(n + 1)
+        x = [Fraction(0)] * len(self.rays)
+        x[-1] = t = y[n]
+        x[n - 1] = y[n - 1] - t
+        x[n - 2] = y[n - 2] - x[n - 1] - self.rays[-1].entry(n - 2) * t
+        for k in range(n - 3, -1, -1):
+            x[k] = y[k] - x[k + 1]
+        return x
+
     def decompose(self, w: TailPeriodicSequence, which: str | int = "omit_odd"
                   ) -> Decomposition:
         """Nonnegative ray certificate for a member of a tail cone, with
         exact reconstruction.
 
-        The simplices of the chosen triangulation are tried in order
-        (ascending omitted-ray position) and the first exact nonnegative
-        solve wins, so output is deterministic; points on shared faces get
-        the same answer from both triangulations.  ``which`` is 1, 2 or
+        The certificate is the exact solution in the first simplex of the
+        chosen triangulation (ascending omitted-ray position) whose
+        solution is nonnegative, so output is deterministic; points on
+        shared faces get the same answer from both triangulations.  All
+        solutions are x - t * relation for one solution x; the simplex
+        omitting p gives t = x_p / relation_p.  Every omitted ray of a
+        triangulation has the same relation sign, so the nonnegative
+        simplices are those whose t is the least (positive sign) or the
+        greatest (negative sign) of these ratios.  ``which`` is 1, 2 or
         one of TRIANGULATION_LABELS.
         """
         if isinstance(which, int):
@@ -173,24 +289,22 @@ class Cone:
             which = TRIANGULATION_LABELS[which - 1]
         if which not in TRIANGULATION_LABELS:
             raise ConeInputError(f"unknown triangulation label {quoted(which)}")
-        tri = (parity_triangulation(self.n, which) if self.core is None
-               else Triangulation("simplicial", self.n, (self.core,), ()))
         violations = self.violations(w)
         if violations:
-            name, value = violations[0]
-            raise NotInConeError(f"not in {self.title}: {name} = {value}", violations)
-        projected = self.projected()
-        target = w.prefix(self.n + 1)
-        for simplex in tri.simplices:
-            sol = linalg.solve_columns([projected[k] for k in simplex], target)
-            if sol is not None and all(c >= 0 for c in sol):
-                break
+            raise NotInConeError(self.title, violations)
+        coeffs = self._solve(w)
+        if self.core is not None:
+            label, simplex = "simplicial", self.core
         else:
+            tri = parity_triangulation(self.n, which)
+            label, relation = tri.label, self.relation
+            ratios = [coeffs[p] / relation[p] for p in tri.omitted]
+            t = (min if relation[tri.omitted[0]] > 0 else max)(ratios)
+            simplex = tri.simplices[ratios.index(t)]
+            coeffs = [c - t * r for c, r in zip(coeffs, relation)]
+        if any(c < 0 for c in coeffs):
             raise InternalInconsistencyError(
                 "member vector admits no nonnegative simplex certificate")
-        coeffs = [Fraction(0)] * len(self.rays)
-        for k, c in zip(simplex, sol):
-            coeffs[k] = c
         if self.combine(coeffs) != w:
             raise InternalInconsistencyError("decomposition failed exact reconstruction")
-        return Decomposition(self.n, self.names, tuple(coeffs), simplex, tri.label)
+        return Decomposition(self.n, self.names, tuple(coeffs), simplex, label)

@@ -3,7 +3,8 @@
 The split matters for the CLI contract: malformed serialized input exits
 with status 1, a violated operation precondition (not-in-cone, bad cone
 parameters) exits with status 2, and an internal verification failure
-exits with status 3.  Messages quote rejected input through `quoted`.
+exits with status 3.  Messages quote rejected input through `quoted` and
+exact values through `bounded`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ class NotInConeError(ConeInputError):
     or nonzero) exact rational it evaluated to.
     """
 
-    def __init__(self, message: str, violations=()):
-        super().__init__(message)
+    def __init__(self, title: str, violations):
         self.violations = list(violations)
+        name, value = self.violations[0]
+        super().__init__(f"not in {title}: {name} = {bounded(str(value))}")
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -39,3 +41,11 @@ def quoted(value) -> str:
     characters plus "..." so that hostile input keeps the message short."""
     text = repr(value)
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+def bounded(text: str) -> str:
+    """An exact value for a one-line message: whole up to 40 characters,
+    else its first 40, "..." and its digit count."""
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({sum(ch.isdigit() for ch in text)} digits)"

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import hyper_total
-from .cones import Cone, Decomposition, MembershipReport
+from .cones import Cone, Decomposition, MembershipReport, cone_cache
 from .errors import ConeInputError
-from .sequences import TailPeriodicSequence, ray, xi, xi_name
+from .sequences import TailPeriodicSequence, ray
 
 MEMBERSHIP_CAVEAT = ("membership in the conjectured cone; does not certify "
                      "that the shape is realizable")
@@ -46,6 +46,7 @@ def _rays(p: FixedConeParams) -> list[tuple[str, TailPeriodicSequence]]:
     return out
 
 
+@cone_cache
 def cone(p: FixedConeParams) -> Cone:
     """The conjectured multiplicity-d cone: the total cone cut by
     xi[i,n] >= 0 for 0 <= i <= n.
@@ -59,7 +60,7 @@ def cone(p: FixedConeParams) -> Cone:
     n, d = p.n, p.d
     core = tuple(range(n + 1)) if d == 2 else (0, 1, 3) if n == 2 else None
     return Cone(f"the multiplicity-{d} cone", n,
-                lambda: ((xi_name(i, n), xi(i, n, d)) for i in range(n + 1)),
+                lambda: ((i, n, d) for i in range(n + 1)),
                 lambda: _rays(p), within=hyper_total.cone(n), core=core)
 
 

@@ -16,11 +16,10 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import linalg, regular
-from .cones import (Cone, Decomposition, MembershipReport, Triangulation,
-                    parity_triangulation)
+from .cones import (Cone, Decomposition, MembershipReport, Triangulation, Window,
+                    cone_cache, parity_triangulation)
 from .errors import ConeInputError, InternalInconsistencyError
-from .sequences import (BettiVector, LinearFunctional, TailPeriodicSequence, chi,
-                        chi_name, embed, ray)
+from .sequences import BettiVector, TailPeriodicSequence, embed, ray
 
 
 def phi(v: BettiVector) -> TailPeriodicSequence:
@@ -39,13 +38,14 @@ def phi(v: BettiVector) -> TailPeriodicSequence:
     return TailPeriodicSequence(v.n + 1, tuple(head), acc[0], acc[1])
 
 
-def _windows(n: int) -> Iterator[tuple[str, LinearFunctional]]:
+def _windows(n: int) -> Iterator[Window]:
     for i in range(n + 1):
         for j in range(i, n + 1, 2):
-            yield chi_name(i, j), chi(i, j)
-    yield chi_name(n - 1, n), chi(n - 1, n)
+            yield i, j, None
+    yield n - 1, n, None
 
 
+@cone_cache
 def cone(n: int) -> Cone:
     """The total hypersurface cone: nonnegative chi[i,j] for the
     even-length windows with j <= n and chi[n-1,n], flat from index n on.
@@ -75,7 +75,9 @@ def facets_check(w: TailPeriodicSequence, n: int) -> MembershipReport:
 def linear_relation(n: int) -> tuple[Fraction, ...]:
     """The unique (up to scale) linear relation among the n+2 rays,
     normalized so the tau_inf[n-1] coefficient is +1, and verified to sum
-    to the zero sequence exactly."""
+    to the zero sequence exactly.  Derived from the nullspace, not from
+    the closed form `Cone.relation` that certificates use, so `verify`
+    can cross-check the two."""
     basis = cone(n)
     columns = basis.projected()
     rows = [[columns[k][i] for k in range(n + 2)] for i in range(n + 1)]

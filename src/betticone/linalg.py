@@ -1,8 +1,11 @@
 """Small exact linear algebra kernel over `fractions.Fraction`.
 
-Matrices are lists of row lists.  Everything here is desk scale (dims
-around a dozen), so plain Gaussian elimination with exact arithmetic is
-both simplest and fully reliable.
+Matrices are lists of row lists.  The callers are the double-description
+oracle and `hyper_total.linear_relation` (the nullspace relation that
+`verify` compares with the closed form), all at desk scale (dims around
+a dozen), so plain Gaussian elimination with exact arithmetic is both
+simplest and fully reliable.  Membership and certificates never call
+this module: they use prefix sums and a banded solve (see `cones`).
 """
 
 from __future__ import annotations

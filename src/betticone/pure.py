@@ -12,6 +12,10 @@ from math import prod
 from .errors import ConeInputError, quoted
 from .sequences import BettiVector, rho_vector
 
+# limit_gap is O(n^2) in big integers (about 80 ms at n = 400, 2 s at
+# n = 1600), so its ambient length is capped.
+LIMIT_MAX_N = 400
+
 
 @dataclass(frozen=True)
 class DegreeSequence:
@@ -87,7 +91,9 @@ def normalize_at(v: BettiVector, j: int) -> BettiVector:
 
 def limit_gap(j: int, t: int, n: int) -> Fraction:
     """Max-norm distance between the j-normalized pure shape for d^{j,t}
-    and its limit ray epsilon_j + epsilon_{j+1}."""
+    and its limit ray epsilon_j + epsilon_{j+1}; n is at most LIMIT_MAX_N."""
+    if n > LIMIT_MAX_N:
+        raise ConeInputError(f"limit needs n <= {LIMIT_MAX_N}, got n={n}")
     v = normalize_at(herzog_kuhl(degree_family(j, t, n), n), j)
     target = rho_vector(j, n)
     return max(abs(a - b) for a, b in zip(v.entries, target.entries))

@@ -4,7 +4,8 @@ characteristics ending at n, spanned by the free-module ray and the
 two-term rays.
 
 Because the cone is simplicial, membership, decomposition, and the shape
-classification are all a single pass of functional evaluations.
+classification are all one O(n) pass of alternating prefix sums: the
+facet values are the ray coefficients.
 """
 
 from __future__ import annotations
@@ -13,17 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import Cone
+from .cones import Cone, cone_cache
 from .errors import NotInConeError
-from .sequences import BettiVector, LinearFunctional, chi, chi_name, rho_vector
+from .sequences import BettiVector, LinearFunctional, rho_vector
 
 
+@cone_cache
 def cone(n: int) -> Cone:
     """The regular cone: facets chi[j,n], j = 0..n, and rays rho[-1..n-1].
     It is simplicial and rho[i] is dual to chi[i+1,n], so the facet values
     of a vector are its ray coefficients."""
     return Cone("the regular cone", n,
-                lambda: ((chi_name(j, n), chi(j, n)) for j in range(n + 1)),
+                lambda: ((j, n, None) for j in range(n + 1)),
                 lambda: [(f"rho[{i}]", rho_vector(i, n)) for i in range(-1, n)])
 
 
@@ -82,11 +84,11 @@ def decompose(v: BettiVector) -> RegularDecomposition:
     Raises NotInConeError naming the violated facet when some chi[j,n] is
     negative.
     """
-    values = [(name, f(v)) for name, f in cone(v.n).facets]
+    described = cone(v.n)
+    values = described.facet_values(v)
     bad = [(name, c) for name, c in values if c < 0]
     if bad:
-        raise NotInConeError(
-            f"not in the regular cone: {bad[0][0]} = {bad[0][1]}", bad)
+        raise NotInConeError(described.title, bad)
     return RegularDecomposition(v.n, tuple(c for _, c in values))
 
 
@@ -111,7 +113,7 @@ class ShapeClass:
 
 def classify(v: BettiVector) -> ShapeClass:
     n = v.n
-    coeffs = tuple(f(v) for _, f in cone(n).facets)
+    coeffs = tuple(c for _, c in cone(n).facet_values(v))
     dec = RegularDecomposition(n, coeffs)
     is_member = all(c >= 0 for c in coeffs)
     cm = coeffs[0] == 0

@@ -48,6 +48,9 @@ def check_total(n: int) -> SweepResult:
         relation = hyper_total.linear_relation(n)
     except Exception as exc:  # any relation failure is a sweep failure
         return SweepResult(f"total n={n}: ray relation", False, str(exc))
+    if relation != cone.relation:  # the closed form that certificates walk
+        return SweepResult(f"total n={n}: ray relation", False,
+                           "closed-form relation differs from the nullspace")
     return SweepResult(
         f"total n={n}: rays <-> facets, relation space 1-dim", True,
         "relation " + "+".join(f"({c})*{name}" for c, name

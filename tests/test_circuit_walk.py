@@ -1,0 +1,163 @@
+"""The fast certificate and membership paths against slow references.
+
+`reference_decompose` is the simplex search that `Cone.decompose` used
+before the circuit walk: solve each simplex of the triangulation in turn
+with dense elimination and keep the first nonnegative solution.
+`reference_violations` evaluates every `LinearFunctional` in `Cone.facets`
+one by one.  Both must agree exactly with the fast paths, tie-breaking
+and report order included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from betticone import hyper_fixed, hyper_total, linalg, regular
+from betticone.cones import Triangulation, parity_triangulation
+from betticone.hyper_fixed import FixedConeParams
+from betticone.sequences import BettiVector, TailPeriodicSequence, chi_name
+
+CONES = {"total": hyper_total.cone,
+         **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
+            for d in range(2, 7)}}
+
+
+def reference_decompose(cone, w, which):
+    """(label, simplex_used, coefficients) by trying every simplex."""
+    tri = (parity_triangulation(cone.n, which) if cone.core is None
+           else Triangulation("simplicial", cone.n, (cone.core,), ()))
+    projected = cone.projected()
+    target = w.prefix(cone.n + 1)
+    for simplex in tri.simplices:
+        sol = linalg.solve_columns([projected[k] for k in simplex], target)
+        if sol is not None and all(c >= 0 for c in sol):
+            break
+    else:
+        raise AssertionError("no nonnegative simplex")
+    coeffs = [Fraction(0)] * len(cone.rays)
+    for k, c in zip(simplex, sol):
+        coeffs[k] = c
+    return tri.label, simplex, tuple(coeffs)
+
+
+def reference_violations(cone, w):
+    """The enclosing cone's violations, then every negative functional of
+    this cone's own facets, then each nonzero flatness gap."""
+    out = reference_violations(cone.within, w) if cone.within is not None else []
+    facets = cone.facets
+    for name, f in facets[len(facets) - sum(1 for _ in cone.windows()):]:
+        value = f(w)
+        if value < 0:
+            out.append((name, value))
+    if cone.flat_from is not None:
+        last = max(cone.flat_from, w.stab) + 2
+        out += [(chi_name(i, i + 1), w.entry(i) - w.entry(i + 1))
+                for i in range(cone.flat_from, last) if w.entry(i) != w.entry(i + 1)]
+    return out
+
+
+def coefficients(rng, kind, count):
+    if kind == "integer":
+        return [rng.randint(0, 9) for _ in range(count)]
+    if kind == "ties":  # many zeros and equal ratios: points on shared faces
+        return [rng.choice((0, 0, 1, 2)) for _ in range(count)]
+    return [Fraction(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(count)]
+
+
+KINDS = ("integer", "ties", "rational")
+
+
+@pytest.mark.parametrize("name", list(CONES))
+def test_certificates_match_the_simplex_search(name):
+    rng = random.Random(f"circuit-walk-{name}")
+    index = list(CONES).index(name)
+    # every kind at n <= 12; one kind per larger n, rotating over the
+    # cones, keeps the dense reference (up to a second a member at
+    # n = 48) affordable
+    cases = [(n, kind) for n in range(2, 13) for kind in KINDS]
+    cases += [(n, KINDS[(index + n // 8) % 3]) for n in (16, 24, 32, 48)]
+    for n, kind in cases:
+        cone = CONES[name](n)
+        w = cone.combine(coefficients(rng, kind, len(cone.rays)))
+        if kind == "rational":
+            w = w.scale(Fraction(rng.randint(1, 30), rng.randint(1, 30)))
+        for which in ("omit_odd", "omit_even"):
+            dec = cone.decompose(w, which)
+            assert (dec.label, dec.simplex_used, dec.coefficients) == \
+                reference_decompose(cone, w, which), (name, n, kind, which)
+
+
+def test_certificates_solve_no_dense_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense elimination on the certificate path")
+    for attr in ("solve_columns", "nullspace", "invert", "rank"):
+        monkeypatch.setattr(linalg, attr, refuse)
+    for name, build in CONES.items():
+        for n in (2, 3, 8):
+            cone = build(n)
+            w = cone.combine([1] * len(cone.rays))
+            for which in (1, 2):
+                assert cone.decompose(w, which).coefficients
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_closed_form_relation(n):
+    assert hyper_total.cone(n).relation == hyper_total.linear_relation(n)
+    for d in range(3, 7):
+        cone = hyper_fixed.cone(FixedConeParams(n, d))
+        assert cone.combine(cone.relation).is_zero
+        assert {abs(c) for c in cone.relation[:n - 1]} == {Fraction(d - 2, d)}
+
+
+def _probes(rng, cone):
+    """Members, members moved off one coordinate, and sequences that are
+    not flat past n (stab > n)."""
+    n = cone.n
+    for kind in KINDS:
+        w = cone.combine(coefficients(rng, kind, len(cone.rays)))
+        yield w
+        k, delta = rng.randint(0, n), Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        if isinstance(w, BettiVector):
+            entries = list(w.entries)
+            entries[k] += delta
+            yield BettiVector(n, tuple(entries))
+        else:
+            head = list(w.prefix(n + 1))
+            head[k] += delta
+            yield TailPeriodicSequence(n + 1, tuple(head), w.tail_even, w.tail_odd)
+    if cone.flat_from is not None:
+        stab = n + rng.randint(1, 4)
+        yield TailPeriodicSequence(stab, tuple(rng.randint(-2, 3) for _ in range(stab)),
+                                   rng.randint(0, 3), rng.randint(0, 3))
+
+
+MEMBERSHIP_CONES = {"regular": regular.cone, **CONES}
+
+
+@pytest.mark.parametrize("name", list(MEMBERSHIP_CONES))
+def test_violations_match_the_facet_functionals(name):
+    rng = random.Random(f"prefix-sums-{name}")
+    low = 0 if name == "regular" else 2
+    fired = set()  # which kinds of constraint some probe violated
+    for n in list(range(low, 14)) + [20, 31, 48]:
+        cone = MEMBERSHIP_CONES[name](n)
+        for w in _probes(rng, cone):
+            got = cone.violations(w)
+            assert got == reference_violations(cone, w), (name, n, w)
+            for label, _ in got:
+                kind, window = label[:-1].split("[")
+                fired.add("flat" if int(window.split(",")[1]) > n else kind)
+    expected = {"chi"} if name == "regular" else {"chi", "flat"}
+    assert fired == (expected | {"xi"} if name.startswith("fixed") else expected)
+
+
+def test_regular_facet_values_are_the_ray_coefficients():
+    rng = random.Random(7)
+    for n in range(0, 30):
+        cone = regular.cone(n)
+        coeffs = coefficients(rng, "rational", n + 1)
+        v = cone.combine(coeffs)
+        assert [c for _, c in cone.facet_values(v)] == coeffs
+        assert regular.decompose(v).a == tuple(coeffs)
+        assert regular.classify(v).decomposition.a == tuple(coeffs)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticone import hyper_total, verification
+from betticone import hyper_total, pure, verification
 from betticone.cli import main
 from betticone.hyper_total import phi
 from betticone.sequences import (BettiVector, embed, ray, rho_vector,
@@ -54,6 +54,14 @@ class TestLimit:
     def test_bad_parameter(self, capsys):
         code, _, _ = run(capsys, "limit", "--j", "0", "--t", "1", "--n", "2")
         assert code == 2
+
+    def test_n_cap(self, capsys):
+        cap = pure.LIMIT_MAX_N
+        code, out, err = run(capsys, "limit", "--j", "0", "--t", "2", "--n", str(cap))
+        assert code == 0 and err == "" and out.strip()
+        code, out, err = run(capsys, "limit", "--j", "0", "--t", "2", "--n", str(cap + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: limit needs n <= {cap}, got n={cap + 1}\n"
 
 
 class TestPhi:
@@ -240,6 +248,14 @@ class TestInputHandling:
         assert code == 1
         assert err.startswith("error: cannot read") and err.count("\n") == 1
 
+    def test_unreadable_path_is_quoted_once(self, tmp_path, capsys):
+        for name in ("a" * 300, "b" * 200 + "/seq.json"):
+            code, out, err = run(capsys, "member", "--cone", "regular", "--n", "2",
+                                 "--input", str(tmp_path / name))
+            assert code == 1 and out == ""
+            assert err.startswith("error: cannot read '") and err.count("\n") == 1
+            assert len(err) < 200
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "seq.json"
         path.write_text("[" * 200000)
@@ -322,6 +338,22 @@ class TestFailurePaths:
         got, out, err = run(capsys, *argv)
         assert got == code and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
+    def test_violation_values_are_bounded_on_stderr(self, capsys):
+        huge = "-" + "7" * 4000
+        exact = "-" + "7" * 3999 + "8"  # chi[0,1] = huge - 1
+        seq = json.dumps({"kind": "finite", "entries": [huge, "1"]})
+        code, out, err = run(capsys, "decompose", "--cone", "regular", "--n", "1",
+                             "--inline", seq)
+        assert code == 2 and out == ""
+        assert err == ("error: not in the regular cone: chi[0,1] = "
+                       f"{exact[:40]}... (4000 digits)\n"
+                       f"  violated: chi[0,1] = {exact[:40]}... (4000 digits)\n")
+        code, out, err = run(capsys, "member", "--cone", "regular", "--n", "1",
+                             "--inline", seq)
+        assert code == 0 and err == ""
+        assert json.loads(out)["violations"] == [{"constraint": "chi[0,1]", "value": exact}]
 
 
 json_values = st.recursive(
