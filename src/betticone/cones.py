@@ -14,26 +14,22 @@ and the regular cone's n+1 values are O(n).  The n+2 rays of a
 hyperplane-family cone satisfy exactly one linear relation (the cone is
 a pyramid over a circuit, and the two parity triangulations are the two
 triangulations of that circuit), so a certificate is one banded solve
-plus one ratio test along the relation: O(n) after membership.
+plus one ratio test along the relation: O(n) after membership.  The exact
+reconstruction check then builds the rays and sums them in O(n^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Optional
 
 from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
 from .sequences import (BettiVector, LinearFunctional, Sequence, TailPeriodicSequence,
                         as_fraction, chi, chi_name, xi, xi_name)
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
-
-# A Cone is immutable and builds its rays once, so the cone builders keep
-# the cones of the most recent parameters instead of rebuilding the rays
-# for every certificate.
-cone_cache = lru_cache(maxsize=64)
 
 Window = tuple[int, int, Optional[int]]
 """A facet by its window (i, j, d): chi[i,j], the alternating sum of the
@@ -139,8 +135,7 @@ class Cone:
     def facets(self) -> tuple[tuple[str, LinearFunctional], ...]:
         """Every named facet functional, in the order violations are
         reported, built from the same windows that membership evaluates.
-        Built on each use rather than kept on the cached cone: only
-        `verification` and tests read them."""
+        Built on each use: only `verification` and tests read them."""
         inherited = self.within.facets if self.within is not None else ()
         return inherited + tuple((window_name(w), window_functional(w))
                                  for w in self.windows())
@@ -191,8 +186,9 @@ class Cone:
             odd += c * r.tail_odd
         return TailPeriodicSequence(stab, tuple(acc), even, odd)
 
-    def _window_values(self, w: Sequence) -> Iterator[tuple[Window, Fraction]]:
-        """This cone's own windows with their values on w.  With sums[k]
+    def facet_values(self, w: Sequence) -> list[tuple[str, Fraction]]:
+        """(name, value) of each of this cone's own facets on w, in report
+        order; the enclosing cone's facets are not included.  With sums[k]
         the sum of (-1)^m w_m over m < k, chi[i,j] = (-1)^i (sums[j+1] -
         sums[i]), and xi[i,j] adds d * chi[i,j-1] and the end coefficient
         times w_j."""
@@ -200,6 +196,7 @@ class Cone:
         sums = [Fraction(0)]
         for m, v in enumerate(entries):
             sums.append(sums[-1] - v if m % 2 else sums[-1] + v)
+        out = []
         for window in self.windows():
             i, j, d = window
             s = sums[j + 1 if d is None else j] - sums[i]
@@ -207,18 +204,14 @@ class Cone:
                 s = -s
             if d is not None:
                 s = d * s + (d - 1 if (j - i) % 2 == 0 else -1) * entries[j]
-            yield window, s
-
-    def facet_values(self, w: Sequence) -> list[tuple[str, Fraction]]:
-        """(name, value) of each of this cone's own facets on w, in report
-        order; the enclosing cone's facets are not included."""
-        return [(window_name(window), v) for window, v in self._window_values(w)]
+            out.append((window_name(window), s))
+        return out
 
     def violations(self, w: Sequence) -> list[tuple[str, Fraction]]:
         """Violated constraints with their values: the enclosing cone's,
         then this cone's negative facets, then flatness."""
         out = self.within.violations(w) if self.within is not None else []
-        out += [(window_name(window), v) for window, v in self._window_values(w) if v < 0]
+        out += [(name, v) for name, v in self.facet_values(w) if v < 0]
         if self.flat_from is not None:
             # entry(i) = entry(i+1) for i >= flat_from; scanning up to two
             # indices past the stabilization point decides the whole
@@ -291,7 +284,7 @@ class Cone:
             raise ConeInputError(f"unknown triangulation label {quoted(which)}")
         violations = self.violations(w)
         if violations:
-            raise NotInConeError(self.title, violations)
+            raise NotInConeError.naming_first(self.title, violations)
         coeffs = self._solve(w)
         if self.core is not None:
             label, simplex = "simplicial", self.core

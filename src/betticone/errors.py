@@ -26,10 +26,19 @@ class NotInConeError(ConeInputError):
     or nonzero) exact rational it evaluated to.
     """
 
-    def __init__(self, title: str, violations):
+    def __init__(self, message: str, violations=()):
+        super().__init__(message)
         self.violations = list(violations)
-        name, value = self.violations[0]
-        super().__init__(f"not in {title}: {name} = {bounded(str(value))}")
+
+    @classmethod
+    def naming_first(cls, title: str, violations) -> "NotInConeError":
+        """The error for a value outside the cone ``title``: the message
+        names the first violated constraint and its `bounded` value."""
+        violations = list(violations)
+        if not violations:
+            raise InternalInconsistencyError(f"no violated constraint of {title} to report")
+        name, value = violations[0]
+        return cls(f"not in {title}: {name} = {bounded(str(value))}", violations)
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -45,7 +54,9 @@ def quoted(value) -> str:
 
 def bounded(text: str) -> str:
     """An exact value for a one-line message: whole up to 40 characters,
-    else its first 40, "..." and its digit count."""
+    else its first 40, "..." and its digit count, as numerator/denominator
+    counts for a fraction p/q."""
     if len(text) <= 40:
         return text
-    return f"{text[:40]}... ({sum(ch.isdigit() for ch in text)} digits)"
+    digits = "/".join(str(sum(ch.isdigit() for ch in part)) for part in text.split("/"))
+    return f"{text[:40]}... ({digits} digits)"

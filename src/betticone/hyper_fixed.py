@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import hyper_total
-from .cones import Cone, Decomposition, MembershipReport, cone_cache
+from .cones import Cone, Decomposition, MembershipReport
 from .errors import ConeInputError
 from .sequences import TailPeriodicSequence, ray
 
@@ -46,7 +46,6 @@ def _rays(p: FixedConeParams) -> list[tuple[str, TailPeriodicSequence]]:
     return out
 
 
-@cone_cache
 def cone(p: FixedConeParams) -> Cone:
     """The conjectured multiplicity-d cone: the total cone cut by
     xi[i,n] >= 0 for 0 <= i <= n.

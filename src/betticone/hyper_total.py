@@ -17,7 +17,7 @@ from typing import Iterator
 
 from . import linalg, regular
 from .cones import (Cone, Decomposition, MembershipReport, Triangulation, Window,
-                    cone_cache, parity_triangulation)
+                    parity_triangulation)
 from .errors import ConeInputError, InternalInconsistencyError
 from .sequences import BettiVector, TailPeriodicSequence, embed, ray
 
@@ -45,7 +45,6 @@ def _windows(n: int) -> Iterator[Window]:
     yield n - 1, n, None
 
 
-@cone_cache
 def cone(n: int) -> Cone:
     """The total hypersurface cone: nonnegative chi[i,j] for the
     even-length windows with j <= n and chi[n-1,n], flat from index n on.

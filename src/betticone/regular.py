@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import Cone, cone_cache
+from .cones import Cone
 from .errors import NotInConeError
 from .sequences import BettiVector, LinearFunctional, rho_vector
 
 
-@cone_cache
 def cone(n: int) -> Cone:
     """The regular cone: facets chi[j,n], j = 0..n, and rays rho[-1..n-1].
     It is simplicial and rho[i] is dual to chi[i+1,n], so the facet values
@@ -88,7 +87,7 @@ def decompose(v: BettiVector) -> RegularDecomposition:
     values = described.facet_values(v)
     bad = [(name, c) for name, c in values if c < 0]
     if bad:
-        raise NotInConeError(described.title, bad)
+        raise NotInConeError.naming_first(described.title, bad)
     return RegularDecomposition(v.n, tuple(c for _, c in values))
 
 
