@@ -21,7 +21,7 @@ from pathlib import Path
 
 import click
 
-from . import hyper_fixed, hyper_total, pure, regular, verification
+from . import hyper_fixed, hyper_total, pure, regular
 from .errors import (ConeInputError, InternalInconsistencyError,
                      MalformedInputError, NotInConeError, bounded, quoted)
 from .hyper_fixed import MEMBERSHIP_CAVEAT, FixedConeParams
@@ -55,6 +55,24 @@ def _load_sequence(input_path: str | None, inline: str | None):
         # RecursionError: nesting deeper than the interpreter's recursion limit
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
     return sequence_from_json(data)
+
+
+# The largest n that member, decompose and classify accept, as --n and as
+# a finite input's "n".  Membership evaluates about n^2/4 windows and a
+# certificate sums n+2 rays of n+1 entries: at n = 500 one `member` or
+# `decompose` process takes 0.5-0.85 s end to end (2.5 s at n = 1000).
+MAX_N = 500
+
+
+def _load_capped(input_path: str | None, inline: str | None, n: int):
+    """`_load_sequence` for the cone commands: --n and a finite input's "n"
+    are checked against MAX_N before the cone is built."""
+    if n > MAX_N:
+        raise ConeInputError(f"n must be at most {MAX_N}, got --n {bounded(str(n))}")
+    seq = _load_sequence(input_path, inline)
+    if isinstance(seq, BettiVector) and seq.n > MAX_N:
+        raise ConeInputError(f"n must be at most {MAX_N}, got a sequence with n={seq.n}")
+    return seq
 
 
 def _finite(seq, n: int) -> BettiVector:
@@ -175,7 +193,7 @@ cone_option = click.option("--cone", type=click.Choice(list(_CONES)), required=T
 def member(input_path, inline, cone, n, mult):
     """Cone membership with the violated constraints named."""
     read, _ = _CONES[cone]
-    described, point, before, after = read(_load_sequence(input_path, inline), n, mult)
+    described, point, before, after = read(_load_capped(input_path, inline, n), n, mult)
     violations = described.violations(point)
     _echo_json({"cone": cone, "n": n, **before, "member": not violations,
                 "violations": _violations_json(violations), **after})
@@ -192,7 +210,7 @@ def member(input_path, inline, cone, n, mult):
 def decompose(input_path, inline, cone, n, mult, triangulation):
     """Nonnegative ray-coefficient certificate for a member vector."""
     read, certificate = _CONES[cone]
-    described, point, before, after = read(_load_sequence(input_path, inline), n, mult)
+    described, point, before, after = read(_load_capped(input_path, inline, n), n, mult)
     _echo_json({"cone": cone, "n": n, **before,
                 **certificate(described, point, int(triangulation)), **after})
 
@@ -204,7 +222,7 @@ def decompose(input_path, inline, cone, n, mult, triangulation):
 def classify(input_path, inline, n):
     """Shape classification over the regular cone: closure membership,
     realizability, depth, and the Cohen-Macaulay coefficient criterion."""
-    v = _finite(_load_sequence(input_path, inline), n)
+    v = _finite(_load_capped(input_path, inline, n), n)
     sc = regular.classify(v)
     payload = {
         "n": n,
@@ -238,6 +256,8 @@ def split(input_path, inline, n):
 @click.pass_context
 def verify(ctx, n_max: int, mult_max: int):
     """Run the oracle sweep re-deriving every rays/facets equivalence."""
+    from . import verification  # only this command loads the oracle
+
     results = verification.run_sweep(n_max, mult_max)
     failures = 0
     for result in results:

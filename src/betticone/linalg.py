@@ -1,24 +1,36 @@
-"""Small exact linear algebra kernel over `fractions.Fraction`.
+"""Small exact linear algebra kernel.
 
-Matrices are lists of row lists.  The callers are the double-description
-oracle and `hyper_total.linear_relation` (the nullspace relation that
+Matrices are lists of row lists.  The package's callers are the
+double-description oracle (`dot` and `primitive`, on its primitive
+integer rays and facets), `verification` (`primitive`, to compare facet
+lists) and `hyper_total.linear_relation` (`nullspace`, the relation that
 `verify` compares with the closed form), all at desk scale (dims around
-a dozen), so plain Gaussian elimination with exact arithmetic is both
-simplest and fully reliable.  Membership and certificates never call
-this module: they use prefix sums and a banded solve (see `cones`).
+a dozen).  `rank`, `solve_columns` and `invert` serve the tests'
+`Fraction` references (the earlier oracle and simplex search).
+
+Arithmetic is exact.  `dot` keeps the type of its inputs: integer
+vectors give an `int`, rational ones a `Fraction`.  The elimination
+routines coerce to `Fraction` and run plain Gaussian elimination.
+Membership and certificates never call this module: they use prefix
+sums and a banded solve (see `cones`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+    """Inner product of two equal-length vectors.  The sum starts at the
+    integer 0, so integer vectors stay in `int` arithmetic."""
+    if len(a) != len(b):
+        raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -106,10 +118,13 @@ def nullspace(rows: Sequence[Sequence[Fraction]]) -> list[Vector]:
 def primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational to the unique
     integer vector with content gcd 1.  Orientation is preserved."""
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = gcd(*ints) if any(ints) else 0
+    if all(type(x) is int for x in vec):
+        ints = vec
+    else:
+        fracs = [x if type(x) is Fraction else Fraction(x) for x in vec]
+        mult = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)

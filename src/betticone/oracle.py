@@ -1,15 +1,18 @@
-"""Independent brute-force polyhedral engine over exact rationals.
+"""Independent brute-force polyhedral engine in exact arithmetic.
 
 Everything else in the package describes specific cones through closed
 formulas; this module re-derives ray/facet presentations from scratch so
-those formulas can be cross-checked.  The only dependencies are the tiny
-Gaussian-elimination kernel and `fractions.Fraction`, so a bug elsewhere
-cannot leak in here.
+those formulas can be cross-checked.  The only dependencies are `dot` and
+`primitive` from the tiny `linalg` kernel, so a bug elsewhere cannot leak
+in here.
 
 The core primitive is extreme-ray enumeration for a pointed cone given by
 halfspaces, via the classical double description method with the
 combinatorial adjacency test.  Facet enumeration is the same computation
-run on the dual cone.  Desk scale only: ambient dimension is capped.
+run on the dual cone.  All of it runs on primitive integer vectors: every
+input ray or facet is scaled once, by a positive rational, which keeps
+the sign of every inner product.  Desk scale only: ambient dimension is
+capped.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from . import linalg
 from .errors import ConeInputError
 from .linalg import dot, primitive
 
@@ -63,64 +66,112 @@ class ConeDescription:
 
 
 def _canonical(vectors) -> list[IntVector]:
-    seen = []
-    for v in vectors:
-        if all(x == 0 for x in v):
+    """The primitive integer forms of the nonzero vectors, each once, in
+    first-seen order.  Scaling by a positive rational keeps the sign of
+    every inner product, so all checks below run on these."""
+    return list(dict.fromkeys(primitive(v) for v in vectors if any(v)))
+
+
+def _independent(vectors: Sequence[IntVector], dim: int) -> list[int]:
+    """Indices of the greedy maximal independent subset of ``vectors``:
+    a vector is kept when it is independent of those kept before it.  One
+    fraction-free elimination: each vector is reduced against the echelon
+    rows kept so far, and a nonzero remainder becomes a new echelon row."""
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    kept: list[int] = []
+    for idx, v in enumerate(vectors):
+        for col, row in echelon:
+            if v[col]:
+                a, b = row[col], v[col]
+                v = [a * x - b * y for x, y in zip(v, row)]
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is None:
             continue
-        p = primitive(v)
-        if p not in seen:
-            seen.append(p)
-    return seen
+        g = gcd(*v)
+        echelon.append((pivot, [x // g for x in v]))
+        kept.append(idx)
+        if len(kept) == dim:
+            break
+    return kept
 
 
-def _extreme_rays_from_halfspaces(halfspaces: Sequence[IntVector], dim: int
-                                  ) -> list[IntVector]:
+def _primitive_inverse_rows(matrix: Sequence[Sequence[int]]) -> list[IntVector]:
+    """The rows of the inverse of an integer matrix, each scaled by a
+    positive rational to its primitive integer vector, by fraction-free
+    Gauss-Jordan elimination on [matrix | I]; ValueError if singular."""
+    n = len(matrix)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c]), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        m[c], m[p] = m[p], m[c]
+        pivot = m[c]
+        for i in range(n):
+            if i != c and m[i][c]:
+                a, b = pivot[c], m[i][c]
+                row = [a * x - b * y for x, y in zip(m[i], pivot)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row]
+    # each row now reads [d_i e_i | d_i * (row i of the inverse)]
+    return [primitive(row[n:] if row[i] > 0 else [-x for x in row[n:]])
+            for i, row in enumerate(m)]
+
+
+def _extreme_rays_from_halfspaces(halfspaces, dim: int) -> list[IntVector]:
     """Extreme rays of {x : h.x >= 0 for all h}; the cone must be pointed,
-    i.e. the halfspace normals have full rank."""
+    i.e. the halfspace normals have full rank.
+
+    Each ray carries the set of processed halfspaces tight on it as a
+    bitmask over positions in the canonical halfspace list."""
     hs = _canonical(halfspaces)
-    # Initial simplicial cone from a maximal independent subset.
-    chosen: list[IntVector] = []
-    chosen_idx: list[int] = []
-    for idx, h in enumerate(hs):
-        if linalg.rank(chosen + [h]) > len(chosen):
-            chosen.append(h)
-            chosen_idx.append(idx)
-            if len(chosen) == dim:
-                break
+    # Initial simplicial cone from a maximal independent subset: its rays
+    # are the columns of the inverse of the chosen rows, and ray c is tight
+    # on every chosen halfspace but the c-th.
+    chosen = _independent(hs, dim)
     if len(chosen) < dim:
         raise ConeInputError(
             "halfspace normals do not span the ambient space (cone is not pointed)")
-    inv = linalg.invert([list(map(Fraction, h)) for h in chosen])
-    rays = [primitive([inv[r][c] for r in range(dim)]) for c in range(dim)]
-    processed = list(chosen_idx)
+    rays = _primitive_inverse_rows([[hs[i][r] for i in chosen] for r in range(dim)])
+    every = sum(1 << i for i in chosen)
+    tight = [every ^ (1 << i) for i in chosen]
 
-    for idx in range(len(hs)):
-        if idx in chosen_idx:
+    for idx, f in enumerate(hs):
+        if idx in chosen:
             continue
-        f = hs[idx]
-        vals = {r: dot(f, r) for r in rays}
-        neg = [r for r in rays if vals[r] < 0]
-        if neg:
-            pos = [r for r in rays if vals[r] > 0]
-            zero = [r for r in rays if vals[r] == 0]
-            tight = {r: frozenset(i for i in processed if dot(hs[i], r) == 0)
-                     for r in rays}
-            new: list[IntVector] = []
+        bit = 1 << idx
+        vals = [dot(f, r) for r in rays]
+        if any(v < 0 for v in vals):
+            pos = [k for k, v in enumerate(vals) if v > 0]
+            neg = [k for k, v in enumerate(vals) if v < 0]
+            zero = [k for k, v in enumerate(vals) if v == 0]
+            new: dict[IntVector, int] = {}
             for p in pos:
                 for q in neg:
                     common = tight[p] & tight[q]
-                    adjacent = not any(r != p and r != q and common <= tight[r]
-                                       for r in rays)
-                    if not adjacent:
+                    # adjacent rays share at least dim - 2 tight halfspaces,
+                    # and no third ray is tight on all of them
+                    if common.bit_count() < dim - 2 or any(
+                            k != p and k != q and t & common == common
+                            for k, t in enumerate(tight)):
                         continue
-                    combo = tuple(vals[p] * qc - vals[q] * pc
-                                  for pc, qc in zip(p, q))
-                    cand = primitive(combo)
-                    if cand not in new:
-                        new.append(cand)
-            rays = pos + zero + new
-        processed.append(idx)
+                    cand = primitive([vals[p] * qc - vals[q] * pc
+                                      for pc, qc in zip(rays[p], rays[q])])
+                    new.setdefault(cand, common | bit)
+            rays = [rays[k] for k in pos + zero] + list(new)
+            tight = ([tight[k] for k in pos] + [tight[k] | bit for k in zero]
+                     + list(new.values()))
+        else:
+            tight = [t | bit if v == 0 else t for t, v in zip(tight, vals)]
     return sorted(rays)
+
+
+def _facets_from_rays(rays, dim: int) -> list[IntVector]:
+    gens = _canonical(rays)
+    if len(_independent(gens, dim)) < dim:
+        raise ConeInputError(
+            "cone is not full-dimensional; facet conversion is unsupported")
+    return _extreme_rays_from_halfspaces(gens, dim)
 
 
 def rays_to_facets(cone: ConeDescription) -> ConeDescription:
@@ -131,42 +182,42 @@ def rays_to_facets(cone: ConeDescription) -> ConeDescription:
     """
     if cone.rays is None:
         raise ConeInputError("rays_to_facets needs a ray presentation")
-    gens = _canonical(cone.rays)
-    if linalg.rank([list(map(Fraction, g)) for g in gens]) < cone.dim:
-        raise ConeInputError(
-            "cone is not full-dimensional; facet conversion is unsupported")
-    facets = _extreme_rays_from_halfspaces(gens, cone.dim)
     return ConeDescription(cone.dim, rays=cone.rays,
-                           facets=tuple(tuple(Fraction(x) for x in f) for f in facets))
+                           facets=tuple(_facets_from_rays(cone.rays, cone.dim)))
 
 
 def facets_to_rays(cone: ConeDescription) -> ConeDescription:
     """Irredundant extreme rays of a pointed cone given by facet normals."""
     if cone.facets is None:
         raise ConeInputError("facets_to_rays needs a facet presentation")
-    rays = _extreme_rays_from_halfspaces(_canonical(cone.facets), cone.dim)
     return ConeDescription(cone.dim, facets=cone.facets,
-                           rays=tuple(tuple(Fraction(x) for x in r) for r in rays))
+                           rays=tuple(_extreme_rays_from_halfspaces(cone.facets, cone.dim)))
 
 
 def canonical_rays(cone: ConeDescription) -> list[IntVector]:
     """Extremal rays in primitive-integer form, computed via the double
     dual when only a (possibly redundant) generator list is available."""
-    facets = cone.facets if cone.facets is not None else rays_to_facets(cone).facets
-    return _extreme_rays_from_halfspaces(_canonical(facets), cone.dim)
+    facets = (cone.facets if cone.facets is not None
+              else _facets_from_rays(cone.rays, cone.dim))
+    return _extreme_rays_from_halfspaces(facets, cone.dim)
 
 
 def canonical_facets(cone: ConeDescription) -> list[IntVector]:
-    rays = cone.rays if cone.rays is not None else facets_to_rays(cone).rays
-    return _extreme_rays_from_halfspaces(_canonical(rays), cone.dim)
+    rays = (cone.rays if cone.rays is not None
+            else _extreme_rays_from_halfspaces(cone.facets, cone.dim))
+    return _extreme_rays_from_halfspaces(rays, cone.dim)
 
 
-def _complete(cone: ConeDescription) -> ConeDescription:
-    if cone.rays is None:
-        return facets_to_rays(cone)
-    if cone.facets is None:
-        return rays_to_facets(cone)
-    return cone
+def _rays_and_facets(cone: ConeDescription) -> tuple[list[IntVector], list[IntVector]]:
+    """Both presentations in primitive integer form, converting the
+    missing one."""
+    rays = None if cone.rays is None else _canonical(cone.rays)
+    facets = None if cone.facets is None else _canonical(cone.facets)
+    if rays is None:
+        rays = _extreme_rays_from_halfspaces(facets, cone.dim)
+    if facets is None:
+        facets = _facets_from_rays(rays, cone.dim)
+    return rays, facets
 
 
 def cone_equal(a: ConeDescription, b: ConeDescription) -> bool:
@@ -174,10 +225,10 @@ def cone_equal(a: ConeDescription, b: ConeDescription) -> bool:
     satisfy every facet inequality of the other."""
     if a.dim != b.dim:
         raise ConeInputError("cone comparison needs matching ambient dimensions")
-    a = _complete(a)
-    b = _complete(b)
-    return (all(dot(f, r) >= 0 for r in a.rays for f in b.facets)
-            and all(dot(f, r) >= 0 for r in b.rays for f in a.facets))
+    rays_a, facets_a = _rays_and_facets(a)
+    rays_b, facets_b = _rays_and_facets(b)
+    return (all(dot(f, r) >= 0 for r in rays_a for f in facets_b)
+            and all(dot(f, r) >= 0 for r in rays_b for f in facets_a))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +276,10 @@ def validate_triangulation(cone: ConeDescription, triangulation) -> Triangulatio
         raise ConeInputError("triangulation validation needs the cone's rays")
     simplices = getattr(triangulation, "simplices", triangulation)
     simplices = [tuple(s) for s in simplices]
-    rays = [tuple(map(Fraction, r)) for r in cone.rays]
+    # The rays times one common positive integer: every point sampled
+    # below is `scale` times the cone point it stands for.
+    scale = lcm(*(x.denominator for r in cone.rays for x in r))
+    rays = [tuple(x.numerator * (scale // x.denominator) for x in r) for r in cone.rays]
     dim = cone.dim
     problems: list[TriangulationProblem] = []
 
@@ -239,7 +293,7 @@ def validate_triangulation(cone: ConeDescription, triangulation) -> Triangulatio
             continue
         columns = [[rays[i][r] for i in s] for r in range(dim)]
         try:
-            inverses.append(linalg.invert(columns))
+            inverses.append(_primitive_inverse_rows(columns))
         except ValueError:
             problems.append(TriangulationProblem(
                 "simplex", f"simplex {s} is not full-dimensional"))
@@ -253,9 +307,7 @@ def validate_triangulation(cone: ConeDescription, triangulation) -> Triangulatio
             sa, sb = simplices[ia], simplices[ib]
             shared = sorted(set(sa) & set(sb))
             expected = sorted(primitive(rays[i]) for i in shared)
-            halfspaces = [tuple(row) for row in inverses[ia]] + \
-                         [tuple(row) for row in inverses[ib]]
-            meet = _extreme_rays_from_halfspaces(halfspaces, dim)
+            meet = _extreme_rays_from_halfspaces(inverses[ia] + inverses[ib], dim)
             if meet != expected:
                 problems.append(TriangulationProblem(
                     "overlap",
@@ -290,14 +342,15 @@ def validate_triangulation(cone: ConeDescription, triangulation) -> Triangulatio
         for j in range(i + 1, len(rays)):
             points.append(tuple(rays[i][c] + rays[j][c] for c in range(dim)))
     for _ in range(COVERAGE_SAMPLES):
-        coeffs = [Fraction(rng.randint(0, 9)) for _ in rays]
+        coeffs = [rng.randint(0, 9) for _ in rays]
         if all(c == 0 for c in coeffs):
-            coeffs[0] = Fraction(1)
+            coeffs[0] = 1
         points.append(tuple(sum(c * r[k] for c, r in zip(coeffs, rays))
                             for k in range(dim)))
     for point in points:
         if not any(_simplex_membership(inv, point) for inv in inverses):
             problems.append(TriangulationProblem(
-                "coverage", f"sampled cone point {point} lies in no simplex"))
+                "coverage", "sampled cone point "
+                f"{tuple(Fraction(x, scale) for x in point)} lies in no simplex"))
 
     return TriangulationReport(not problems, tuple(problems))

@@ -9,12 +9,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import ConeInputError, quoted
+from .errors import ConeInputError, bounded, quoted
 from .sequences import BettiVector, rho_vector
 
 # limit_gap is O(n^2) in big integers (about 80 ms at n = 400, 2 s at
-# n = 1600), so its ambient length is capped.
+# n = 1600), so its ambient length is capped.  Its exact answer grows with
+# the digits of t: at n = 400 and t = LIMIT_MAX_T the worst j (j = 0) takes
+# about 0.5 s and prints a numerator of 3,884 digits, and from t = 10**11
+# on the numerator passes the interpreter's 4,300-digit int-string limit.
 LIMIT_MAX_N = 400
+LIMIT_MAX_T = 10**9
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,12 @@ def normalize_at(v: BettiVector, j: int) -> BettiVector:
 
 def limit_gap(j: int, t: int, n: int) -> Fraction:
     """Max-norm distance between the j-normalized pure shape for d^{j,t}
-    and its limit ray epsilon_j + epsilon_{j+1}; n is at most LIMIT_MAX_N."""
+    and its limit ray epsilon_j + epsilon_{j+1}; n is at most LIMIT_MAX_N
+    and t at most LIMIT_MAX_T."""
     if n > LIMIT_MAX_N:
-        raise ConeInputError(f"limit needs n <= {LIMIT_MAX_N}, got n={n}")
+        raise ConeInputError(f"limit needs n <= {LIMIT_MAX_N}, got n={bounded(str(n))}")
+    if t > LIMIT_MAX_T:
+        raise ConeInputError(f"limit needs t <= {LIMIT_MAX_T}, got t={bounded(str(t))}")
     v = normalize_at(herzog_kuhl(degree_family(j, t, n), n), j)
     target = rho_vector(j, n)
     return max(abs(a - b) for a, b in zip(v.entries, target.entries))

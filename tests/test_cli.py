@@ -1,14 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticone import hyper_total, pure, verification
-from betticone.cli import main
+import betticone
+from betticone import hyper_fixed, hyper_total, pure, regular, verification
+from betticone.cli import MAX_N, main
 from betticone.hyper_total import phi
 from betticone.sequences import (BettiVector, embed, ray, rho_vector,
                                  sequence_from_json, sequence_to_json)
@@ -62,6 +67,22 @@ class TestLimit:
         code, out, err = run(capsys, "limit", "--j", "0", "--t", "2", "--n", str(cap + 1))
         assert code == 2 and out == ""
         assert err == f"error: limit needs n <= {cap}, got n={cap + 1}\n"
+
+    def test_t_cap(self, capsys):
+        cap = pure.LIMIT_MAX_T
+        # the worst accepted call still prints its exact answer
+        code, out, err = run(capsys, "limit", "--j", "0", "--t", str(cap),
+                             "--n", str(pure.LIMIT_MAX_N))
+        assert code == 0 and err == "" and "/" in out
+        code, out, err = run(capsys, "limit", "--j", "0", "--t", str(cap + 1), "--n", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: limit needs t <= {cap}, got t={cap + 1}\n"
+
+    def test_t_of_3001_digits_exits_2_on_one_line(self, capsys):
+        code, out, err = run(capsys, "limit", "--j", "0", "--t", "9" * 3001, "--n", "20")
+        assert code == 2 and out == ""
+        assert err == (f"error: limit needs t <= {pure.LIMIT_MAX_T}, "
+                       f"got t={'9' * 40}... (3001 digits)\n")
 
 
 class TestPhi:
@@ -182,6 +203,16 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_other_commands_do_not_import_the_oracle(self):
+        src = str(Path(betticone.__file__).parents[1])
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, betticone.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('betticone.')))"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            check=True).stdout
+        assert "betticone.cli" in loaded
+        assert "betticone.oracle" not in loaded and "betticone.verification" not in loaded
+
     def test_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(verification, "run_sweep",
                             lambda n, m: [verification.SweepResult("forced", False)])
@@ -201,6 +232,32 @@ class TestVerify:
             assert err.startswith("error: ") and err.count("\n") == 1
         else:
             assert "check_regular" in calls and err == ""
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("command", [
+        ["member", "--cone", "regular"], ["member", "--cone", "total"],
+        ["member", "--cone", "fixed", "--mult", "3"], ["decompose", "--cone", "total"],
+        ["classify"]])
+    def test_n_above_the_cap_exits_2_before_any_cone_is_built(
+            self, capsys, monkeypatch, command):
+        for module in (regular, hyper_total, hyper_fixed):
+            monkeypatch.setattr(module, "cone", None)  # any use would raise
+        big = MAX_N + 1
+        code, out, err = run(capsys, *command, "--n", str(big),
+                             "--inline", finite_json([1] * (big + 1)))
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be at most {MAX_N}, got --n {big}\n"
+        code, out, err = run(capsys, *command, "--n", "2",
+                             "--inline", finite_json([1] * (big + 1)))
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be at most {MAX_N}, got a sequence with n={big}\n"
+
+    def test_the_cap_itself_is_accepted(self, capsys):
+        entries = [1] + [2] * MAX_N
+        code, out, _ = run(capsys, "member", "--cone", "regular", "--n", str(MAX_N),
+                           "--inline", finite_json(entries))
+        assert code == 0 and json.loads(out)["n"] == MAX_N
 
 
 class TestPlot:
