@@ -1,0 +1,156 @@
+"""Record a benchmark trajectory file from `perfbench/run.py` runs.
+
+    python3 bench/record.py --out BENCH.json --seeds 41 42 43 \\
+        --side parent=../parent-checkout --side change=.
+
+For each seed, each side (a source checkout holding `perfbench/` and
+`src/`) runs the four workloads in turn, untraced, for --seconds each;
+the sides alternate within a seed, so a pair of runs shares the
+machine's state, and which side runs first alternates from seed to
+seed. certify then runs once more per side and seed with
+--trace 1 for its per-layer rows. Children run with
+PYTHONDONTWRITEBYTECODE=1, so no checkout gains `__pycache__` files.
+
+The output JSON holds, per side, the checkout's commit (when it is a git
+checkout, with a flag for uncommitted changes), every run's end-to-end
+metrics, counts and first-round digest, and the traced
+`*.decompose_ms.n*` and `split_ms.n48` rows; then, per workload and
+metric, each side's median and quartiles and, with two sides, in how
+many pairs the second side was better (the direction is the metric's
+`better` entry in BENCHMARK.json). Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("membership-scan", "certify", "cli-roundtrip", "verify-sweep")
+TRACED_ROW = re.compile(r"\.decompose_ms\.n\d+$|\.split_ms\.n48$")
+DIGEST_PREFIX = "# digest sha256 of the first round's answers: "
+
+
+def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
+                  trace: int) -> dict:
+    """One `perfbench/run.py` child; its final JSON line plus the digest."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    result["digest"] = next((line[len(DIGEST_PREFIX):] for line in lines
+                             if line.startswith(DIGEST_PREFIX)), None)
+    return result
+
+
+def commit_of(checkout: Path) -> dict:
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    head = git("rev-parse", "HEAD")
+    if head is None:
+        return {"commit": None, "uncommitted_changes": None}
+    return {"commit": head, "uncommitted_changes": bool(git("status", "--porcelain"))}
+
+
+def machine() -> dict:
+    model = None
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        model = next((line.split(":", 1)[1].strip()
+                      for line in cpuinfo.read_text().splitlines()
+                      if line.startswith("model name")), None)
+    return {"platform": platform.platform(), "cpu": model or platform.processor(),
+            "cpu_count": os.cpu_count(), "python": platform.python_version()}
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(sides: dict, better: dict) -> dict:
+    names = list(sides)
+    out = {}
+    for workload in WORKLOADS:
+        rows = {}
+        for metric, direction in better.items():
+            series = {name: [run["metrics"][metric]["value"] for run in side["runs"][workload]]
+                      for name, side in sides.items()}
+            row = {name: spread(values) for name, values in series.items()}
+            if len(names) == 2:
+                first, second = series[names[0]], series[names[1]]
+                wins = sum((b < a) if direction == "lower" else (b > a)
+                           for a, b in zip(first, second))
+                row[f"{names[1]}_better_in"] = f"{wins}/{len(first)}"
+            rows[metric] = row
+        out[workload] = rows
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--seeds", required=True, type=int, nargs="+")
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--side", action="append", default=[],
+                        help="NAME=DIR, a checkout to run; repeat to alternate sides "
+                             "(default: change=<this checkout>)")
+    parser.add_argument("--note", default="", help="Free text stored with the machine note.")
+    args = parser.parse_args(argv)
+
+    checkouts = {}
+    for spec in args.side or [f"change={ROOT}"]:
+        name, sep, path = spec.partition("=")
+        if not sep or not (Path(path) / "perfbench" / "run.py").is_file():
+            parser.error(f"--side needs NAME=DIR with DIR a source checkout, got {spec!r}")
+        checkouts[name] = Path(path).resolve()
+    better = {m["name"]: m["better"]
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+    sides = {name: {**commit_of(path), "runs": {w: [] for w in WORKLOADS}, "traced": []}
+             for name, path in checkouts.items()}
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    for i, seed in enumerate(args.seeds):
+        order = list(checkouts.items())[::1 if i % 2 == 0 else -1]
+        for workload in WORKLOADS:
+            for name, path in order:
+                result = run_perfbench(path, workload, seed, args.seconds, trace=0)
+                sides[name]["runs"][workload].append(
+                    {"seed": seed, "digest": result["digest"], "correct": result["correct"],
+                     "attempted": result["attempted"], "failed": result["failed"],
+                     "metrics": result["metrics"]})
+                print(f"{name} {workload} seed={seed}: "
+                      f"ops_per_s {result['metrics']['ops_per_s']['value']:.4g}, "
+                      f"correct {result['correct']}", file=sys.stderr)
+        for name, path in order:
+            result = run_perfbench(path, "certify", seed, args.seconds, trace=1)
+            sides[name]["traced"].append(
+                {"seed": seed, "workload": "certify",
+                 "rows": {k: v for k, v in result["metrics"].items() if TRACED_ROW.search(k)}})
+
+    record = {"started": started, "machine": {**machine(), "note": args.note},
+              "seconds": args.seconds, "seeds": args.seeds,
+              "sides": {name: {"checkout": path.name, **sides[name]}
+                        for name, path in checkouts.items()},
+              "summary": summarize(sides, better)}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,10 +58,15 @@ def _load_sequence(input_path: str | None, inline: str | None):
 
 
 # The largest n that member, decompose and classify accept, as --n and as
-# a finite input's "n".  Membership evaluates about n^2/4 windows and a
-# certificate sums n+2 rays of n+1 entries: at n = 500 one `member` or
-# `decompose` process takes 0.5-0.85 s end to end (2.5 s at n = 1000).
+# a finite input's "n".  Membership evaluates about n^2/4 windows, and a
+# certificate's solve and reconstruction check are O(n) after it: at
+# n = 500 one `member` or `decompose` process takes 0.35-0.55 s end to end.
 MAX_N = 500
+
+
+# The most rows `plot` prints: with 4,300-digit numerators and denominators
+# (the interpreter's limit) the worst accepted call prints 8.6 MB in 0.75 s.
+MAX_PLOT_LEN = 1000
 
 
 def _load_capped(input_path: str | None, inline: str | None, n: int):
@@ -95,6 +100,21 @@ def _violations_json(violations) -> list[dict]:
             for name, value in violations]
 
 
+class _Integer(click.types.IntParamType):
+    """click's integer type, except that a rejected value longer than 40
+    characters is cut by `quoted` in the usage error."""
+
+    def convert(self, value, param, ctx):
+        try:
+            return super().convert(value, param, ctx)
+        except click.BadParameter:
+            if len(str(value)) <= 40:
+                raise
+            self.fail(f"{quoted(value)} is not a valid integer.", param, ctx)
+
+
+INTEGER = _Integer()  # the type of every integer option
+
 input_option = click.option("--input", "input_path", type=str, default=None,
                             help="Path of a JSON sequence file.")
 inline_option = click.option("--inline", type=str, default=None,
@@ -109,8 +129,8 @@ def cli():
 @cli.command()
 @click.option("--degrees", required=True,
               help="Comma-separated strictly increasing integers, e.g. 0,1,3.")
-@click.option("--n", type=int, required=True, help="Ambient homological length.")
-@click.option("--normalize-at", type=int, default=None,
+@click.option("--n", type=INTEGER, required=True, help="Ambient homological length.")
+@click.option("--normalize-at", type=INTEGER, default=None,
               help="Scale the result so this entry becomes 1.")
 def hk(degrees: str, n: int, normalize_at: int | None):
     """Shape vector of the pure resolution for a degree sequence."""
@@ -125,9 +145,9 @@ def hk(degrees: str, n: int, normalize_at: int | None):
 
 
 @cli.command()
-@click.option("--j", type=int, required=True, help="Which two-term ray to approach.")
-@click.option("--t", type=int, required=True, help="Family parameter (>= 2).")
-@click.option("--n", type=int, required=True,
+@click.option("--j", type=INTEGER, required=True, help="Which two-term ray to approach.")
+@click.option("--t", type=INTEGER, required=True, help="Family parameter (>= 2).")
+@click.option("--n", type=INTEGER, required=True,
               help=f"Ambient homological length (at most {pure.LIMIT_MAX_N}).")
 def limit(j: int, t: int, n: int):
     """Exact max-norm gap between the normalized pure shape and its limit ray."""
@@ -137,7 +157,7 @@ def limit(j: int, t: int, n: int):
 @cli.command()
 @input_option
 @inline_option
-@click.option("--n", type=int, default=None,
+@click.option("--n", type=INTEGER, default=None,
               help="Optional check that the input has this ambient length.")
 def phi(input_path, inline, n):
     """Even/odd prefix-sum transform of a finite sequence."""
@@ -187,8 +207,8 @@ cone_option = click.option("--cone", type=click.Choice(list(_CONES)), required=T
 @input_option
 @inline_option
 @cone_option
-@click.option("--n", type=int, required=True)
-@click.option("--mult", type=int, default=None,
+@click.option("--n", type=INTEGER, required=True)
+@click.option("--mult", type=INTEGER, default=None,
               help="Multiplicity d (required for --cone fixed).")
 def member(input_path, inline, cone, n, mult):
     """Cone membership with the violated constraints named."""
@@ -203,8 +223,8 @@ def member(input_path, inline, cone, n, mult):
 @input_option
 @inline_option
 @cone_option
-@click.option("--n", type=int, required=True)
-@click.option("--mult", type=int, default=None)
+@click.option("--n", type=INTEGER, required=True)
+@click.option("--mult", type=INTEGER, default=None)
 @click.option("--triangulation", type=click.Choice(["1", "2"]), default="1",
               help="1 = omit_odd, 2 = omit_even (total/fixed cones, n >= 3).")
 def decompose(input_path, inline, cone, n, mult, triangulation):
@@ -218,7 +238,7 @@ def decompose(input_path, inline, cone, n, mult, triangulation):
 @cli.command()
 @input_option
 @inline_option
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=INTEGER, required=True)
 def classify(input_path, inline, n):
     """Shape classification over the regular cone: closure membership,
     realizability, depth, and the Cohen-Macaulay coefficient criterion."""
@@ -242,7 +262,7 @@ def classify(input_path, inline, n):
 @cli.command()
 @input_option
 @inline_option
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=INTEGER, required=True)
 def split(input_path, inline, n):
     """Write a total-cone member as transform image plus finite part."""
     w = _tail(_load_sequence(input_path, inline))
@@ -251,8 +271,8 @@ def split(input_path, inline, n):
 
 
 @cli.command()
-@click.option("--n-max", type=int, default=8, show_default=True)
-@click.option("--mult-max", type=int, default=6, show_default=True)
+@click.option("--n-max", type=INTEGER, default=8, show_default=True)
+@click.option("--mult-max", type=INTEGER, default=6, show_default=True)
 @click.pass_context
 def verify(ctx, n_max: int, mult_max: int):
     """Run the oracle sweep re-deriving every rays/facets equivalence."""
@@ -273,13 +293,16 @@ def verify(ctx, n_max: int, mult_max: int):
 @cli.command()
 @input_option
 @inline_option
-@click.option("--len", "length", type=int, required=True,
+@click.option("--len", "length", type=INTEGER, required=True,
               help="Number of leading entries to emit.")
 def plot(input_path, inline, length):
     """CSV rows `index,approx,exact` for external plotting of a shape."""
     seq = _load_sequence(input_path, inline)
     if length < 1:
         raise ConeInputError("--len must be at least 1")
+    if length > MAX_PLOT_LEN:
+        raise ConeInputError(
+            f"--len must be at most {MAX_PLOT_LEN}, got --len {bounded(str(length))}")
     if isinstance(seq, BettiVector):
         entries = [seq[i] if i <= seq.n else Fraction(0) for i in range(length)]
     else:

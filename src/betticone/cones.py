@@ -1,21 +1,22 @@
 """One description shared by the three cone families, and one driver for
 membership and certificates.
 
-A `Cone` describes each facet once, by its window (see `Window`), and
-names its extremal rays, built on first use: membership never builds a
-ray, and `verification` projects functionals built from the same windows
-that membership evaluates.  Members of the two hyperplane families
-(total and multiplicity-d) are flat from index n on, so their linear
-algebra happens on coordinates 0..n and flatness is checked separately.
+A `Cone` describes each facet once, by its window (see `Window`), and its
+rays by one closed-form layout (see `Cone`): membership never reads a
+ray, certificates read only the layout, and `verification` projects the
+functionals and rays written out from the same windows and layout.
+Members of the two hyperplane families (total and multiplicity-d) are
+flat from index n on, so their linear algebra happens on coordinates
+0..n and flatness is checked separately.
 
 Costs: one alternating prefix-sum array gives every window value in
 O(1), so membership is O(n^2) (the total cone has about n^2/4 windows)
 and the regular cone's n+1 values are O(n).  The n+2 rays of a
 hyperplane-family cone satisfy exactly one linear relation (the cone is
 a pyramid over a circuit, and the two parity triangulations are the two
-triangulations of that circuit), so a certificate is one banded solve
-plus one ratio test along the relation: O(n) after membership.  The exact
-reconstruction check then builds the rays and sums them in O(n^2).
+triangulations of that circuit), so a certificate is one banded solve,
+one ratio test along the relation and an exact reconstruction check
+that sums the layout: O(n) after membership.
 """
 
 from __future__ import annotations
@@ -111,22 +112,23 @@ def parity_triangulation(n: int, label: str) -> Triangulation:
 @dataclass(frozen=True, eq=False)
 class Cone:
     """A cone of shapes on coordinates 0..n: facets described by their
-    windows, each facet nonnegative on members, and named extremal rays,
-    built on first use.  ``title`` names the cone in errors; the
-    constraints of the enclosing cone ``within`` are checked and reported
-    first; tail cones are flat from index ``flat_from`` on; ``core`` is
-    the one simplex of a simplicial cone, else certificates use the
-    parity triangulations.
+    windows, each facet nonnegative on members.  ``title`` names the cone
+    in errors; the constraints of the enclosing cone ``within`` are
+    checked and reported first; tail cones are flat from index
+    ``flat_from`` on; ``core`` is the one simplex of a simplicial cone,
+    else certificates use the parity triangulations.
 
-    Certificates (`decompose`) assume the ray layout of the hyperplane
-    families: rho[-1], ..., rho[n-2] at positions 0..n-1, then one or two
-    tail rays that are 1 from index n-1 on, 0 below n-2 and hold a corner
-    value at n-2."""
+    The extremal rays follow one layout: rho[-1] = e_0 and rho[k] = e_k +
+    e_{k+1}, up to rho[n-1] in a finite cone (``tail`` None).  A tail
+    cone, which certificates need, has rho[-1..n-2] and then one ray
+    ``tail[n-2+k]`` per value in ``corners``: 1 from index n-1 on, 0
+    below n-2 and corners[k] at n-2."""
 
     title: str
     n: int
     windows: Callable[[], Iterable[Window]]
-    ray_list: Callable[[], list[tuple[str, Sequence]]]
+    tail: Optional[str] = None
+    corners: tuple[Fraction, ...] = ()
     within: Optional["Cone"] = None
     flat_from: Optional[int] = None
     core: Optional[tuple[int, ...]] = None
@@ -140,17 +142,28 @@ class Cone:
         return inherited + tuple((window_name(w), window_functional(w))
                                  for w in self.windows())
 
+    @property
+    def _rho(self) -> int:  # how many rho rays lead the layout
+        return self.n + 1 if self.tail is None else self.n
+
     @cached_property
     def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self._named_rays)
+        return (tuple(f"rho[{i}]" for i in range(-1, self._rho - 1))
+                + tuple(f"{self.tail}[{self.n - 2 + k}]" for k in range(len(self.corners))))
 
     @cached_property
     def rays(self) -> tuple[Sequence, ...]:
-        return tuple(r for _, r in self._named_rays)
-
-    @cached_property
-    def _named_rays(self) -> tuple[tuple[str, Sequence], ...]:
-        return tuple(self.ray_list())
+        """The rays as sequences, written out from the layout.  Built on
+        first use: only `verification`, containment reports and tests
+        read them."""
+        zero, one = Fraction(0), Fraction(1)
+        rho = [tuple(one if p - 1 <= k <= p else zero for k in range(self._rho))
+               for p in range(self._rho)]  # rho[p-1], at position p
+        if self.tail is None:
+            return tuple(BettiVector(self.n, e) for e in rho)
+        return (tuple(TailPeriodicSequence(self.n, e, zero, zero) for e in rho)
+                + tuple(TailPeriodicSequence(self.n, (zero,) * (self.n - 2) + (c, one), one, one)
+                        for c in self.corners))
 
     def projected(self) -> list[tuple[Fraction, ...]]:
         """The rays as coordinate vectors on indices 0..n."""
@@ -158,33 +171,23 @@ class Cone:
                 for r in self.rays]
 
     def combine(self, coeffs) -> Sequence:
-        """The exact sum of ``coeffs[k] * rays[k]`` over this cone's rays, in
-        the rays' own sequence type.  Coordinates are accumulated in one
-        pass; zero coefficients and zero ray entries are skipped."""
-        if len(coeffs) != len(self.rays):
-            raise ConeInputError(f"{len(coeffs)} coefficients for {len(self.rays)} rays")
-        terms = [(c, r) for c, r in zip(map(as_fraction, coeffs), self.rays) if c != 0]
-        if isinstance(self.rays[0], BettiVector):
-            acc = [Fraction(0)] * len(self.rays[0].entries)
-            for c, r in terms:
-                for i, e in enumerate(r.entries):
-                    if e:
-                        acc[i] += c * e
-            return BettiVector(len(acc) - 1, tuple(acc))
-        stab = max((r.stab for _, r in terms), default=0)
-        acc = [Fraction(0)] * stab
-        even = odd = Fraction(0)
-        for c, r in terms:
-            for i, e in enumerate(r.head):
-                if e:
-                    acc[i] += c * e
-            for i in range(r.stab, stab):  # r's tail inside the sum's head
-                e = r.tail_even if i % 2 == 0 else r.tail_odd
-                if e:
-                    acc[i] += c * e
-            even += c * r.tail_even
-            odd += c * r.tail_odd
-        return TailPeriodicSequence(stab, tuple(acc), even, odd)
+        """The exact sum of ``coeffs[k]`` times the k-th ray, in the rays'
+        own sequence type, read off the layout in O(n): the rho ray at
+        position k adds its coefficient to entries k-1 and k (rho[-1] to
+        entry 0 only), and a tail ray adds its corner times its
+        coefficient at n-2 and its coefficient from n-1 on."""
+        if len(coeffs) != len(self.names):
+            raise ConeInputError(f"{len(coeffs)} coefficients for {len(self.names)} rays")
+        coeffs = [as_fraction(c) for c in coeffs]
+        rho = coeffs[:self._rho]
+        entries = [a + b for a, b in zip(rho, rho[1:])] + [rho[-1]]
+        if self.tail is None:
+            return BettiVector(self.n, tuple(entries))
+        tails = coeffs[self._rho:]
+        top = sum(tails, Fraction(0))
+        entries[-2] += sum((c * t for c, t in zip(self.corners, tails)), Fraction(0))
+        entries[-1] += top
+        return TailPeriodicSequence(self.n, tuple(entries), top, top)
 
     def facet_values(self, w: Sequence) -> list[tuple[str, Fraction]]:
         """(name, value) of each of this cone's own facets on w, in report
@@ -238,9 +241,9 @@ class Cone:
         (-1)^(n-k) g, rho[n-2] carries 0 and the tails -1 and +1.
         """
         n = self.n
-        if len(self.rays) != n + 2:
-            raise ConeInputError(f"{self.title} has no relation among {len(self.rays)} rays")
-        g = self.rays[n].entry(n - 2) - self.rays[n + 1].entry(n - 2)
+        if len(self.corners) != 2:
+            raise ConeInputError(f"{self.title} has no relation among {len(self.names)} rays")
+        g = self.corners[0] - self.corners[1]
         return (tuple(g if (n - k) % 2 == 0 else -g for k in range(n - 1))
                 + (Fraction(0), Fraction(-1), Fraction(1)))
 
@@ -252,10 +255,10 @@ class Cone:
         each lower coordinate k only rho[k-1] and rho[k]."""
         n = self.n
         y = w.prefix(n + 1)
-        x = [Fraction(0)] * len(self.rays)
+        x = [Fraction(0)] * len(self.names)
         x[-1] = t = y[n]
         x[n - 1] = y[n - 1] - t
-        x[n - 2] = y[n - 2] - x[n - 1] - self.rays[-1].entry(n - 2) * t
+        x[n - 2] = y[n - 2] - x[n - 1] - self.corners[-1] * t
         for k in range(n - 3, -1, -1):
             x[k] = y[k] - x[k + 1]
         return x

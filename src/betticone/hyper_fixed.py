@@ -17,7 +17,7 @@ from typing import Optional
 from . import hyper_total
 from .cones import Cone, Decomposition, MembershipReport
 from .errors import ConeInputError
-from .sequences import TailPeriodicSequence, ray
+from .sequences import TailPeriodicSequence
 
 MEMBERSHIP_CAVEAT = ("membership in the conjectured cone; does not certify "
                      "that the shape is realizable")
@@ -35,32 +35,23 @@ class FixedConeParams:
             raise ConeInputError(f"multiplicity must be >= 2, got d={self.d}")
 
 
-def _rays(p: FixedConeParams) -> list[tuple[str, TailPeriodicSequence]]:
-    """Generating rays rho[-1..n-2] plus the two multiplicity-adjusted
-    tail rays; at d = 2 those two coincide and the list is deduplicated
-    down to n+1 rays."""
-    out = [(f"rho[{i}]", ray("rho", i, p.n)) for i in range(-1, p.n - 1)]
-    out.append((f"tau_d[{p.n - 2}]", ray("tau_d", p.n - 2, p.n, p.d)))
-    if p.d > 2:
-        out.append((f"tau_d[{p.n - 1}]", ray("tau_d", p.n - 1, p.n, p.d)))
-    return out
-
-
 def cone(p: FixedConeParams) -> Cone:
     """The conjectured multiplicity-d cone: the total cone cut by
     xi[i,n] >= 0 for 0 <= i <= n.
 
-    d = 2 collapses the two tail rays, leaving an outright simplicial
-    cone; n = 2 leaves one redundant tail ray, tau_d[0] = (d-2)/d *
-    rho[-1] + tau_d[1], that is set aside.  Otherwise the same two parity
+    Its tail rays tau_d[n-2] and tau_d[n-1] hold (d-1)/d and 1/d at n-2.
+    d = 2 collapses them, leaving an outright simplicial cone; n = 2
+    leaves one redundant tail ray, tau_d[0] = (d-2)/d * rho[-1] +
+    tau_d[1], that is set aside.  Otherwise the same two parity
     triangulations as in the total cone apply (the unique ray relation
     has the same support and signs).
     """
     n, d = p.n, p.d
     core = tuple(range(n + 1)) if d == 2 else (0, 1, 3) if n == 2 else None
+    corners = (Fraction(d - 1, d),) + ((Fraction(1, d),) if d > 2 else ())
     return Cone(f"the multiplicity-{d} cone", n,
                 lambda: ((i, n, d) for i in range(n + 1)),
-                lambda: _rays(p), within=hyper_total.cone(n), core=core)
+                tail="tau_d", corners=corners, within=hyper_total.cone(n), core=core)
 
 
 def rays(p: FixedConeParams) -> list[TailPeriodicSequence]:

@@ -19,7 +19,7 @@ from . import linalg, regular
 from .cones import (Cone, Decomposition, MembershipReport, Triangulation, Window,
                     parity_triangulation)
 from .errors import ConeInputError, InternalInconsistencyError
-from .sequences import BettiVector, TailPeriodicSequence, embed, ray
+from .sequences import BettiVector, TailPeriodicSequence, embed
 
 
 def phi(v: BettiVector) -> TailPeriodicSequence:
@@ -57,9 +57,7 @@ def cone(n: int) -> Cone:
     if n < 2:
         raise ConeInputError(f"the total hypersurface cone needs n >= 2, got n={n}")
     return Cone("the total hypersurface cone", n, lambda: _windows(n),
-                lambda: ([(f"rho[{i}]", ray("rho", i, n)) for i in range(-1, n - 1)]
-                         + [(f"tau_inf[{i}]", ray("tau_inf", i, n))
-                            for i in (n - 2, n - 1)]),
+                tail="tau_inf", corners=(Fraction(1), Fraction(0)),
                 flat_from=n, core=(0, 1, 3) if n == 2 else None)
 
 

@@ -16,16 +16,14 @@ from typing import Optional
 
 from .cones import Cone
 from .errors import NotInConeError
-from .sequences import BettiVector, LinearFunctional, rho_vector
+from .sequences import BettiVector, LinearFunctional
 
 
 def cone(n: int) -> Cone:
     """The regular cone: facets chi[j,n], j = 0..n, and rays rho[-1..n-1].
     It is simplicial and rho[i] is dual to chi[i+1,n], so the facet values
     of a vector are its ray coefficients."""
-    return Cone("the regular cone", n,
-                lambda: ((j, n, None) for j in range(n + 1)),
-                lambda: [(f"rho[{i}]", rho_vector(i, n)) for i in range(-1, n)])
+    return Cone("the regular cone", n, lambda: ((j, n, None) for j in range(n + 1)))
 
 
 def facets(n: int) -> list[LinearFunctional]:

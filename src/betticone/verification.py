@@ -11,10 +11,15 @@ from dataclasses import dataclass
 
 from . import hyper_fixed, hyper_total, oracle, regular
 from .cones import Cone
-from .errors import MalformedInputError
+from .errors import ConeInputError, MalformedInputError, bounded
 from .hyper_fixed import FixedConeParams
 from .linalg import primitive
 from .oracle import ConeDescription
+
+# The sweep runs 5(mult_max - 1) fixed-cone checks: the worst accepted one,
+# n_max = 11 and mult_max = MAX_MULT, takes 0.65-0.8 s end to end on a
+# shared 2-vCPU VM (1.5 s at mult_max = 200).
+MAX_MULT = 100
 
 
 @dataclass(frozen=True)
@@ -34,9 +39,9 @@ def _description_pair(cone: Cone) -> tuple[ConeDescription, ConeDescription]:
 
 def check_regular(n: int) -> SweepResult:
     a, b = _description_pair(regular.cone(n))
+    a = oracle.rays_to_facets(a)  # one conversion serves both checks
     ok = oracle.cone_equal(a, b)
-    ok = ok and sorted(oracle.canonical_facets(a)) == sorted(
-        primitive(f) for f in b.facets)
+    ok = ok and sorted(map(primitive, a.facets)) == sorted(map(primitive, b.facets))
     return SweepResult(f"regular n={n}: rays <-> facets", ok)
 
 
@@ -80,7 +85,10 @@ def run_sweep(n_max: int = 8, mult_max: int = 6) -> list[SweepResult]:
     if not 2 <= n_max <= oracle.MAX_DIM - 1 or mult_max < 2:
         raise MalformedInputError(
             f"sweep bounds need 2 <= n_max <= {oracle.MAX_DIM - 1} and mult_max >= 2, "
-            f"got n_max={n_max}, mult_max={mult_max}")
+            f"got n_max={bounded(str(n_max))}, mult_max={bounded(str(mult_max))}")
+    if mult_max > MAX_MULT:
+        raise ConeInputError(
+            f"verify needs mult_max <= {MAX_MULT}, got mult_max={bounded(str(mult_max))}")
     results = [check_regular(n) for n in range(0, n_max + 1)]
     results += [check_total(n) for n in range(2, n_max + 1)]
     results += [check_fixed(n, d)

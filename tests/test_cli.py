@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import betticone
 from betticone import hyper_fixed, hyper_total, pure, regular, verification
-from betticone.cli import MAX_N, main
+from betticone.cli import MAX_N, MAX_PLOT_LEN, main
 from betticone.hyper_total import phi
 from betticone.sequences import (BettiVector, embed, ray, rho_vector,
                                  sequence_from_json, sequence_to_json)
@@ -83,6 +83,23 @@ class TestLimit:
         assert code == 2 and out == ""
         assert err == (f"error: limit needs t <= {pure.LIMIT_MAX_T}, "
                        f"got t={'9' * 40}... (3001 digits)\n")
+
+
+class TestIntegerOptions:
+    @pytest.mark.parametrize("argv", [
+        ["limit", "--j", "0", "--t", "9" * 5000, "--n", "20"],
+        ["member", "--n", "9" * 5000]])
+    def test_an_overlong_integer_is_quoted_short(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len((out + err).encode()) < 300
+        assert err.endswith(f"'{'9' * 39}... is not a valid integer.\n")
+
+    @pytest.mark.parametrize("value", ["12x", "x" * 40])
+    def test_a_short_value_reads_as_click_prints_it(self, capsys, value):
+        code, out, err = run(capsys, "limit", "--j", "0", "--t", value, "--n", "20")
+        assert code == 1 and out == ""
+        assert err.endswith(f"Error: Invalid value for '--t': '{value}' is not a valid integer.\n")
 
 
 class TestPhi:
@@ -233,6 +250,24 @@ class TestVerify:
         else:
             assert "check_regular" in calls and err == ""
 
+    @pytest.mark.parametrize("mult_max, shown", [
+        (verification.MAX_MULT, None),
+        (verification.MAX_MULT + 1, str(verification.MAX_MULT + 1)),
+        (10**50, "1" + "0" * 39 + "... (51 digits)")])
+    def test_mult_max_capped_before_any_check(self, capsys, monkeypatch, mult_max, shown):
+        calls = []
+        for name in ("check_regular", "check_total", "check_fixed", "check_triangulations"):
+            monkeypatch.setattr(verification, name, lambda *args, name=name: (
+                calls.append(name) or verification.SweepResult(name, True)))
+        code, out, err = run(capsys, "verify", "--n-max", "3", "--mult-max", str(mult_max))
+        if shown is None:
+            assert code == 0 and err == ""
+            assert calls.count("check_fixed") == 2 * (mult_max - 1)
+        else:
+            assert code == 2 and out == "" and calls == []
+            assert err == (f"error: verify needs mult_max <= {verification.MAX_MULT}, "
+                           f"got mult_max={shown}\n")
+
 
 class TestSizeCap:
     @pytest.mark.parametrize("command", [
@@ -269,6 +304,14 @@ class TestPlot:
         assert lines[0] == "index,approx,exact"
         assert lines[1] == "0,0.5,1/2"
         assert lines[-1] == "3,0,0"
+
+    def test_len_cap(self, capsys):
+        w = finite_json(["1/2", "1", "1/2"])
+        code, out, err = run(capsys, "plot", "--len", str(MAX_PLOT_LEN), "--inline", w)
+        assert code == 0 and err == "" and out.count("\n") == MAX_PLOT_LEN + 1
+        code, out, err = run(capsys, "plot", "--len", str(MAX_PLOT_LEN + 1), "--inline", w)
+        assert code == 2 and out == ""
+        assert err == f"error: --len must be at most {MAX_PLOT_LEN}, got --len {MAX_PLOT_LEN + 1}\n"
 
     def test_tail_input(self, capsys):
         w = json.dumps(sequence_to_json(ray("tau_d", 1, 2, 3)))

@@ -1,12 +1,132 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from betticone import hyper_fixed, hyper_total, regular
+from betticone import cli, hyper_fixed, hyper_total, regular, sequences
+from betticone.cones import Cone
 from betticone.errors import (ConeInputError, InternalInconsistencyError, NotInConeError,
                               bounded)
 from betticone.hyper_fixed import FixedConeParams
-from betticone.sequences import BettiVector, TailPeriodicSequence
+from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, ray,
+                                 rho_vector)
+
+
+def reference_rays(family, n):
+    """(name, ray) pairs built one by one with `sequences.ray` and
+    `rho_vector`: the ray lists the cones carried before the layout."""
+    if family == "regular":
+        return [(f"rho[{i}]", rho_vector(i, n)) for i in range(-1, n)]
+    rho = [(f"rho[{i}]", ray("rho", i, n)) for i in range(-1, n - 1)]
+    if family == "total":
+        return rho + [(f"tau_inf[{i}]", ray("tau_inf", i, n)) for i in (n - 2, n - 1)]
+    d = family
+    tails = (n - 2, n - 1) if d > 2 else (n - 2,)
+    return rho + [(f"tau_d[{i}]", ray("tau_d", i, n, d)) for i in tails]
+
+
+def build(family, n):
+    if family == "regular":
+        return regular.cone(n)
+    if family == "total":
+        return hyper_total.cone(n)
+    return hyper_fixed.cone(FixedConeParams(n, family))
+
+
+def reference_combine(rays, coeffs):
+    """The generic ray-object sum: ``coeffs[k] * rays[k]`` accumulated
+    entry by entry over every ray, in the rays' own sequence type."""
+    terms = [(c, r) for c, r in zip(map(as_fraction, coeffs), rays) if c != 0]
+    if isinstance(rays[0], BettiVector):
+        acc = [Fraction(0)] * len(rays[0].entries)
+        for c, r in terms:
+            for i, e in enumerate(r.entries):
+                if e:
+                    acc[i] += c * e
+        return BettiVector(len(acc) - 1, tuple(acc))
+    stab = max((r.stab for _, r in terms), default=0)
+    acc = [Fraction(0)] * stab
+    even = odd = Fraction(0)
+    for c, r in terms:
+        for i, e in enumerate(r.head):
+            if e:
+                acc[i] += c * e
+        for i in range(r.stab, stab):  # r's tail inside the sum's head
+            e = r.tail_even if i % 2 == 0 else r.tail_odd
+            if e:
+                acc[i] += c * e
+        even += c * r.tail_even
+        odd += c * r.tail_odd
+    return TailPeriodicSequence(stab, tuple(acc), even, odd)
+
+
+FAMILIES = ["regular", "total", *range(2, 9)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_layout_rays_match_the_ray_constructors(family):
+    for n in range(0 if family == "regular" else 2, 61):
+        cone = build(family, n)
+        expected = reference_rays(family, n)
+        assert cone.names == tuple(name for name, _ in expected), (family, n)
+        for got, (name, want) in zip(cone.rays, expected, strict=True):
+            assert type(got) is type(want) and got == want, (family, n, name)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_layout_combine_matches_the_ray_object_sum(family):
+    rng = random.Random(f"layout-combine-{family}")
+    ties = (Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2))
+    for n in list(range(0 if family == "regular" else 2, 13)) + [20, 33, 48]:
+        cone = build(family, n)
+        rays = [r for _, r in reference_rays(family, n)]
+        size = len(rays)
+        vectors = [[0] * size, [-1] * size]
+        vectors += [[int(k == p) for k in range(size)] for p in range(size)]
+        vectors += [[rng.choice(ties) for _ in range(size)] for _ in range(6)]
+        vectors += [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(size)]
+                    for _ in range(6)]
+        for coeffs in vectors:
+            got = cone.combine(coeffs)
+            want = reference_combine(rays, coeffs)
+            assert type(got) is type(want) and got == want, (family, n, coeffs)
+
+
+@pytest.mark.parametrize("d", [2, 3, None])
+def test_a_wrong_solve_fails_the_reconstruction_check(monkeypatch, d):
+    cone = hyper_total.cone(6) if d is None else hyper_fixed.cone(FixedConeParams(6, d))
+    w = cone.combine([1] * len(cone.names))
+    solve = Cone._solve
+    monkeypatch.setattr(Cone, "_solve", lambda self, w: [2 * x for x in solve(self, w)])
+    with pytest.raises(InternalInconsistencyError, match="exact reconstruction"):
+        cone.decompose(w)
+
+
+def test_certificates_build_no_ray(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ray object was built on the certificate path")
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").split(".")[0] == "betticone":
+            for attr in ("ray", "rho_vector"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(Cone, "rays", property(refuse))
+    monkeypatch.setattr(Cone, "projected", refuse)
+    assert sequences.ray is refuse and sequences.rho_vector is refuse
+    n = 48
+    w = hyper_total.cone(n).combine(list(range(1, n + 3)))
+    for which in (1, 2):
+        assert hyper_total.decompose(w, n, which).coefficients
+        p = FixedConeParams(n, 3)
+        assert hyper_fixed.decompose(hyper_fixed.cone(p).combine([1] * (n + 2)), p, which)
+    v1, v2 = hyper_total.split(w, n)
+    assert (v1.n, v2.n) == (n, n - 1)
+    v = regular.cone(n).combine(list(range(n + 1)))
+    dec = regular.decompose(v)
+    assert dec.reconstruct() == v
+    payload = cli._regular_certificate(regular.cone(n), v, 1)
+    assert payload["coefficients"]["rho[47]"] == "48"
 
 
 def test_combine_edge_cases():
@@ -15,7 +135,7 @@ def test_combine_edge_cases():
              (hyper_fixed.cone(FixedConeParams(3, 4)), TailPeriodicSequence.zero(), 5),
              (hyper_fixed.cone(FixedConeParams(3, 2)), TailPeriodicSequence.zero(), 4)]
     for cone, zero, count in cases:
-        assert len(cone.rays) == count
+        assert len(cone.rays) == len(cone.names) == count
         combined = cone.combine((Fraction(0),) * count)
         assert type(combined) is type(zero) and combined == zero
         for wrong in (count - 1, count + 1):

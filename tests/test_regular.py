@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import oracle, regular
+from betticone import oracle, regular, verification
+from betticone.cones import Cone
 from betticone.errors import NotInConeError
 from betticone.oracle import ConeDescription
 from betticone.sequences import BettiVector, chi, rho_vector
@@ -48,6 +49,25 @@ class TestFacetsAndRays:
             oracle.primitive(f.as_vector(n + 1)) for f in regular.facets(n))
         assert sorted(oracle.canonical_rays(facets)) == sorted(
             oracle.primitive(r.entries) for r in regular.rays(n))
+
+    def test_sweep_check_converts_once_and_keeps_both_checks(self, monkeypatch):
+        calls = []
+        convert = oracle._extreme_rays_from_halfspaces
+        monkeypatch.setattr(oracle, "_extreme_rays_from_halfspaces",
+                            lambda *args: calls.append(1) or convert(*args))
+        assert verification.check_regular(8).ok
+        assert len(calls) == 2  # rays to facets, facets to rays
+
+        def cone_with(windows):
+            return lambda n: Cone("the regular cone", n, lambda: windows(n))
+        # chi[0,n-1] for chi[0,n]: another cone
+        monkeypatch.setattr(regular, "cone", cone_with(
+            lambda n: [(0, n - 1, None)] + [(j, n, None) for j in range(1, n + 1)]))
+        assert not verification.check_regular(4).ok
+        # a repeated facet: the same cone, but not the irredundant facet list
+        monkeypatch.setattr(regular, "cone", cone_with(
+            lambda n: [(0, n, None)] + [(j, n, None) for j in range(n + 1)]))
+        assert not verification.check_regular(4).ok
 
 
 class TestMember:
