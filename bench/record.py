@@ -7,17 +7,18 @@ For each seed, each side (a source checkout holding `perfbench/` and
 `src/`) runs the four workloads in turn, untraced, for --seconds each;
 the sides alternate within a seed, so a pair of runs shares the
 machine's state, and which side runs first alternates from seed to
-seed. certify then runs once more per side and seed with
---trace 1 for its per-layer rows. Children run with
-PYTHONDONTWRITEBYTECODE=1, so no checkout gains `__pycache__` files.
+seed. certify, membership-scan and verify-sweep then run once more per
+side and seed with --trace 1 for their per-layer rows (see TRACED).
+Children run with PYTHONDONTWRITEBYTECODE=1, so no checkout gains
+`__pycache__` files.
 
 The output JSON holds, per side, the checkout's commit (when it is a git
 checkout, with a flag for uncommitted changes), every run's end-to-end
-metrics, counts and first-round digest, and the traced
-`*.decompose_ms.n*` and `split_ms.n48` rows; then, per workload and
-metric, each side's median and quartiles and, with two sides, in how
-many pairs the second side was better (the direction is the metric's
-`better` entry in BENCHMARK.json). Only the standard library is used.
+metrics, counts and first-round digest, and the traced rows; then, per
+workload and metric, each side's median and quartiles and, with two
+sides, in how many pairs the second side was better (the direction is
+the metric's `better` entry in BENCHMARK.json), and the same medians and
+quartiles of every traced row. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("membership-scan", "certify", "cli-roundtrip", "verify-sweep")
-TRACED_ROW = re.compile(r"\.decompose_ms\.n\d+$|\.split_ms\.n48$")
+# workload traced with --trace 1 -> the per-layer rows kept from its runs
+TRACED = {
+    "certify": re.compile(r"\.decompose_ms\.n\d+$|\.split_ms\.n48$"),
+    "membership-scan": re.compile(r"\.(facets_check|member|classify)_ms\.n\d+$"),
+    "verify-sweep": re.compile(r"^(verification\.check_\w+|oracle\.\w+)_ms$"
+                               r"|^linalg\.nullspace\.calls$"),
+}
 DIGEST_PREFIX = "# digest sha256 of the first round's answers: "
 
 
@@ -99,6 +106,14 @@ def summarize(sides: dict, better: dict) -> dict:
                 row[f"{names[1]}_better_in"] = f"{wins}/{len(first)}"
             rows[metric] = row
         out[workload] = rows
+    out["traced"] = {}
+    for workload in TRACED:
+        runs = {name: [run["rows"] for run in side["traced"] if run["workload"] == workload]
+                for name, side in sides.items()}
+        out["traced"][workload] = {
+            row: {name: spread([rows[row]["value"] for rows in side_runs])
+                  for name, side_runs in runs.items()}
+            for row in runs[names[0]][0]}
     return out
 
 
@@ -137,11 +152,12 @@ def main(argv=None) -> int:
                 print(f"{name} {workload} seed={seed}: "
                       f"ops_per_s {result['metrics']['ops_per_s']['value']:.4g}, "
                       f"correct {result['correct']}", file=sys.stderr)
-        for name, path in order:
-            result = run_perfbench(path, "certify", seed, args.seconds, trace=1)
-            sides[name]["traced"].append(
-                {"seed": seed, "workload": "certify",
-                 "rows": {k: v for k, v in result["metrics"].items() if TRACED_ROW.search(k)}})
+        for workload, pattern in TRACED.items():
+            for name, path in order:
+                result = run_perfbench(path, workload, seed, args.seconds, trace=1)
+                sides[name]["traced"].append(
+                    {"seed": seed, "workload": workload,
+                     "rows": {k: v for k, v in result["metrics"].items() if pattern.search(k)}})
 
     record = {"started": started, "machine": {**machine(), "note": args.note},
               "seconds": args.seconds, "seeds": args.seeds,

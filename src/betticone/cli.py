@@ -57,8 +57,9 @@ def _load_sequence(input_path: str | None, inline: str | None):
     return sequence_from_json(data)
 
 
-# The largest n that member, decompose and classify accept, as --n and as
-# a finite input's "n".  Membership evaluates about n^2/4 windows, and a
+# The largest n that member, decompose, classify and split accept, as --n
+# and as a finite input's "n", and the largest `hk --n` (which also bounds
+# the degree count).  Membership evaluates about n^2/4 windows, and a
 # certificate's solve and reconstruction check are O(n) after it: at
 # n = 500 one `member` or `decompose` process takes 0.35-0.55 s end to end.
 MAX_N = 500
@@ -69,11 +70,16 @@ MAX_N = 500
 MAX_PLOT_LEN = 1000
 
 
+def _capped(n: int) -> int:
+    if n > MAX_N:
+        raise ConeInputError(f"n must be at most {MAX_N}, got --n {bounded(str(n))}")
+    return n
+
+
 def _load_capped(input_path: str | None, inline: str | None, n: int):
     """`_load_sequence` for the cone commands: --n and a finite input's "n"
     are checked against MAX_N before the cone is built."""
-    if n > MAX_N:
-        raise ConeInputError(f"n must be at most {MAX_N}, got --n {bounded(str(n))}")
+    _capped(n)
     seq = _load_sequence(input_path, inline)
     if isinstance(seq, BettiVector) and seq.n > MAX_N:
         raise ConeInputError(f"n must be at most {MAX_N}, got a sequence with n={seq.n}")
@@ -100,21 +106,6 @@ def _violations_json(violations) -> list[dict]:
             for name, value in violations]
 
 
-class _Integer(click.types.IntParamType):
-    """click's integer type, except that a rejected value longer than 40
-    characters is cut by `quoted` in the usage error."""
-
-    def convert(self, value, param, ctx):
-        try:
-            return super().convert(value, param, ctx)
-        except click.BadParameter:
-            if len(str(value)) <= 40:
-                raise
-            self.fail(f"{quoted(value)} is not a valid integer.", param, ctx)
-
-
-INTEGER = _Integer()  # the type of every integer option
-
 input_option = click.option("--input", "input_path", type=str, default=None,
                             help="Path of a JSON sequence file.")
 inline_option = click.option("--inline", type=str, default=None,
@@ -129,8 +120,8 @@ def cli():
 @cli.command()
 @click.option("--degrees", required=True,
               help="Comma-separated strictly increasing integers, e.g. 0,1,3.")
-@click.option("--n", type=INTEGER, required=True, help="Ambient homological length.")
-@click.option("--normalize-at", type=INTEGER, default=None,
+@click.option("--n", type=int, required=True, help="Ambient homological length.")
+@click.option("--normalize-at", type=int, default=None,
               help="Scale the result so this entry becomes 1.")
 def hk(degrees: str, n: int, normalize_at: int | None):
     """Shape vector of the pure resolution for a degree sequence."""
@@ -138,16 +129,16 @@ def hk(degrees: str, n: int, normalize_at: int | None):
         parsed = tuple(int(part) for part in degrees.split(","))
     except ValueError as exc:
         raise MalformedInputError(f"invalid --degrees {quoted(degrees)}") from exc
-    v = pure.herzog_kuhl(pure.DegreeSequence(parsed), n)
+    v = pure.herzog_kuhl(pure.DegreeSequence(parsed), _capped(n))
     if normalize_at is not None:
         v = pure.normalize_at(v, normalize_at)
     _echo_json(sequence_to_json(v))
 
 
 @cli.command()
-@click.option("--j", type=INTEGER, required=True, help="Which two-term ray to approach.")
-@click.option("--t", type=INTEGER, required=True, help="Family parameter (>= 2).")
-@click.option("--n", type=INTEGER, required=True,
+@click.option("--j", type=int, required=True, help="Which two-term ray to approach.")
+@click.option("--t", type=int, required=True, help="Family parameter (>= 2).")
+@click.option("--n", type=int, required=True,
               help=f"Ambient homological length (at most {pure.LIMIT_MAX_N}).")
 def limit(j: int, t: int, n: int):
     """Exact max-norm gap between the normalized pure shape and its limit ray."""
@@ -157,7 +148,7 @@ def limit(j: int, t: int, n: int):
 @cli.command()
 @input_option
 @inline_option
-@click.option("--n", type=INTEGER, default=None,
+@click.option("--n", type=int, default=None,
               help="Optional check that the input has this ambient length.")
 def phi(input_path, inline, n):
     """Even/odd prefix-sum transform of a finite sequence."""
@@ -207,8 +198,8 @@ cone_option = click.option("--cone", type=click.Choice(list(_CONES)), required=T
 @input_option
 @inline_option
 @cone_option
-@click.option("--n", type=INTEGER, required=True)
-@click.option("--mult", type=INTEGER, default=None,
+@click.option("--n", type=int, required=True)
+@click.option("--mult", type=int, default=None,
               help="Multiplicity d (required for --cone fixed).")
 def member(input_path, inline, cone, n, mult):
     """Cone membership with the violated constraints named."""
@@ -223,8 +214,8 @@ def member(input_path, inline, cone, n, mult):
 @input_option
 @inline_option
 @cone_option
-@click.option("--n", type=INTEGER, required=True)
-@click.option("--mult", type=INTEGER, default=None)
+@click.option("--n", type=int, required=True)
+@click.option("--mult", type=int, default=None)
 @click.option("--triangulation", type=click.Choice(["1", "2"]), default="1",
               help="1 = omit_odd, 2 = omit_even (total/fixed cones, n >= 3).")
 def decompose(input_path, inline, cone, n, mult, triangulation):
@@ -238,7 +229,7 @@ def decompose(input_path, inline, cone, n, mult, triangulation):
 @cli.command()
 @input_option
 @inline_option
-@click.option("--n", type=INTEGER, required=True)
+@click.option("--n", type=int, required=True)
 def classify(input_path, inline, n):
     """Shape classification over the regular cone: closure membership,
     realizability, depth, and the Cohen-Macaulay coefficient criterion."""
@@ -262,17 +253,17 @@ def classify(input_path, inline, n):
 @cli.command()
 @input_option
 @inline_option
-@click.option("--n", type=INTEGER, required=True)
+@click.option("--n", type=int, required=True)
 def split(input_path, inline, n):
     """Write a total-cone member as transform image plus finite part."""
-    w = _tail(_load_sequence(input_path, inline))
+    w = _tail(_load_capped(input_path, inline, n))
     v1, v2 = hyper_total.split(w, n)
     _echo_json({"n": n, "v1": sequence_to_json(v1), "v2": sequence_to_json(v2)})
 
 
 @cli.command()
-@click.option("--n-max", type=INTEGER, default=8, show_default=True)
-@click.option("--mult-max", type=INTEGER, default=6, show_default=True)
+@click.option("--n-max", type=int, default=8, show_default=True)
+@click.option("--mult-max", type=int, default=6, show_default=True)
 @click.pass_context
 def verify(ctx, n_max: int, mult_max: int):
     """Run the oracle sweep re-deriving every rays/facets equivalence."""
@@ -293,7 +284,7 @@ def verify(ctx, n_max: int, mult_max: int):
 @cli.command()
 @input_option
 @inline_option
-@click.option("--len", "length", type=INTEGER, required=True,
+@click.option("--len", "length", type=int, required=True,
               help="Number of leading entries to emit.")
 def plot(input_path, inline, length):
     """CSV rows `index,approx,exact` for external plotting of a shape."""
@@ -312,22 +303,40 @@ def plot(input_path, inline, length):
         click.echo(f"{i},{float(value):.12g},{rational_str(value)}")
 
 
+def _cut_echoed(message: str, args) -> str:
+    """A click usage message with every command-line value longer than 40
+    characters (a whole argument, or what follows "=" in one) cut the way
+    `quoted` cuts it; click echoes a value either as its repr or bare."""
+    for arg in args:
+        for value in (arg, arg.partition("=")[2]):
+            if len(value) > 40:
+                message = message.replace(repr(value), quoted(value))
+                message = message.replace(value, value[:40] + "...")
+    return message
+
+
 def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
+    args = sys.argv[1:] if argv is None else list(argv)
     try:
-        cli.main(args=argv, prog_name="betticone", standalone_mode=False)
+        cli.main(args=args, prog_name="betticone", standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.ClickException as exc:
+        exc.message = _cut_echoed(exc.message, args)
         exc.show()
         return 1
     except MalformedInputError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     except NotInConeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        for name, value in exc.violations:
-            click.echo(f"  violated: {name} = {bounded(rational_str(value))}", err=True)
+        try:
+            lines = [f"error: {exc}"] + [f"  violated: {name} = {bounded(rational_str(value))}"
+                                         for name, value in exc.violations]
+        except ConeInputError as wide:  # a violated value past the digit limit
+            lines = [f"error: {wide}"]
+        for line in lines:
+            click.echo(line, err=True)
         return 2
     except ConeInputError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -99,14 +99,23 @@ def _index_label(position: int, n: int) -> int:
     return n - 2 if position == n else n - 1
 
 
+def _omitted(n: int, label: str) -> tuple[int, ...]:
+    # the ray positions the label's simplices omit, ascending
+    parity = 1 if label == "omit_odd" else 0
+    return tuple(p for p in range(n + 2)
+                 if p != n - 1 and _index_label(p, n) % 2 == parity)
+
+
+def _omitting(n: int, p: int) -> tuple[int, ...]:
+    # the simplex of a parity triangulation that omits position p
+    return tuple(q for q in range(n + 2) if q != p)
+
+
 def parity_triangulation(n: int, label: str) -> Triangulation:
     """One of the two triangulations of a hyperplane-family cone with n+2
     rays: each simplex omits one ray of the label's index parity."""
-    parity = 1 if label == "omit_odd" else 0
-    omitted = tuple(p for p in range(n + 2)
-                    if p != n - 1 and _index_label(p, n) % 2 == parity)
-    simplices = tuple(tuple(q for q in range(n + 2) if q != p) for p in omitted)
-    return Triangulation(label, n, simplices, omitted)
+    omitted = _omitted(n, label)
+    return Triangulation(label, n, tuple(_omitting(n, p) for p in omitted), omitted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,11 +301,11 @@ class Cone:
         if self.core is not None:
             label, simplex = "simplicial", self.core
         else:
-            tri = parity_triangulation(self.n, which)
-            label, relation = tri.label, self.relation
-            ratios = [coeffs[p] / relation[p] for p in tri.omitted]
-            t = (min if relation[tri.omitted[0]] > 0 else max)(ratios)
-            simplex = tri.simplices[ratios.index(t)]
+            label, relation = which, self.relation
+            omitted = _omitted(self.n, which)
+            ratios = [coeffs[p] / relation[p] for p in omitted]
+            t = (min if relation[omitted[0]] > 0 else max)(ratios)
+            simplex = _omitting(self.n, omitted[ratios.index(t)])
             coeffs = [c - t * r for c, r in zip(coeffs, relation)]
         if any(c < 0 for c in coeffs):
             raise InternalInconsistencyError(

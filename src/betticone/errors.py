@@ -37,8 +37,9 @@ class NotInConeError(ConeInputError):
         violations = list(violations)
         if not violations:
             raise InternalInconsistencyError(f"no violated constraint of {title} to report")
+        from .sequences import rational_str  # sequences imports this module
         name, value = violations[0]
-        return cls(f"not in {title}: {name} = {bounded(str(value))}", violations)
+        return cls(f"not in {title}: {name} = {bounded(rational_str(value))}", violations)
 
 
 class InternalInconsistencyError(RuntimeError):

@@ -1,6 +1,6 @@
 """The total hypersurface cone for embedding dimension n: the prefix-sum
-transform, the cone's `Cone` description (ray basis and facets), the
-unique linear relation among the rays, the cone's two triangulations,
+transform, the cone's `Cone` description (ray basis, facets and the
+unique linear relation among the rays), the cone's two triangulations,
 certificate-producing decomposition, and the split into a transform image
 plus a lower-dimensional finite part.
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from . import linalg, regular
+from . import regular
 from .cones import (Cone, Decomposition, MembershipReport, Triangulation, Window,
                     parity_triangulation)
 from .errors import ConeInputError, InternalInconsistencyError
@@ -67,29 +67,6 @@ ray_basis = cone  # the cone's ``rays`` and ``names`` are the ray basis
 def facets_check(w: TailPeriodicSequence, n: int) -> MembershipReport:
     """Membership in the total hypersurface cone."""
     return cone(n).member(w)
-
-
-def linear_relation(n: int) -> tuple[Fraction, ...]:
-    """The unique (up to scale) linear relation among the n+2 rays,
-    normalized so the tau_inf[n-1] coefficient is +1, and verified to sum
-    to the zero sequence exactly.  Derived from the nullspace, not from
-    the closed form `Cone.relation` that certificates use, so `verify`
-    can cross-check the two."""
-    basis = cone(n)
-    columns = basis.projected()
-    rows = [[columns[k][i] for k in range(n + 2)] for i in range(n + 1)]
-    kernel = linalg.nullspace(rows)
-    if len(kernel) != 1:
-        raise InternalInconsistencyError(
-            f"ray relation space has dimension {len(kernel)}, expected 1")
-    coeffs = kernel[0]
-    last = coeffs[n + 1]
-    if last == 0:
-        raise InternalInconsistencyError("relation does not involve tau_inf[n-1]")
-    coeffs = tuple(c / last for c in coeffs)
-    if not basis.combine(coeffs).is_zero:
-        raise InternalInconsistencyError("ray relation failed exact verification")
-    return coeffs
 
 
 def triangulations(n: int) -> tuple[Triangulation, Triangulation]:

@@ -3,8 +3,10 @@
 Everything else in the package describes specific cones through closed
 formulas; this module re-derives ray/facet presentations from scratch so
 those formulas can be cross-checked.  The only dependencies are `dot` and
-`primitive` from the tiny `linalg` kernel, so a bug elsewhere cannot leak
-in here.
+`primitive` from the tiny `linalg` module, so a bug elsewhere cannot leak
+in here.  Its fraction-free elimination is the package's only one: `rank`
+exposes it, and `verification` proves the total cone's ray relation with
+it.
 
 The core primitive is extreme-ray enumeration for a pointed cone given by
 halfspaces, via the classical double description method with the
@@ -93,6 +95,13 @@ def _independent(vectors: Sequence[IntVector], dim: int) -> list[int]:
         if len(kept) == dim:
             break
     return kept
+
+
+def rank(vectors: Sequence[Sequence[Fraction]]) -> int:
+    """The rank of rational vectors of one length, by the fraction-free
+    elimination of `_independent` on their primitive integer forms."""
+    vectors = _canonical(vectors)
+    return len(_independent(vectors, len(vectors[0]))) if vectors else 0
 
 
 def _primitive_inverse_rows(matrix: Sequence[Sequence[int]]) -> list[IntVector]:

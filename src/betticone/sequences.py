@@ -12,6 +12,7 @@ floating point enters anywhere.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -46,10 +47,21 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 
 def rational_str(value: Fraction) -> str:
-    """Serialize exactly: "p/q", or a bare integer string when q = 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Serialize exactly: "p/q", or a bare integer string when q = 1.  Every
+    exact value the package prints passes here, so a part past the
+    interpreter's int-to-str digit limit is a `ConeInputError` naming the
+    value's bit length."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        num, den = value.numerator.bit_length(), value.denominator.bit_length()
+        size = (f"{num} bits" if value.denominator == 1
+                else f"{num}/{den} bits (numerator/denominator)")
+        raise ConeInputError(
+            f"exact value of {size} exceeds the interpreter's "
+            f"{sys.get_int_max_str_digits()}-digit limit for printing integers") from None
 
 
 @dataclass(frozen=True)

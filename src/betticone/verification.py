@@ -13,7 +13,7 @@ from . import hyper_fixed, hyper_total, oracle, regular
 from .cones import Cone
 from .errors import ConeInputError, MalformedInputError, bounded
 from .hyper_fixed import FixedConeParams
-from .linalg import primitive
+from .linalg import dot, primitive
 from .oracle import ConeDescription
 
 # The sweep runs 5(mult_max - 1) fixed-cone checks: the worst accepted one,
@@ -49,13 +49,19 @@ def check_total(n: int) -> SweepResult:
     cone = hyper_total.cone(n)
     if not oracle.cone_equal(*_description_pair(cone)):
         return SweepResult(f"total n={n}: rays <-> facets", False, "cones differ")
-    try:
-        relation = hyper_total.linear_relation(n)
-    except Exception as exc:  # any relation failure is a sweep failure
-        return SweepResult(f"total n={n}: ray relation", False, str(exc))
-    if relation != cone.relation:  # the closed form that certificates walk
-        return SweepResult(f"total n={n}: ray relation", False,
-                           "closed-form relation differs from the nullspace")
+    # Rank n+1 among the n+2 rays leaves a one-dimensional relation space,
+    # so a zero sum with last coefficient 1 pins the closed form that
+    # certificates walk.
+    rays, relation = cone.projected(), cone.relation
+    failure = None
+    if (found := oracle.rank(rays)) != n + 1:
+        failure = f"rays have rank {found}, expected {n + 1}"
+    elif any(dot(relation, column) for column in zip(*rays)):
+        failure = "closed-form relation does not sum the rays to zero"
+    elif relation[-1] != 1:
+        failure = f"closed-form relation has {cone.names[-1]} coefficient {relation[-1]}"
+    if failure is not None:
+        return SweepResult(f"total n={n}: ray relation", False, failure)
     return SweepResult(
         f"total n={n}: rays <-> facets, relation space 1-dim", True,
         "relation " + "+".join(f"({c})*{name}" for c, name

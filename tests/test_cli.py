@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -85,21 +86,41 @@ class TestLimit:
                        f"got t={'9' * 40}... (3001 digits)\n")
 
 
-class TestIntegerOptions:
-    @pytest.mark.parametrize("argv", [
-        ["limit", "--j", "0", "--t", "9" * 5000, "--n", "20"],
-        ["member", "--n", "9" * 5000]])
-    def test_an_overlong_integer_is_quoted_short(self, capsys, argv):
+class TestUsageValues:
+    @pytest.mark.parametrize("argv, ending", [
+        (["limit", "--j", "0", "--t", "9" * 5000, "--n", "20"],
+         f"'{'9' * 39}... is not a valid integer.\n"),
+        (["member", "--n", "9" * 5000], f"'{'9' * 39}... is not a valid integer.\n"),
+        (["member", "--cone", "x" * 5000, "--n", "2", "--inline", "{}"],
+         f"'{'x' * 39}... is not one of 'regular', 'total', 'fixed'.\n"),
+        (["member", "--cone=" + "x" * 5000, "--n", "2"],
+         f"'{'x' * 39}... is not one of 'regular', 'total', 'fixed'.\n"),
+        (["member", "--" + "x" * 4998], f"No such option '--{'x' * 37}....\n"),
+        (["x" * 5000], f"No such command '{'x' * 39}....\n"),
+        (["member", "--cone", "total", "--n", "2", "--inline", "{}", "x" * 5000],
+         f"Got unexpected extra argument ({'x' * 40}...)\n")],
+        ids=["limit_t", "member_n", "choice", "choice_with_equals", "unknown_option",
+             "unknown_command", "extra_argument"])
+    def test_an_overlong_value_is_quoted_short(self, capsys, argv, ending):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert len((out + err).encode()) < 300
-        assert err.endswith(f"'{'9' * 39}... is not a valid integer.\n")
+        assert err.endswith(ending)
 
     @pytest.mark.parametrize("value", ["12x", "x" * 40])
     def test_a_short_value_reads_as_click_prints_it(self, capsys, value):
         code, out, err = run(capsys, "limit", "--j", "0", "--t", value, "--n", "20")
         assert code == 1 and out == ""
         assert err.endswith(f"Error: Invalid value for '--t': '{value}' is not a valid integer.\n")
+
+    def test_a_short_usage_value_is_echoed_whole(self, capsys):
+        value = "x" * 40
+        code, _, err = run(capsys, "member", "--cone", value, "--n", "2")
+        assert code == 1
+        assert err.endswith(f"'{value}' is not one of 'regular', 'total', 'fixed'.\n")
+        code, _, err = run(capsys, "member", "--cone", "total", "--n", "2",
+                           "--inline", "{}", value)
+        assert code == 1 and err.endswith(f"Got unexpected extra argument ({value})\n")
 
 
 class TestPhi:
@@ -230,6 +251,35 @@ class TestVerify:
         assert "betticone.cli" in loaded
         assert "betticone.oracle" not in loaded and "betticone.verification" not in loaded
 
+    def test_only_verify_loads_linalg(self):
+        src = str(Path(betticone.__file__).parents[1])
+        w = json.dumps(sequence_to_json(ray("tau_inf", 2, 3)))
+        wf = json.dumps(sequence_to_json(
+            hyper_fixed.cone(hyper_fixed.FixedConeParams(3, 3)).combine([1] * 5)))
+        v = finite_json([1, 3, 3, 1])
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "from betticone.cli import main",
+            "calls = [" + ", ".join(repr(argv) for argv in [
+                ["member", "--cone", "total", "--n", "3", "--inline", w],
+                ["decompose", "--cone", "total", "--n", "3", "--inline", w],
+                ["decompose", "--cone", "fixed", "--mult", "3", "--n", "3", "--inline", wf],
+                ["decompose", "--cone", "regular", "--n", "3", "--inline", v],
+                ["classify", "--n", "3", "--inline", v], ["split", "--n", "3", "--inline", w],
+                ["phi", "--inline", v], ["hk", "--degrees", "0,1,3", "--n", "3"],
+                ["limit", "--j", "0", "--t", "2", "--n", "3"],
+                ["plot", "--len", "3", "--inline", v]]) + "]",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [main(argv) for argv in calls]",
+            "print(codes, 'betticone.linalg' in sys.modules)",
+            "main(['verify', '--n-max', '2', '--mult-max', '2'])",
+            "print('betticone.linalg' in sys.modules)"])
+        out = subprocess.run([sys.executable, "-c", script],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines()[0] == f"{[0] * 10} False"
+        assert out.splitlines()[-1] == "True"
+
     def test_failure_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(verification, "run_sweep",
                             lambda n, m: [verification.SweepResult("forced", False)])
@@ -273,7 +323,7 @@ class TestSizeCap:
     @pytest.mark.parametrize("command", [
         ["member", "--cone", "regular"], ["member", "--cone", "total"],
         ["member", "--cone", "fixed", "--mult", "3"], ["decompose", "--cone", "total"],
-        ["classify"]])
+        ["classify"], ["split"]])
     def test_n_above_the_cap_exits_2_before_any_cone_is_built(
             self, capsys, monkeypatch, command):
         for module in (regular, hyper_total, hyper_fixed):
@@ -292,6 +342,18 @@ class TestSizeCap:
         entries = [1] + [2] * MAX_N
         code, out, _ = run(capsys, "member", "--cone", "regular", "--n", str(MAX_N),
                            "--inline", finite_json(entries))
+        assert code == 0 and json.loads(out)["n"] == MAX_N
+
+
+class TestHkCap:
+    def test_n_above_the_cap_exits_2_before_any_shape_is_built(self, capsys, monkeypatch):
+        monkeypatch.setattr(pure, "herzog_kuhl", None)  # any use would raise
+        code, out, err = run(capsys, "hk", "--degrees", "0,1", "--n", str(MAX_N + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be at most {MAX_N}, got --n {MAX_N + 1}\n"
+
+    def test_the_cap_itself_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "hk", "--degrees", "0,1", "--n", str(MAX_N))
         assert code == 0 and json.loads(out)["n"] == MAX_N
 
 
@@ -439,6 +501,25 @@ class TestFailurePaths:
         assert got == code and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
+
+    @pytest.mark.parametrize("command", [
+        ["member", "--cone", "regular"], ["member", "--cone", "total"],
+        ["member", "--cone", "fixed", "--mult", "3"], ["decompose", "--cone", "regular"],
+        ["decompose", "--cone", "total"], ["classify"], ["split"]])
+    def test_a_value_past_the_digit_limit_exits_2_on_one_line(self, capsys, command):
+        # valid input whose window sums have denominators of about 16,000 digits
+        seq = finite_json([Fraction(-1, 10**4000 + k) for k in (1, 3, 7, 9)])
+        code, out, err = run(capsys, *command, "--n", "3", "--inline", seq)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: exact value of \d+/\d+ bits \(numerator/denominator\) "
+                            r"exceeds the interpreter's 4300-digit limit for printing "
+                            r"integers\n", err), err
+
+    def test_a_pure_shape_past_the_digit_limit_exits_2_on_one_line(self, capsys):
+        degrees = ",".join(str(k * 10**8) for k in range(MAX_N + 1))
+        code, out, err = run(capsys, "hk", "--degrees", degrees, "--n", str(MAX_N))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: exact value of 1/") and err.count("\n") == 1
 
     def test_violation_values_are_bounded_on_stderr(self, capsys):
         huge = "-" + "7" * 4000

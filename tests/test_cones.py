@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import cli, hyper_fixed, hyper_total, regular, sequences
+from betticone import cli, cones, hyper_fixed, hyper_total, regular, sequences
 from betticone.cones import Cone
 from betticone.errors import (ConeInputError, InternalInconsistencyError, NotInConeError,
                               bounded)
@@ -127,6 +127,18 @@ def test_certificates_build_no_ray(monkeypatch):
     assert dec.reconstruct() == v
     payload = cli._regular_certificate(regular.cone(n), v, 1)
     assert payload["coefficients"]["rho[47]"] == "48"
+
+
+def test_certificates_build_one_simplex(monkeypatch):
+    n = 48
+    cases = [(cone, cone.combine([1 + k % 3 for k in range(n + 2)]))
+             for cone in (hyper_total.cone(n), hyper_fixed.cone(FixedConeParams(n, 3)))]
+    expected = [cone.decompose(w, which) for cone, w in cases for which in (1, 2)]
+
+    def refuse(*args):
+        raise AssertionError("a whole triangulation was built on the certificate path")
+    monkeypatch.setattr(cones, "parity_triangulation", refuse)
+    assert [cone.decompose(w, which) for cone, w in cases for which in (1, 2)] == expected
 
 
 def test_combine_edge_cases():

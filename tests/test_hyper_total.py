@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticone import oracle, verification
+from betticone import hyper_total, oracle, verification
+from betticone.cones import Cone
 from betticone.errors import ConeInputError, NotInConeError
-from betticone.hyper_total import (decompose, facets_check, linear_relation,
-                                   phi, ray_basis, split, triangulations)
+from betticone.hyper_total import (decompose, facets_check, phi, ray_basis, split,
+                                   triangulations)
 from betticone.oracle import ConeDescription
 from betticone.pure import DegreeSequence, herzog_kuhl
 from betticone.sequences import (BettiVector, TailPeriodicSequence, chi, embed,
                                  ray, rho_vector)
+
+from reference_linalg import linear_relation, nullspace
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
 DELTA = Fraction(1, 10)
@@ -79,10 +82,9 @@ class TestRayBasis:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_single_relation(self, n):
-        from betticone import linalg
         columns = ray_basis(n).projected()
         rows = [[col[i] for col in columns] for i in range(n + 1)]
-        assert len(linalg.nullspace(rows)) == 1
+        assert len(nullspace(rows)) == 1
 
 
 class TestFacetsCheck:
@@ -294,3 +296,32 @@ class TestSweepIntegration:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_ray_facet_equivalence(self, n):
         assert verification.check_total(n).ok
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("wrong, detail", [
+        ("flipped", "coefficient -1"), ("scaled", "coefficient 2"),
+        ("partly_zeroed", "does not sum the rays to zero")])
+    def test_a_wrong_closed_form_relation_fails(self, monkeypatch, n, wrong, detail):
+        cone = ray_basis(n)
+        relation = cone.relation
+        cone.__dict__["relation"] = {  # the cached property's slot
+            "flipped": tuple(-c for c in relation),
+            "scaled": tuple(2 * c for c in relation),
+            "partly_zeroed": tuple(Fraction(0) if k < 2 else c
+                                   for k, c in enumerate(relation))}[wrong]
+        monkeypatch.setattr(hyper_total, "cone", lambda n: cone)
+        result = verification.check_total(n)
+        assert not result.ok and result.name == f"total n={n}: ray relation"
+        assert detail in result.detail
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_rays_with_a_second_relation_fail(self, monkeypatch, n):
+        # rho[n-2], outside the relation, replaced by a copy of rho[-1]: the
+        # closed form still sums to zero, but the relation space is 2-dim
+        rays = ray_basis(n).projected()
+        rays[n - 1] = rays[0]
+        monkeypatch.setattr(Cone, "projected", lambda self: list(rays))
+        monkeypatch.setattr(oracle, "cone_equal", lambda a, b: True)
+        result = verification.check_total(n)
+        assert not result.ok
+        assert result.detail == f"rays have rank {n}, expected {n + 1}"

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import linalg
+from betticone import linalg, oracle
 from betticone.errors import ConeInputError
 from betticone.oracle import (ConeDescription, cone_equal, canonical_facets,
                               canonical_rays, facets_to_rays, rays_to_facets,
                               validate_triangulation)
+
+import reference_linalg
 
 
 def basis_rays(dim):
@@ -22,8 +24,31 @@ def random_pointed_cone(rng, dim, n_extra):
                 for _ in range(min(n_extra, 8 - dim))]
         rays += [tuple(Fraction(9 if i == j else 1) for j in range(dim))
                  for i in range(dim)]
-        if linalg.rank(rays) == dim:
+        if reference_linalg.rank(rays) == dim:
             return ConeDescription(dim, rays=tuple(rays))
+
+
+class TestRank:
+    def test_matches_the_fraction_reference(self):
+        rng = random.Random(31)
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(40)]
+        values += [Fraction(-1), Fraction(0), Fraction(1)] * 10  # tie-heavy
+        deficient = 0
+        for _ in range(300):
+            dim, count = rng.randint(1, 7), rng.randint(0, 9)
+            gens = [tuple(rng.choice(values) for _ in range(dim))
+                    for _ in range(rng.randint(0, min(dim, count) + 1))]
+            vectors = [tuple(sum((rng.randint(-3, 3) * g[i] for g in gens), Fraction(0))
+                             for i in range(dim)) for _ in range(count)]
+            expected = reference_linalg.rank(vectors)
+            assert oracle.rank(vectors) == expected
+            deficient += expected < min(dim, count)
+        assert deficient > 50  # both kinds of input were drawn
+
+    def test_full_rank_and_zero_inputs(self):
+        assert oracle.rank(basis_rays(5)) == 5
+        assert oracle.rank([(Fraction(0),) * 4] * 3) == 0
+        assert oracle.rank([]) == 0
 
 
 class TestOrthant:

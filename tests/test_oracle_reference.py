@@ -3,7 +3,7 @@ implementation it replaced.
 
 The `reference_*` functions below are that earlier oracle, kept verbatim
 apart from their names: inner products summed from `Fraction(0)`, one
-`linalg.rank` call per candidate halfspace, tight sets recomputed with
+`rank` call per candidate halfspace, tight sets recomputed with
 `dot` at every step, and `Fraction` simplex inverses.  Every comparison
 is exact: sorted primitive ray lists, booleans, error messages and
 whole triangulation reports must be identical.
@@ -22,6 +22,8 @@ from betticone.hyper_fixed import FixedConeParams
 from betticone.oracle import (COVERAGE_SAMPLES, COVERAGE_SEED, ConeDescription,
                               TriangulationProblem, TriangulationReport)
 from betticone.verification import _description_pair
+
+from reference_linalg import invert, rank
 
 IntVector = tuple[int, ...]
 
@@ -60,7 +62,7 @@ def reference_extreme_rays(halfspaces: Sequence[IntVector], dim: int
     chosen: list[IntVector] = []
     chosen_idx: list[int] = []
     for idx, h in enumerate(hs):
-        if linalg.rank(chosen + [h]) > len(chosen):
+        if rank(chosen + [h]) > len(chosen):
             chosen.append(h)
             chosen_idx.append(idx)
             if len(chosen) == dim:
@@ -68,7 +70,7 @@ def reference_extreme_rays(halfspaces: Sequence[IntVector], dim: int
     if len(chosen) < dim:
         raise ConeInputError(
             "halfspace normals do not span the ambient space (cone is not pointed)")
-    inv = linalg.invert([list(map(Fraction, h)) for h in chosen])
+    inv = invert([list(map(Fraction, h)) for h in chosen])
     rays = [reference_primitive([inv[r][c] for r in range(dim)]) for c in range(dim)]
     processed = list(chosen_idx)
 
@@ -110,7 +112,7 @@ def reference_rays_to_facets(cone: ConeDescription) -> ConeDescription:
     if cone.rays is None:
         raise ConeInputError("rays_to_facets needs a ray presentation")
     gens = reference_canonical(cone.rays)
-    if linalg.rank([list(map(Fraction, g)) for g in gens]) < cone.dim:
+    if rank([list(map(Fraction, g)) for g in gens]) < cone.dim:
         raise ConeInputError(
             "cone is not full-dimensional; facet conversion is unsupported")
     facets = reference_extreme_rays(gens, cone.dim)
@@ -186,7 +188,7 @@ def reference_validate_triangulation(cone: ConeDescription, triangulation) -> Tr
             continue
         columns = [[rays[i][r] for i in s] for r in range(dim)]
         try:
-            inverses.append(linalg.invert(columns))
+            inverses.append(invert(columns))
         except ValueError:
             problems.append(TriangulationProblem(
                 "simplex", f"simplex {s} is not full-dimensional"))
