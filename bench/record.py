@@ -8,17 +8,20 @@ For each seed, each side (a source checkout holding `perfbench/` and
 the sides alternate within a seed, so a pair of runs shares the
 machine's state, and which side runs first alternates from seed to
 seed. certify, membership-scan and verify-sweep then run once more per
-side and seed with --trace 1 for their per-layer rows (see TRACED).
-Children run with PYTHONDONTWRITEBYTECODE=1, so no checkout gains
-`__pycache__` files.
+side and seed with --trace 1 for their per-layer rows (see TRACED), and
+one more child per side times direct calls of the `verify` checks by n
+(see DIRECT), best of 5 each. Children run with
+PYTHONDONTWRITEBYTECODE=1, so no checkout gains `__pycache__` files.
 
 The output JSON holds, per side, the checkout's commit (when it is a git
 checkout, with a flag for uncommitted changes), every run's end-to-end
-metrics, counts and first-round digest, and the traced rows; then, per
-workload and metric, each side's median and quartiles and, with two
-sides, in how many pairs the second side was better (the direction is
-the metric's `better` entry in BENCHMARK.json), and the same medians and
-quartiles of every traced row. Only the standard library is used.
+metrics, counts and first-round digest, the traced rows and the direct
+rows; then, per workload and metric, each side's median and quartiles
+and, with two sides, in how many pairs the second side was better (the
+direction is the metric's `better` entry in BENCHMARK.json), and the
+same medians and quartiles of every traced row (`summary.traced`) and
+direct row (`summary.direct`). Every run and child records whether all
+its answers were correct. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -44,6 +47,26 @@ TRACED = {
                                r"|^linalg\.nullspace\.calls$"),
 }
 DIGEST_PREFIX = "# digest sha256 of the first round's answers: "
+# `verification` check -> the arguments it is timed at, as direct calls
+DIRECT = {"check_regular": [(6,), (8,), (11,)], "check_total": [(6,), (8,), (11,)],
+          "check_fixed": [(6, 3), (6, 6)], "check_triangulations": [(6,)]}
+# Run in a child with the checkout's src/ on the path: best of 5 calls of
+# each check, in ms, under a row name like verification.check_fixed_ms.n6.d3.
+DIRECT_SCRIPT = """
+import json, sys, time
+from betticone import verification
+rows, correct = {}, True
+for name, cases in json.loads(sys.argv[1]).items():
+    for args in cases:
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            correct = getattr(verification, name)(*args).ok and correct
+            times.append(time.perf_counter() - start)
+        row = f"verification.{name}_ms.n{args[0]}" + "".join(f".d{d}" for d in args[1:])
+        rows[row] = {"value": 1000 * min(times), "unit": "ms"}
+print(json.dumps({"correct": correct, "rows": rows}))
+"""
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -59,6 +82,14 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
     result["digest"] = next((line[len(DIGEST_PREFIX):] for line in lines
                              if line.startswith(DIGEST_PREFIX)), None)
     return result
+
+
+def run_direct(checkout: Path) -> dict:
+    """One child timing the DIRECT calls in the checkout."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-c", DIRECT_SCRIPT, json.dumps(DIRECT)],
+                          cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def commit_of(checkout: Path) -> dict:
@@ -114,6 +145,9 @@ def summarize(sides: dict, better: dict) -> dict:
             row: {name: spread([rows[row]["value"] for rows in side_runs])
                   for name, side_runs in runs.items()}
             for row in runs[names[0]][0]}
+    out["direct"] = {row: {name: spread([run["rows"][row]["value"] for run in side["direct"]])
+                           for name, side in sides.items()}
+                     for row in sides[names[0]]["direct"][0]["rows"]}
     return out
 
 
@@ -137,7 +171,8 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
-    sides = {name: {**commit_of(path), "runs": {w: [] for w in WORKLOADS}, "traced": []}
+    sides = {name: {**commit_of(path), "runs": {w: [] for w in WORKLOADS}, "traced": [],
+                    "direct": []}
              for name, path in checkouts.items()}
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     for i, seed in enumerate(args.seeds):
@@ -156,8 +191,10 @@ def main(argv=None) -> int:
             for name, path in order:
                 result = run_perfbench(path, workload, seed, args.seconds, trace=1)
                 sides[name]["traced"].append(
-                    {"seed": seed, "workload": workload,
+                    {"seed": seed, "workload": workload, "correct": result["correct"],
                      "rows": {k: v for k, v in result["metrics"].items() if pattern.search(k)}})
+        for name, path in order:
+            sides[name]["direct"].append({"seed": seed, **run_direct(path)})
 
     record = {"started": started, "machine": {**machine(), "note": args.note},
               "seconds": args.seconds, "seeds": args.seeds,

@@ -2,12 +2,13 @@
 membership and certificates.
 
 A `Cone` describes each facet once, by its window (see `Window`), and its
-rays by one closed-form layout (see `Cone`): membership never reads a
-ray, certificates read only the layout, and `verification` projects the
-functionals and rays written out from the same windows and layout.
-Members of the two hyperplane families (total and multiplicity-d) are
-flat from index n on, so their linear algebra happens on coordinates
-0..n and flatness is checked separately.
+rays by one closed-form layout (see `Cone`).  `Cone.values` is the one
+facet evaluator: membership reads it, certificates read only the layout,
+and `verification` hands the oracle the normals that `values` gives on
+the unit vectors and the rays written out from the layout.  Members of
+the two hyperplane families (total and multiplicity-d) are flat from
+index n on, so their linear algebra happens on coordinates 0..n and
+flatness is checked separately.
 
 Costs: one alternating prefix-sum array gives every window value in
 O(1), so membership is O(n^2) (the total cone has about n^2/4 windows)
@@ -24,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
-from .sequences import (BettiVector, LinearFunctional, Sequence, TailPeriodicSequence,
-                        as_fraction, chi, chi_name, xi, xi_name)
+from .sequences import (BettiVector, Sequence, TailPeriodicSequence, as_fraction,
+                        chi_name, xi_name)
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
 
@@ -42,11 +43,6 @@ or odd) times entry j."""
 def window_name(window: Window) -> str:
     i, j, d = window
     return chi_name(i, j) if d is None else xi_name(i, j)
-
-
-def window_functional(window: Window) -> LinearFunctional:
-    i, j, d = window
-    return chi(i, j) if d is None else xi(i, j, d)
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,6 @@ class Triangulation:
     and no omitted positions."""
 
     label: str
-    n: int
     simplices: tuple[tuple[int, ...], ...]
     omitted: tuple[int, ...]
 
@@ -115,7 +110,7 @@ def parity_triangulation(n: int, label: str) -> Triangulation:
     """One of the two triangulations of a hyperplane-family cone with n+2
     rays: each simplex omits one ray of the label's index parity."""
     omitted = _omitted(n, label)
-    return Triangulation(label, n, tuple(_omitting(n, p) for p in omitted), omitted)
+    return Triangulation(label, tuple(_omitting(n, p) for p in omitted), omitted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +118,8 @@ class Cone:
     """A cone of shapes on coordinates 0..n: facets described by their
     windows, each facet nonnegative on members.  ``title`` names the cone
     in errors; the constraints of the enclosing cone ``within`` are
-    checked and reported first; tail cones are flat from index
-    ``flat_from`` on; ``core`` is the one simplex of a simplicial cone,
-    else certificates use the parity triangulations.
+    checked and reported first; a tail cone not cut from another cone is
+    flat from index n on.
 
     The extremal rays follow one layout: rho[-1] = e_0 and rho[k] = e_k +
     e_{k+1}, up to rho[n-1] in a finite cone (``tail`` None).  A tail
@@ -135,21 +129,20 @@ class Cone:
 
     title: str
     n: int
-    windows: Callable[[], Iterable[Window]]
+    windows: tuple[Window, ...]
     tail: Optional[str] = None
     corners: tuple[Fraction, ...] = ()
     within: Optional["Cone"] = None
-    flat_from: Optional[int] = None
-    core: Optional[tuple[int, ...]] = None
 
     @property
-    def facets(self) -> tuple[tuple[str, LinearFunctional], ...]:
-        """Every named facet functional, in the order violations are
-        reported, built from the same windows that membership evaluates.
-        Built on each use: only `verification` and tests read them."""
-        inherited = self.within.facets if self.within is not None else ()
-        return inherited + tuple((window_name(w), window_functional(w))
-                                 for w in self.windows())
+    def core(self) -> Optional[tuple[int, ...]]:
+        """The one simplex of a simplicial cone, else None (certificates
+        use the parity triangulations).  With fewer than two corners the
+        rays are independent; at n = 2 the ray at position 2, tail[0],
+        is a combination of the others and is set aside."""
+        if len(self.corners) < 2:
+            return tuple(range(len(self.names)))
+        return (0, 1, 3) if self.n == 2 else None
 
     @property
     def _rho(self) -> int:  # how many rho rays lead the layout
@@ -198,37 +191,46 @@ class Cone:
         entries[-1] += top
         return TailPeriodicSequence(self.n, tuple(entries), top, top)
 
-    def facet_values(self, w: Sequence) -> list[tuple[str, Fraction]]:
-        """(name, value) of each of this cone's own facets on w, in report
-        order; the enclosing cone's facets are not included.  With sums[k]
-        the sum of (-1)^m w_m over m < k, chi[i,j] = (-1)^i (sums[j+1] -
-        sums[i]), and xi[i,j] adds d * chi[i,j-1] and the end coefficient
-        times w_j."""
-        entries = w.entries if isinstance(w, BettiVector) else w.prefix(self.n + 1)
-        sums = [Fraction(0)]
+    def values(self, entries) -> list:
+        """This cone's own window values on entries 0..n, in report order
+        and in the entries' own type; the enclosing cone's are not
+        included.  With sums[k] the sum of (-1)^m entries[m] over m < k,
+        chi[i,j] = (-1)^i (sums[j+1] - sums[i]), and xi[i,j] adds d *
+        chi[i,j-1] and the end coefficient times entry j."""
+        sums = [0]
         for m, v in enumerate(entries):
             sums.append(sums[-1] - v if m % 2 else sums[-1] + v)
         out = []
-        for window in self.windows():
-            i, j, d = window
+        for i, j, d in self.windows:
             s = sums[j + 1 if d is None else j] - sums[i]
             if i % 2:
                 s = -s
             if d is not None:
                 s = d * s + (d - 1 if (j - i) % 2 == 0 else -1) * entries[j]
-            out.append((window_name(window), s))
+            out.append(s)
         return out
+
+    def normals(self) -> list[tuple[int, ...]]:
+        """Every facet's integer normal on coordinates 0..n, the enclosing
+        cone's first: a window's value is linear in the entries, so its
+        normal is its values on the n+1 unit tuples."""
+        inherited = self.within.normals() if self.within is not None else []
+        dim = self.n + 1
+        columns = [self.values(tuple(int(k == m) for k in range(dim))) for m in range(dim)]
+        return inherited + list(zip(*columns))
 
     def violations(self, w: Sequence) -> list[tuple[str, Fraction]]:
         """Violated constraints with their values: the enclosing cone's,
         then this cone's negative facets, then flatness."""
         out = self.within.violations(w) if self.within is not None else []
-        out += [(name, v) for name, v in self.facet_values(w) if v < 0]
-        if self.flat_from is not None:
-            # entry(i) = entry(i+1) for i >= flat_from; scanning up to two
-            # indices past the stabilization point decides the whole
-            # infinite family because the tail is 2-periodic.
-            for i in range(self.flat_from, max(self.flat_from, w.stab) + 2):
+        entries = w.entries if isinstance(w, BettiVector) else w.prefix(self.n + 1)
+        out += [(window_name(window), v)
+                for window, v in zip(self.windows, self.values(entries)) if v < 0]
+        if self.tail is not None and self.within is None:
+            # entry(i) = entry(i+1) for i >= n; scanning up to two indices
+            # past the stabilization point decides the whole infinite
+            # family because the tail is 2-periodic.
+            for i in range(self.n, max(self.n, w.stab) + 2):
                 gap = w.entry(i) - w.entry(i + 1)
                 if gap != 0:
                     out.append((chi_name(i, i + 1), gap))
@@ -298,8 +300,8 @@ class Cone:
         if violations:
             raise NotInConeError.naming_first(self.title, violations)
         coeffs = self._solve(w)
-        if self.core is not None:
-            label, simplex = "simplicial", self.core
+        if (core := self.core) is not None:
+            label, simplex = "simplicial", core
         else:
             label, relation = which, self.relation
             omitted = _omitted(self.n, which)

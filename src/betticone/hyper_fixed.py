@@ -47,11 +47,9 @@ def cone(p: FixedConeParams) -> Cone:
     has the same support and signs).
     """
     n, d = p.n, p.d
-    core = tuple(range(n + 1)) if d == 2 else (0, 1, 3) if n == 2 else None
     corners = (Fraction(d - 1, d),) + ((Fraction(1, d),) if d > 2 else ())
-    return Cone(f"the multiplicity-{d} cone", n,
-                lambda: ((i, n, d) for i in range(n + 1)),
-                tail="tau_d", corners=corners, within=hyper_total.cone(n), core=core)
+    return Cone(f"the multiplicity-{d} cone", n, tuple((i, n, d) for i in range(n + 1)),
+                tail="tau_d", corners=corners, within=hyper_total.cone(n))
 
 
 def rays(p: FixedConeParams) -> list[TailPeriodicSequence]:

@@ -56,9 +56,8 @@ def cone(n: int) -> Cone:
     """
     if n < 2:
         raise ConeInputError(f"the total hypersurface cone needs n >= 2, got n={n}")
-    return Cone("the total hypersurface cone", n, lambda: _windows(n),
-                tail="tau_inf", corners=(Fraction(1), Fraction(0)),
-                flat_from=n, core=(0, 1, 3) if n == 2 else None)
+    return Cone("the total hypersurface cone", n, tuple(_windows(n)),
+                tail="tau_inf", corners=(Fraction(1), Fraction(0)))
 
 
 ray_basis = cone  # the cone's ``rays`` and ``names`` are the ray basis

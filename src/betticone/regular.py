@@ -16,19 +16,19 @@ from typing import Optional
 
 from .cones import Cone
 from .errors import NotInConeError
-from .sequences import BettiVector, LinearFunctional
+from .sequences import BettiVector, LinearFunctional, chi
 
 
 def cone(n: int) -> Cone:
     """The regular cone: facets chi[j,n], j = 0..n, and rays rho[-1..n-1].
     It is simplicial and rho[i] is dual to chi[i+1,n], so the facet values
     of a vector are its ray coefficients."""
-    return Cone("the regular cone", n, lambda: ((j, n, None) for j in range(n + 1)))
+    return Cone("the regular cone", n, tuple((j, n, None) for j in range(n + 1)))
 
 
 def facets(n: int) -> list[LinearFunctional]:
     """The n+1 facet functionals chi[j,n], j = 0..n."""
-    return [f for _, f in cone(n).facets]
+    return [chi(i, j) for i, j, _ in cone(n).windows]
 
 
 def rays(n: int) -> list[BettiVector]:
@@ -82,11 +82,10 @@ def decompose(v: BettiVector) -> RegularDecomposition:
     negative.
     """
     described = cone(v.n)
-    values = described.facet_values(v)
-    bad = [(name, c) for name, c in values if c < 0]
-    if bad:
-        raise NotInConeError.naming_first(described.title, bad)
-    return RegularDecomposition(v.n, tuple(c for _, c in values))
+    coeffs = tuple(described.values(v.entries))
+    if any(c < 0 for c in coeffs):
+        raise NotInConeError.naming_first(described.title, described.violations(v))
+    return RegularDecomposition(v.n, coeffs)
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class ShapeClass:
 
 def classify(v: BettiVector) -> ShapeClass:
     n = v.n
-    coeffs = tuple(c for _, c in cone(n).facet_values(v))
+    coeffs = tuple(cone(n).values(v.entries))
     dec = RegularDecomposition(n, coeffs)
     is_member = all(c >= 0 for c in coeffs)
     cm = coeffs[0] == 0

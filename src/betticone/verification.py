@@ -8,6 +8,7 @@ can print the whole table and exit nonzero at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from . import hyper_fixed, hyper_total, oracle, regular
 from .cones import Cone
@@ -30,11 +31,27 @@ class SweepResult:
 
 
 def _description_pair(cone: Cone) -> tuple[ConeDescription, ConeDescription]:
-    """The cone from its rays and from the facet list membership evaluates,
-    both projected to coordinates 0..n (flatness vanishes there)."""
+    """The cone from its rays and from the normals of the windows that
+    membership evaluates, both projected to coordinates 0..n (flatness
+    vanishes there)."""
     dim = cone.n + 1
     return (ConeDescription(dim, rays=tuple(cone.projected())),
-            ConeDescription(dim, facets=tuple(f.as_vector(dim) for _, f in cone.facets)))
+            ConeDescription(dim, facets=tuple(cone.normals())))
+
+
+def _relation_failure(cone: Cone) -> Optional[str]:
+    """Why the closed-form relation that certificates walk is not the one
+    relation among the cone's n+2 rays, or None.  Rank n+1 leaves a
+    one-dimensional relation space, so a zero sum with last coefficient
+    1 pins the closed form."""
+    rays, relation = cone.projected(), cone.relation
+    if (found := oracle.rank(rays)) != cone.n + 1:
+        return f"rays have rank {found}, expected {cone.n + 1}"
+    if any(dot(relation, column) for column in zip(*rays)):
+        return "closed-form relation does not sum the rays to zero"
+    if relation[-1] != 1:
+        return f"closed-form relation has {cone.names[-1]} coefficient {relation[-1]}"
+    return None
 
 
 def check_regular(n: int) -> SweepResult:
@@ -49,28 +66,21 @@ def check_total(n: int) -> SweepResult:
     cone = hyper_total.cone(n)
     if not oracle.cone_equal(*_description_pair(cone)):
         return SweepResult(f"total n={n}: rays <-> facets", False, "cones differ")
-    # Rank n+1 among the n+2 rays leaves a one-dimensional relation space,
-    # so a zero sum with last coefficient 1 pins the closed form that
-    # certificates walk.
-    rays, relation = cone.projected(), cone.relation
-    failure = None
-    if (found := oracle.rank(rays)) != n + 1:
-        failure = f"rays have rank {found}, expected {n + 1}"
-    elif any(dot(relation, column) for column in zip(*rays)):
-        failure = "closed-form relation does not sum the rays to zero"
-    elif relation[-1] != 1:
-        failure = f"closed-form relation has {cone.names[-1]} coefficient {relation[-1]}"
-    if failure is not None:
+    if (failure := _relation_failure(cone)) is not None:
         return SweepResult(f"total n={n}: ray relation", False, failure)
     return SweepResult(
         f"total n={n}: rays <-> facets, relation space 1-dim", True,
         "relation " + "+".join(f"({c})*{name}" for c, name
-                               in zip(relation, cone.names) if c != 0))
+                               in zip(cone.relation, cone.names) if c != 0))
 
 
 def check_fixed(n: int, d: int) -> SweepResult:
+    """For d >= 3 also the relation that certificates walk; at d = 2 the
+    n+1 rays are independent."""
     cone = hyper_fixed.cone(FixedConeParams(n, d))
     ok = oracle.cone_equal(*_description_pair(cone))
+    if ok and d >= 3 and (failure := _relation_failure(cone)) is not None:
+        return SweepResult(f"fixed n={n} d={d}: ray relation", False, failure)
     return SweepResult(f"fixed n={n} d={d}: rays <-> facets", ok)
 
 

@@ -3,9 +3,9 @@
 `reference_decompose` is the simplex search that `Cone.decompose` used
 before the circuit walk: solve each simplex of the triangulation in turn
 with dense elimination and keep the first nonnegative solution.
-`reference_violations` evaluates every `LinearFunctional` in `Cone.facets`
-one by one.  Both must agree exactly with the fast paths, tie-breaking
-and report order included.
+`reference_violations` evaluates the `chi`/`xi` functional of every window
+in `Cone.windows` one by one.  Both must agree exactly with the fast
+paths, tie-breaking and report order included.
 """
 
 import random
@@ -16,7 +16,8 @@ import pytest
 from betticone import hyper_fixed, hyper_total, linalg, regular
 from betticone.cones import Triangulation, parity_triangulation
 from betticone.hyper_fixed import FixedConeParams
-from betticone.sequences import BettiVector, TailPeriodicSequence, chi_name
+from betticone.sequences import (BettiVector, TailPeriodicSequence, chi, chi_name, xi,
+                                 xi_name)
 
 from reference_linalg import linear_relation, solve_columns
 
@@ -28,7 +29,7 @@ CONES = {"total": hyper_total.cone,
 def reference_decompose(cone, w, which):
     """(label, simplex_used, coefficients) by trying every simplex."""
     tri = (parity_triangulation(cone.n, which) if cone.core is None
-           else Triangulation("simplicial", cone.n, (cone.core,), ()))
+           else Triangulation("simplicial", (cone.core,), ()))
     projected = cone.projected()
     target = w.prefix(cone.n + 1)
     for simplex in tri.simplices:
@@ -45,17 +46,18 @@ def reference_decompose(cone, w, which):
 
 def reference_violations(cone, w):
     """The enclosing cone's violations, then every negative functional of
-    this cone's own facets, then each nonzero flatness gap."""
+    this cone's own windows, then each nonzero flatness gap of a tail cone
+    not cut from another."""
     out = reference_violations(cone.within, w) if cone.within is not None else []
-    facets = cone.facets
-    for name, f in facets[len(facets) - sum(1 for _ in cone.windows()):]:
+    for i, j, d in cone.windows:
+        name, f = (chi_name(i, j), chi(i, j)) if d is None else (xi_name(i, j), xi(i, j, d))
         value = f(w)
         if value < 0:
             out.append((name, value))
-    if cone.flat_from is not None:
-        last = max(cone.flat_from, w.stab) + 2
+    if cone.tail is not None and cone.within is None:
+        last = max(cone.n, w.stab) + 2
         out += [(chi_name(i, i + 1), w.entry(i) - w.entry(i + 1))
-                for i in range(cone.flat_from, last) if w.entry(i) != w.entry(i + 1)]
+                for i in range(cone.n, last) if w.entry(i) != w.entry(i + 1)]
     return out
 
 
@@ -128,7 +130,7 @@ def _probes(rng, cone):
             head = list(w.prefix(n + 1))
             head[k] += delta
             yield TailPeriodicSequence(n + 1, tuple(head), w.tail_even, w.tail_odd)
-    if cone.flat_from is not None:
+    if cone.tail is not None and cone.within is None:
         stab = n + rng.randint(1, 4)
         yield TailPeriodicSequence(stab, tuple(rng.randint(-2, 3) for _ in range(stab)),
                                    rng.randint(0, 3), rng.randint(0, 3))
@@ -160,6 +162,6 @@ def test_regular_facet_values_are_the_ray_coefficients():
         cone = regular.cone(n)
         coeffs = coefficients(rng, "rational", n + 1)
         v = cone.combine(coeffs)
-        assert [c for _, c in cone.facet_values(v)] == coeffs
+        assert cone.values(v.entries) == coeffs
         assert regular.decompose(v).a == tuple(coeffs)
         assert regular.classify(v).decomposition.a == tuple(coeffs)

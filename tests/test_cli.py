@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betticone
-from betticone import hyper_fixed, hyper_total, pure, regular, verification
+from betticone import cli, hyper_fixed, hyper_total, pure, regular, verification
 from betticone.cli import MAX_N, MAX_PLOT_LEN, main
 from betticone.hyper_total import phi
-from betticone.sequences import (BettiVector, embed, ray, rho_vector,
+from betticone.sequences import (BettiVector, embed, rational_str, ray, rho_vector,
                                  sequence_from_json, sequence_to_json)
 
 
@@ -381,6 +381,25 @@ class TestPlot:
         assert code == 0
         assert out.strip().splitlines()[1].startswith("0,0.333333333333,1/3")
 
+    def test_values_past_the_float_range(self, capsys):
+        big = "9" * 400
+        w = finite_json([big, "-" + big + "/7"])
+        code, out, err = run(capsys, "plot", "--len", "2", "--inline", w)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:] == [f"0,inf,{big}", f"1,-inf,-{big}/7"]
+
+    def test_each_distinct_value_is_formatted_once(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "rational_str",
+                            lambda value: calls.append(value) or rational_str(value))
+        data = {"kind": "tail", "stab": 3, "head": ["1", "2/3", "5"],
+                "tail_even": "7" * 60 + "/3", "tail_odd": "1/" + "9" * 60}
+        code, out, _ = run(capsys, "plot", "--len", "1000", "--inline", json.dumps(data))
+        assert code == 0 and len(calls) <= 3 + 2
+        entries = sequence_from_json(data).prefix(1000)
+        assert out.splitlines() == ["index,approx,exact"] + [
+            f"{i},{float(v):.12g},{rational_str(v)}" for i, v in enumerate(entries)]
+
 
 class TestInputHandling:
     def test_file_input(self, tmp_path, capsys):
@@ -549,12 +568,51 @@ sequence_like = st.fixed_dictionaries(
               for key in ("n", "stab", "entries", "head", "tail_even", "tail_odd")})
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=json_values | sequence_like, cone=st.sampled_from(["regular", "total"]))
-def test_member_on_arbitrary_json_ends_in_a_documented_exit(data, cone):
+rationals = (st.from_regex(r"[0-9]{1,2}(/[1-9])?", fullmatch=True)
+             | st.from_regex(r"-[1-9](/[1-9])?", fullmatch=True)
+             | (st.integers(10 ** 310, 10 ** 400) | st.integers(-10 ** 400, -10 ** 310))
+             .map(str))  # past the float range
+
+
+def valid_sequences(n):
+    """Well-formed finite and tail sequences near length n, flat tails and
+    nonnegative ray combinations (members) of the cones at n among them."""
+    finite = st.lists(rationals, min_size=n + 1, max_size=n + 1).map(
+        lambda entries: {"kind": "finite", "n": n, "entries": entries})
+    tail = st.tuples(st.lists(rationals, max_size=n + 2), rationals, rationals | st.none()).map(
+        lambda t: {"kind": "tail", "stab": len(t[0]), "head": t[0],
+                   "tail_even": t[1], "tail_odd": t[1] if t[2] is None else t[2]})
+    cones = [regular.cone(n)] + ([hyper_total.cone(n), hyper_fixed.cone(
+        hyper_fixed.FixedConeParams(n, 3))] if n >= 2 else [])
+    members = st.sampled_from(cones).flatmap(lambda cone: st.lists(
+        st.integers(0, 4), min_size=len(cone.names), max_size=len(cone.names)).map(
+        lambda coeffs: sequence_to_json(cone.combine(coeffs))))
+    return finite | tail | members
+
+
+SEQUENCE_COMMANDS = {
+    **{f"member-{cone}": ["member", "--cone", cone, "--mult", "3"]
+       for cone in ("regular", "total", "fixed")},
+    **{f"decompose-{cone}-{t}": ["decompose", "--cone", cone, "--mult", "3", "--triangulation", t]
+       for cone in ("regular", "total", "fixed") for t in "12"},
+    "classify": ["classify"], "split": ["split"], "phi": ["phi"],
+}
+
+
+@pytest.mark.parametrize("command", [*SEQUENCE_COMMANDS, "plot"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sequence_commands_on_arbitrary_json_end_in_a_documented_exit(command, data):
+    n = data.draw(st.integers(0, 5), label="n")
+    payload = data.draw(json_values | sequence_like | valid_sequences(n), label="input")
+    argv = SEQUENCE_COMMANDS[command] + ["--n", str(n)] if command != "plot" else [
+        "plot", "--len", str(n + 4)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["member", "--cone", cone, "--n", "2", "--inline", json.dumps(data)])
+        code = main(argv + ["--inline", json.dumps(payload)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    assert err.getvalue().count("\n") == (0 if code == 0 else 1)
+    lines = err.getvalue().splitlines()
+    assert (code == 0) == (lines == [])
+    assert lines[:1] == [] or lines[0].startswith("error: ")
+    assert all(line.startswith("  violated: ") for line in lines[1:])

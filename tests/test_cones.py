@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import cli, cones, hyper_fixed, hyper_total, regular, sequences
+from betticone import cli, cones, hyper_fixed, hyper_total, regular, sequences, verification
 from betticone.cones import Cone
 from betticone.errors import (ConeInputError, InternalInconsistencyError, NotInConeError,
                               bounded)
 from betticone.hyper_fixed import FixedConeParams
-from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, ray,
-                                 rho_vector)
+from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, chi, ray,
+                                 rho_vector, xi)
 
 
 def reference_rays(family, n):
@@ -139,6 +139,58 @@ def test_certificates_build_one_simplex(monkeypatch):
         raise AssertionError("a whole triangulation was built on the certificate path")
     monkeypatch.setattr(cones, "parity_triangulation", refuse)
     assert [cone.decompose(w, which) for cone, w in cases for which in (1, 2)] == expected
+
+
+def reference_normals(cone):
+    """Each window's `chi`/`xi` closed form as a coefficient row on
+    0..n, the enclosing cone's first."""
+    inherited = reference_normals(cone.within) if cone.within is not None else []
+    return inherited + [(chi(i, j) if d is None else xi(i, j, d)).as_vector(cone.n + 1)
+                        for i, j, d in cone.windows]
+
+
+def test_normals_are_the_closed_form_functionals():
+    cases = ([("regular", n) for n in range(12)] + [("total", n) for n in range(2, 12)]
+             + [(d, n) for n in range(2, 7) for d in range(2, 8)])
+    for family, n in cases:
+        cone = build(family, n)
+        normals = cone.normals()
+        assert normals == reference_normals(cone), (family, n)
+        assert all(type(x) is int for row in normals for x in row)
+
+
+def misstate(monkeypatch, window_of, slip_of):
+    """Patch `Cone.values` so that the window ``window_of(cone)``, where a
+    cone has it, reads ``slip_of(cone)`` times entry n more than it is."""
+    values = Cone.values
+
+    def misstated(self, entries):
+        out = values(self, entries)
+        window = window_of(self)
+        if window in self.windows:
+            out[self.windows.index(window)] += slip_of(self) * entries[self.n]
+        return out
+    monkeypatch.setattr(Cone, "values", misstated)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_a_chi_slip_in_the_evaluator_fails_verify(monkeypatch, n):
+    assert verification.check_regular(n).ok and verification.check_total(n).ok
+    # chi[0,n] read as chi[0,n-1]: entry n's coefficient (-1)^n dropped
+    misstate(monkeypatch, lambda cone: (0, cone.n, None), lambda cone: -(-1) ** cone.n)
+    assert regular.cone(n).values((0,) * n + (1,))[0] == 0
+    assert not verification.check_regular(n).ok
+    assert not verification.check_total(n).ok
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("d", [3, 5])
+def test_an_xi_slip_in_the_evaluator_fails_verify(monkeypatch, n, d):
+    assert verification.check_fixed(n, d).ok
+    # xi[0,n]'s end coefficient read as d+1 (it is d-1 for n even, -1 for n odd)
+    misstate(monkeypatch, lambda cone: (0, cone.n, d),
+             lambda cone: d + 1 - (d - 1 if cone.n % 2 == 0 else -1))
+    assert not verification.check_fixed(n, d).ok
 
 
 def test_combine_edge_cases():

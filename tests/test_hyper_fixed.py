@@ -161,13 +161,27 @@ class TestSweepIntegration:
     def test_ray_facet_equivalence(self, n, d):
         assert verification.check_fixed(n, d).ok
 
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("wrong, detail", [
+        ("flipped", "coefficient -1"), ("scaled", "coefficient 2")])
+    def test_a_wrong_closed_form_relation_fails(self, monkeypatch, n, d, wrong, detail):
+        cone = hyper_fixed.cone(FixedConeParams(n, d))
+        relation = cone.relation
+        cone.__dict__["relation"] = {  # the cached property's slot
+            "flipped": tuple(-c for c in relation),
+            "scaled": tuple(2 * c for c in relation)}[wrong]
+        monkeypatch.setattr(hyper_fixed, "cone", lambda p: cone)
+        result = verification.check_fixed(n, d)
+        assert not result.ok and result.name == f"fixed n={n} d={d}: ray relation"
+        assert detail in result.detail
+
     def test_functional_list_recovers_exact_ray_list(self):
         # at n=3, d=3 every listed generator is extremal, so enumerating
         # the functional cone's rays must reproduce the list exactly
         from betticone.linalg import primitive
         n, d = 3, 3
-        facets = tuple(f.as_vector(n + 1)
-                       for _, f in hyper_fixed.cone(FixedConeParams(n, d)).facets)
+        facets = tuple(hyper_fixed.cone(FixedConeParams(n, d)).normals())
         found = oracle.canonical_rays(ConeDescription(n + 1, facets=facets))
         expected = sorted(primitive(r.prefix(n + 1))
                           for r in rays(FixedConeParams(n, d)))

@@ -59,7 +59,7 @@ class TestFacetsAndRays:
         assert len(calls) == 2  # rays to facets, facets to rays
 
         def cone_with(windows):
-            return lambda n: Cone("the regular cone", n, lambda: windows(n))
+            return lambda n: Cone("the regular cone", n, tuple(windows(n)))
         # chi[0,n-1] for chi[0,n]: another cone
         monkeypatch.setattr(regular, "cone", cone_with(
             lambda n: [(0, n - 1, None)] + [(j, n, None) for j in range(1, n + 1)]))
