@@ -10,7 +10,7 @@ machine's state, and which side runs first alternates from seed to
 seed. certify, membership-scan and verify-sweep then run once more per
 side and seed with --trace 1 for their per-layer rows (see TRACED), and
 one more child per side times direct calls of the `verify` checks by n
-(see DIRECT), best of 5 each. Children run with
+(see DIRECT), best of DIRECT_CALLS each. Children run with
 PYTHONDONTWRITEBYTECODE=1, so no checkout gains `__pycache__` files.
 
 The output JSON holds, per side, the checkout's commit (when it is a git
@@ -50,8 +50,14 @@ DIGEST_PREFIX = "# digest sha256 of the first round's answers: "
 # `verification` check -> the arguments it is timed at, as direct calls
 DIRECT = {"check_regular": [(6,), (8,), (11,)], "check_total": [(6,), (8,), (11,)],
           "check_fixed": [(6, 3), (6, 6)], "check_triangulations": [(6,)]}
-# Run in a child with the checkout's src/ on the path: best of 5 calls of
-# each check, in ms, under a row name like verification.check_fixed_ms.n6.d3.
+# Calls per DIRECT case, the best kept.  5 calls mostly timed warm-up: 7
+# back-to-back children on a shared 2-vCPU VM spread 5-31% (IQR over
+# median) with 5 and 1-7% with 30, at about 1.2 s a child.  Children
+# minutes apart drift further (34-65% over the 10 seeds of BENCH_9.json).
+DIRECT_CALLS = 30
+# Run in a child with the checkout's src/ on the path: best of
+# DIRECT_CALLS calls of each check, in ms, under a row name like
+# verification.check_fixed_ms.n6.d3.
 DIRECT_SCRIPT = """
 import json, sys, time
 from betticone import verification
@@ -59,7 +65,7 @@ rows, correct = {}, True
 for name, cases in json.loads(sys.argv[1]).items():
     for args in cases:
         times = []
-        for _ in range(5):
+        for _ in range(int(sys.argv[2])):
             start = time.perf_counter()
             correct = getattr(verification, name)(*args).ok and correct
             times.append(time.perf_counter() - start)
@@ -87,7 +93,8 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float,
 def run_direct(checkout: Path) -> dict:
     """One child timing the DIRECT calls in the checkout."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-c", DIRECT_SCRIPT, json.dumps(DIRECT)],
+    proc = subprocess.run([sys.executable, "-c", DIRECT_SCRIPT, json.dumps(DIRECT),
+                           str(DIRECT_CALLS)],
                           cwd=checkout, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 

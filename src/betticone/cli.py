@@ -170,30 +170,25 @@ def _fixed(seq, n, mult):
             {"multiplicity": mult}, {"caveat": MEMBERSHIP_CAVEAT})
 
 
-def _regular_certificate(cone, v, which) -> dict:
-    dec = regular.decompose(v)
-    return {"coefficients": {name: rational_str(c) for name, c in zip(cone.names, dec.a)}}
-
-
-def _hyper_certificate(cone, w, which) -> dict:
+def _certificate(cone, w, which) -> dict:
+    """The answer of `decompose`: the coefficients, after the
+    triangulation and simplex in a tail cone (the regular cone prints
+    neither)."""
     dec = cone.decompose(w, which)
-    return {
-        "triangulation": dec.label,
-        "simplex": [dec.names[k] for k in dec.simplex_used],
-        "coefficients": {name: rational_str(c)
-                         for name, c in zip(dec.names, dec.coefficients)},
-    }
+    coefficients = {"coefficients": {name: rational_str(c)
+                                     for name, c in zip(dec.names, dec.coefficients)}}
+    if cone.tail is None:
+        return coefficients
+    return {"triangulation": dec.label,
+            "simplex": [dec.names[k] for k in dec.simplex_used], **coefficients}
 
 
-# --cone -> (reader, certificate).  The reader takes the parsed input, --n
-# and --mult and returns the Cone, the input in the cone's space, and the
-# payload fields printed before and after the answer; the certificate is
-# the answer of `decompose`.
-_CONES = {"regular": (lambda seq, n, mult: (regular.cone(n), _finite(seq, n), {}, {}),
-                     _regular_certificate),
-         "total": (lambda seq, n, mult: (hyper_total.cone(n), _tail(seq), {}, {}),
-                   _hyper_certificate),
-         "fixed": (_fixed, _hyper_certificate)}
+# --cone -> reader: it takes the parsed input, --n and --mult and returns
+# the Cone, the input in the cone's space, and the payload fields printed
+# before and after the answer.
+_CONES = {"regular": lambda seq, n, mult: (regular.cone(n), _finite(seq, n), {}, {}),
+          "total": lambda seq, n, mult: (hyper_total.cone(n), _tail(seq), {}, {}),
+          "fixed": _fixed}
 cone_option = click.option("--cone", type=click.Choice(list(_CONES)), required=True)
 
 
@@ -206,8 +201,7 @@ cone_option = click.option("--cone", type=click.Choice(list(_CONES)), required=T
               help="Multiplicity d (required for --cone fixed).")
 def member(input_path, inline, cone, n, mult):
     """Cone membership with the violated constraints named."""
-    read, _ = _CONES[cone]
-    described, point, before, after = read(_load_capped(input_path, inline, n), n, mult)
+    described, point, before, after = _CONES[cone](_load_capped(input_path, inline, n), n, mult)
     violations = described.violations(point)
     _echo_json({"cone": cone, "n": n, **before, "member": not violations,
                 "violations": _violations_json(violations), **after})
@@ -223,10 +217,9 @@ def member(input_path, inline, cone, n, mult):
               help="1 = omit_odd, 2 = omit_even (total/fixed cones, n >= 3).")
 def decompose(input_path, inline, cone, n, mult, triangulation):
     """Nonnegative ray-coefficient certificate for a member vector."""
-    read, certificate = _CONES[cone]
-    described, point, before, after = read(_load_capped(input_path, inline, n), n, mult)
+    described, point, before, after = _CONES[cone](_load_capped(input_path, inline, n), n, mult)
     _echo_json({"cone": cone, "n": n, **before,
-                **certificate(described, point, int(triangulation)), **after})
+                **_certificate(described, point, int(triangulation)), **after})
 
 
 @cli.command()

@@ -258,26 +258,29 @@ class Cone:
         return (tuple(g if (n - k) % 2 == 0 else -g for k in range(n - 1))
                 + (Fraction(0), Fraction(-1), Fraction(1)))
 
-    def _solve(self, w: TailPeriodicSequence) -> list[Fraction]:
-        """Exact coefficients of a member on rho[-1..n-2] and the last ray
-        (0 on any ray between), by back substitution on the banded system:
-        coordinate n meets only the tail ray, coordinate n-1 also
-        rho[n-2], coordinate n-2 also rho[n-3] and the tail's corner, and
-        each lower coordinate k only rho[k-1] and rho[k]."""
-        n = self.n
-        y = w.prefix(n + 1)
+    def _solve(self, w: Sequence) -> list[Fraction]:
+        """Exact coefficients of a member on the rho rays and the last ray
+        (0 on any ray between), by back substitution on the banded system.
+        A tail cone first takes off its last ray: coordinate n meets only
+        that ray, which also adds its coefficient at n-1 and its corner
+        times it at n-2.  Then each coordinate k left meets only the rho
+        rays at positions k and k+1, solved top-down; in the regular cone
+        this gives chi[k,n] on the ray at position k."""
+        y = list(w.entries if isinstance(w, BettiVector) else w.prefix(self.n + 1))
         x = [Fraction(0)] * len(self.names)
-        x[-1] = t = y[n]
-        x[n - 1] = y[n - 1] - t
-        x[n - 2] = y[n - 2] - x[n - 1] - self.corners[-1] * t
-        for k in range(n - 3, -1, -1):
-            x[k] = y[k] - x[k + 1]
+        if self.tail is not None:
+            x[-1] = t = y.pop()
+            y[-1] -= t
+            y[-2] -= self.corners[-1] * t
+        above = 0
+        for k in range(self._rho - 1, -1, -1):
+            x[k] = above = y[k] - above
         return x
 
-    def decompose(self, w: TailPeriodicSequence, which: str | int = "omit_odd"
-                  ) -> Decomposition:
-        """Nonnegative ray certificate for a member of a tail cone, with
-        exact reconstruction.
+    def decompose(self, w: Sequence, which: str | int = "omit_odd") -> Decomposition:
+        """Nonnegative ray certificate for a member, with exact
+        reconstruction.  A simplicial cone has the one certificate, the
+        banded solve, labelled "simplicial"; ``which`` is still checked.
 
         The certificate is the exact solution in the first simplex of the
         chosen triangulation (ascending omitted-ray position) whose

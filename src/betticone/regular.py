@@ -3,9 +3,9 @@ local ring: a simplicial cone in Q^{n+1} cut out by the partial Euler
 characteristics ending at n, spanned by the free-module ray and the
 two-term rays.
 
-Because the cone is simplicial, membership, decomposition, and the shape
-classification are all one O(n) pass of alternating prefix sums: the
-facet values are the ray coefficients.
+Because the cone is simplicial, membership and the shape classification
+are one O(n) pass of alternating prefix sums, and the facet values are
+the ray coefficients that the shared certificate driver solves for.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .cones import Cone
-from .errors import NotInConeError
 from .sequences import BettiVector, LinearFunctional, chi
 
 
@@ -76,16 +75,13 @@ class RegularDecomposition:
 
 
 def decompose(v: BettiVector) -> RegularDecomposition:
-    """Exact ray-coefficient certificate for a member vector.
+    """Exact ray-coefficient certificate for a member vector, from
+    `Cone.decompose`.
 
     Raises NotInConeError naming the violated facet when some chi[j,n] is
     negative.
     """
-    described = cone(v.n)
-    coeffs = tuple(described.values(v.entries))
-    if any(c < 0 for c in coeffs):
-        raise NotInConeError.naming_first(described.title, described.violations(v))
-    return RegularDecomposition(v.n, coeffs)
+    return RegularDecomposition(v.n, cone(v.n).decompose(v).coefficients)
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,20 @@ class TestDecompose:
         assert code == 0
         assert json.loads(out)["coefficients"]["tau_d[1]"] == "3"
 
+    def test_simplicial_cones_ignore_the_triangulation(self, capsys):
+        cases = ([("regular", n, None, regular.cone(n)) for n in range(7)]
+                 + [("total", 2, None, hyper_total.cone(2))]
+                 + [("fixed", n, 2, hyper_fixed.cone(hyper_fixed.FixedConeParams(n, 2)))
+                    for n in range(2, 7)])
+        for cone, n, mult, described in cases:
+            w = described.combine([k % 3 for k in range(1, len(described.names) + 1)])
+            argv = ["decompose", "--cone", cone, "--n", str(n),
+                    "--inline", json.dumps(sequence_to_json(w))]
+            argv += ["--mult", str(mult)] if mult else []
+            first = run(capsys, *argv, "--triangulation", "1")
+            assert first[0] == 0 and first[2] == "", (cone, n)
+            assert run(capsys, *argv, "--triangulation", "2") == first, (cone, n)
+
 
 class TestClassify:
     def test_depth_reported(self, capsys):

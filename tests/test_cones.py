@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from betticone.cones import Cone
 from betticone.errors import (ConeInputError, InternalInconsistencyError, NotInConeError,
                               bounded)
 from betticone.hyper_fixed import FixedConeParams
-from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, chi, ray,
-                                 rho_vector, xi)
+from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, chi,
+                                 rational_str, ray, rho_vector, xi)
 
 
 def reference_rays(family, n):
@@ -93,14 +94,67 @@ def test_layout_combine_matches_the_ray_object_sum(family):
             assert type(got) is type(want) and got == want, (family, n, coeffs)
 
 
-@pytest.mark.parametrize("d", [2, 3, None])
-def test_a_wrong_solve_fails_the_reconstruction_check(monkeypatch, d):
-    cone = hyper_total.cone(6) if d is None else hyper_fixed.cone(FixedConeParams(6, d))
+@pytest.mark.parametrize("family", ["regular", "total", 2, 3])
+def test_a_wrong_solve_fails_the_reconstruction_check(monkeypatch, family):
+    cone = build(family, 6)
     w = cone.combine([1] * len(cone.names))
     solve = Cone._solve
     monkeypatch.setattr(Cone, "_solve", lambda self, w: [2 * x for x in solve(self, w)])
     with pytest.raises(InternalInconsistencyError, match="exact reconstruction"):
         cone.decompose(w)
+
+
+def reference_value(cone, name, w):
+    """A reported constraint's value read from its name, and whether the
+    name is a flatness gap: chi[i,i+1] with i >= n in a tail cone, the
+    gap w_i - w_(i+1); else the `chi`/`xi` closed form."""
+    kind, i, j = re.fullmatch(r"(chi|xi)\[(\d+),(\d+)\]", name).groups()
+    i, j = int(i), int(j)
+    if kind == "xi":
+        return xi(i, j, cone.windows[-1][2])(w), False
+    if cone.tail is not None and i >= cone.n and j == i + 1:
+        return w.entry(i) - w.entry(i + 1), True
+    return chi(i, j)(w), False
+
+
+@pytest.mark.parametrize("family", ["regular", "total", *range(2, 7)])
+def test_members_round_trip_and_a_pushed_window_is_rejected(family):
+    rng = random.Random(f"pushed-window-{family}")
+    ties = (Fraction(0), Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3))
+    for n in range(0 if family == "regular" else 2, 8):
+        cone = build(family, n)
+        all_windows = [window for c in (cone.within, cone) if c is not None
+                       for window in c.windows]
+        for _ in range(6):
+            coeffs = [rng.choice(ties) for _ in cone.names]
+            w = cone.combine(coeffs)
+            assert cone.member(w), (family, n, coeffs)
+            for which in (1, 2):
+                dec = cone.decompose(w, which)
+                assert min(dec.coefficients) >= 0 and cone.combine(dec.coefficients) == w
+            if cone.core is not None and len(cone.core) == len(coeffs):
+                assert list(dec.coefficients) == coeffs  # a simplicial cone's one answer
+            # take enough off entry i that the window's value becomes -delta
+            i, j, d = window = rng.choice(all_windows)
+            functional = chi(i, j) if d is None else xi(i, j, d)
+            delta = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            if isinstance(w, BettiVector):
+                unit = BettiVector(n, tuple(int(k == i) for k in range(n + 1)))
+            else:
+                unit = TailPeriodicSequence(i + 1, (0,) * i + (1,), 0, 0)
+            pushed = w + unit.scale(-(functional(w) + delta) / functional.coefficient(i))
+            assert functional(pushed) == -delta
+            with pytest.raises(NotInConeError) as caught:
+                cone.decompose(pushed)
+            violations = caught.value.violations
+            assert violations == list(cone.member(pushed).violations)  # in report order
+            assert cones.window_name(window) in [name for name, _ in violations]
+            for name, value in violations:
+                reference, flatness = reference_value(cone, name, pushed)
+                assert value == reference, (family, n, name)
+                assert value != 0 if flatness else value < 0, (family, n, name)
+            name, value = violations[0]
+            assert str(caught.value) == f"not in {cone.title}: {name} = {rational_str(value)}"
 
 
 def test_certificates_build_no_ray(monkeypatch):
@@ -125,7 +179,7 @@ def test_certificates_build_no_ray(monkeypatch):
     v = regular.cone(n).combine(list(range(n + 1)))
     dec = regular.decompose(v)
     assert dec.reconstruct() == v
-    payload = cli._regular_certificate(regular.cone(n), v, 1)
+    payload = cli._certificate(regular.cone(n), v, 1)
     assert payload["coefficients"]["rho[47]"] == "48"
 
 
