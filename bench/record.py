@@ -43,8 +43,7 @@ WORKLOADS = ("membership-scan", "certify", "cli-roundtrip", "verify-sweep")
 TRACED = {
     "certify": re.compile(r"\.decompose_ms\.n\d+$|\.split_ms\.n48$"),
     "membership-scan": re.compile(r"\.(facets_check|member|classify)_ms\.n\d+$"),
-    "verify-sweep": re.compile(r"^(verification\.check_\w+|oracle\.\w+)_ms$"
-                               r"|^linalg\.nullspace\.calls$"),
+    "verify-sweep": re.compile(r"^(verification\.check_\w+|oracle\.\w+)_ms$"),
 }
 DIGEST_PREFIX = "# digest sha256 of the first round's answers: "
 # `verification` check -> the arguments it is timed at, as direct calls

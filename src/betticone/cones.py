@@ -14,10 +14,9 @@ Costs: one alternating prefix-sum array gives every window value in
 O(1), so membership is O(n^2) (the total cone has about n^2/4 windows)
 and the regular cone's n+1 values are O(n).  The n+2 rays of a
 hyperplane-family cone satisfy exactly one linear relation (the cone is
-a pyramid over a circuit, and the two parity triangulations are the two
-triangulations of that circuit), so a certificate is one banded solve,
-one ratio test along the relation and an exact reconstruction check
-that sums the layout: O(n) after membership.
+a pyramid over a circuit), so a certificate is one banded solve, one
+ratio test along the relation and an exact reconstruction check that
+sums the layout: O(n) after membership.
 """
 
 from __future__ import annotations
@@ -59,14 +58,11 @@ class MembershipReport:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A set of simplices covering a cone.  Simplices are index tuples
-    into the ray list.  For the parity triangulations they are listed by
-    ascending omitted-ray position; the label records which parity class
-    of rays gets omitted (the ray at position i has index label i-1 for
-    the finite rays and tail start n-2 or n-1 for the tau rays; position
-    n-1, the last finite ray, sits outside the unique relation and is
-    omitted by neither family).  A simplicial cone has the one simplex
-    and no omitted positions."""
+    """A set of simplices covering a cone, as index tuples into the ray
+    list.  `Cone.triangulation` lists them by ascending omitted-ray
+    position; the omitted rays are one side of `Cone.relation`, so they
+    share one relation sign by construction.  A simplicial cone has the
+    one simplex and no omitted positions."""
 
     label: str
     simplices: tuple[tuple[int, ...], ...]
@@ -78,7 +74,6 @@ class Decomposition:
     """Nonnegative ray coefficients supported on one simplex, plus which
     simplex was used.  ``coefficients`` is aligned with the ray list."""
 
-    n: int
     names: tuple[str, ...]
     coefficients: tuple[Fraction, ...]
     simplex_used: tuple[int, ...]
@@ -88,29 +83,14 @@ class Decomposition:
         return [(name, c) for name, c in zip(self.names, self.coefficients) if c != 0]
 
 
-def _index_label(position: int, n: int) -> int:
-    if position <= n - 1:
-        return position - 1
-    return n - 2 if position == n else n - 1
-
-
-def _omitted(n: int, label: str) -> tuple[int, ...]:
-    # the ray positions the label's simplices omit, ascending
-    parity = 1 if label == "omit_odd" else 0
-    return tuple(p for p in range(n + 2)
-                 if p != n - 1 and _index_label(p, n) % 2 == parity)
-
-
-def _omitting(n: int, p: int) -> tuple[int, ...]:
-    # the simplex of a parity triangulation that omits position p
-    return tuple(q for q in range(n + 2) if q != p)
-
-
-def parity_triangulation(n: int, label: str) -> Triangulation:
-    """One of the two triangulations of a hyperplane-family cone with n+2
-    rays: each simplex omits one ray of the label's index parity."""
-    omitted = _omitted(n, label)
-    return Triangulation(label, tuple(_omitting(n, p) for p in omitted), omitted)
+def _triangulation_label(which: str | int) -> str:
+    if isinstance(which, int):
+        if which not in (1, 2):
+            raise ConeInputError(f"triangulation choice must be 1 or 2, got {which}")
+        return TRIANGULATION_LABELS[which - 1]
+    if which not in TRIANGULATION_LABELS:
+        raise ConeInputError(f"unknown triangulation label {quoted(which)}")
+    return which
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +117,7 @@ class Cone:
     @property
     def core(self) -> Optional[tuple[int, ...]]:
         """The one simplex of a simplicial cone, else None (certificates
-        use the parity triangulations).  With fewer than two corners the
+        use the circuit's triangulations).  With fewer than two corners the
         rays are independent; at n = 2 the ray at position 2, tail[0],
         is a combination of the others and is set aside."""
         if len(self.corners) < 2:
@@ -258,6 +238,22 @@ class Cone:
         return (tuple(g if (n - k) % 2 == 0 else -g for k in range(n - 1))
                 + (Fraction(0), Fraction(-1), Fraction(1)))
 
+    def _omitted(self, label: str) -> tuple[int, ...]:
+        """The positions on the label's side of the relation, ascending:
+        rho[-1]'s side for "omit_odd", the other side (rho[0]'s from n = 3
+        on) for "omit_even".  Signs are read off the numerators."""
+        numerators = [r.numerator for r in self.relation]
+        positive = (numerators[0] > 0) == (label == "omit_odd")
+        return tuple(p for p, k in enumerate(numerators) if k and (k > 0) == positive)
+
+    def triangulation(self, which: str | int) -> Triangulation:
+        """The triangulation ``which`` (as in `decompose`) of the circuit:
+        its simplices omit, in turn, each ray on one side of the relation."""
+        label = _triangulation_label(which)
+        omitted = self._omitted(label)
+        return Triangulation(label, tuple(tuple(q for q in range(len(self.names)) if q != p)
+                                          for p in omitted), omitted)
+
     def _solve(self, w: Sequence) -> list[Fraction]:
         """Exact coefficients of a member on the rho rays and the last ray
         (0 on any ray between), by back substitution on the banded system.
@@ -279,26 +275,20 @@ class Cone:
 
     def decompose(self, w: Sequence, which: str | int = "omit_odd") -> Decomposition:
         """Nonnegative ray certificate for a member, with exact
-        reconstruction.  A simplicial cone has the one certificate, the
-        banded solve, labelled "simplicial"; ``which`` is still checked.
+        reconstruction; ``which`` is 1, 2 or one of TRIANGULATION_LABELS.
+        A simplicial cone has the one certificate, the banded solve,
+        labelled "simplicial"; ``which`` is still checked.
 
         The certificate is the exact solution in the first simplex of the
         chosen triangulation (ascending omitted-ray position) whose
         solution is nonnegative, so output is deterministic; points on
         shared faces get the same answer from both triangulations.  All
         solutions are x - t * relation for one solution x; the simplex
-        omitting p gives t = x_p / relation_p.  Every omitted ray of a
-        triangulation has the same relation sign, so the nonnegative
-        simplices are those whose t is the least (positive sign) or the
-        greatest (negative sign) of these ratios.  ``which`` is 1, 2 or
-        one of TRIANGULATION_LABELS.
+        omitting p gives t = x_p / relation_p.  The omitted rays are one
+        side of the relation, so the nonnegative simplices are those whose
+        t is the least (positive side) or the greatest (negative side).
         """
-        if isinstance(which, int):
-            if which not in (1, 2):
-                raise ConeInputError(f"triangulation choice must be 1 or 2, got {which}")
-            which = TRIANGULATION_LABELS[which - 1]
-        if which not in TRIANGULATION_LABELS:
-            raise ConeInputError(f"unknown triangulation label {quoted(which)}")
+        which = _triangulation_label(which)
         violations = self.violations(w)
         if violations:
             raise NotInConeError.naming_first(self.title, violations)
@@ -306,15 +296,15 @@ class Cone:
         if (core := self.core) is not None:
             label, simplex = "simplicial", core
         else:
-            label, relation = which, self.relation
-            omitted = _omitted(self.n, which)
+            relation, omitted = self.relation, self._omitted(which)
             ratios = [coeffs[p] / relation[p] for p in omitted]
-            t = (min if relation[omitted[0]] > 0 else max)(ratios)
-            simplex = _omitting(self.n, omitted[ratios.index(t)])
+            t = (min if relation[omitted[0]].numerator > 0 else max)(ratios)
+            skip = omitted[ratios.index(t)]
+            label, simplex = which, tuple(q for q in range(len(coeffs)) if q != skip)
             coeffs = [c - t * r for c, r in zip(coeffs, relation)]
         if any(c < 0 for c in coeffs):
             raise InternalInconsistencyError(
                 "member vector admits no nonnegative simplex certificate")
         if self.combine(coeffs) != w:
             raise InternalInconsistencyError("decomposition failed exact reconstruction")
-        return Decomposition(self.n, self.names, tuple(coeffs), simplex, label)
+        return Decomposition(self.names, tuple(coeffs), simplex, label)

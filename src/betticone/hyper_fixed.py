@@ -42,9 +42,9 @@ def cone(p: FixedConeParams) -> Cone:
     Its tail rays tau_d[n-2] and tau_d[n-1] hold (d-1)/d and 1/d at n-2.
     d = 2 collapses them, leaving an outright simplicial cone; n = 2
     leaves one redundant tail ray, tau_d[0] = (d-2)/d * rho[-1] +
-    tau_d[1], that is set aside.  Otherwise the same two parity
-    triangulations as in the total cone apply (the unique ray relation
-    has the same support and signs).
+    tau_d[1], that is set aside.  Otherwise its two triangulations omit
+    the same rays as the total cone's (the unique ray relation has the
+    same support and signs).
     """
     n, d = p.n, p.d
     corners = (Fraction(d - 1, d),) + ((Fraction(1, d),) if d > 2 else ())

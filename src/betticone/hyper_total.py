@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import regular
-from .cones import (Cone, Decomposition, MembershipReport, Triangulation, Window,
-                    parity_triangulation)
+from .cones import Cone, Decomposition, MembershipReport, Triangulation, Window
 from .errors import ConeInputError, InternalInconsistencyError
 from .sequences import BettiVector, TailPeriodicSequence, embed
 
@@ -73,8 +72,7 @@ def triangulations(n: int) -> tuple[Triangulation, Triangulation]:
     the ray list is redundant and the cone is already simplicial)."""
     if n < 3:
         raise ConeInputError(f"triangulations are defined for n >= 3, got n={n}")
-    return (parity_triangulation(n, "omit_odd"),
-            parity_triangulation(n, "omit_even"))
+    return tuple(map(cone(n).triangulation, (1, 2)))
 
 
 def decompose(w: TailPeriodicSequence, n: int, which: str | int = "omit_odd"

@@ -5,7 +5,9 @@ before the circuit walk: solve each simplex of the triangulation in turn
 with dense elimination and keep the first nonnegative solution.
 `reference_violations` evaluates the `chi`/`xi` functional of every window
 in `Cone.windows` one by one.  Both must agree exactly with the fast
-paths, tie-breaking and report order included.
+paths, tie-breaking and report order included.  `reference_omitted` is
+the index-label parity rule that defined the two triangulations before
+`Cone.triangulation` read them off the signs of the ray relation.
 """
 
 import random
@@ -14,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from betticone import hyper_fixed, hyper_total, linalg, regular
-from betticone.cones import Triangulation, parity_triangulation
+from betticone.cones import Triangulation
 from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import (BettiVector, TailPeriodicSequence, chi, chi_name, xi,
                                  xi_name)
@@ -28,7 +30,7 @@ CONES = {"total": hyper_total.cone,
 
 def reference_decompose(cone, w, which):
     """(label, simplex_used, coefficients) by trying every simplex."""
-    tri = (parity_triangulation(cone.n, which) if cone.core is None
+    tri = (cone.triangulation(which) if cone.core is None
            else Triangulation("simplicial", (cone.core,), ()))
     projected = cone.projected()
     target = w.prefix(cone.n + 1)
@@ -103,6 +105,32 @@ def test_certificates_solve_no_dense_system(monkeypatch):
             w = cone.combine([1] * len(cone.rays))
             for which in (1, 2):
                 assert cone.decompose(w, which).coefficients
+
+
+def reference_omitted(n, label):
+    """The positions a triangulation omits by index-label parity: the ray
+    at position p <= n-1 has label p-1, the tail rays at n and n+1 have
+    n-2 and n-1, and position n-1 is never omitted.  "omit_odd" omits the
+    odd labels, "omit_even" the even ones."""
+    def index_label(p):
+        return p - 1 if p <= n - 1 else (n - 2 if p == n else n - 1)
+    parity = 1 if label == "omit_odd" else 0
+    return tuple(p for p in range(n + 2) if p != n - 1 and index_label(p) % 2 == parity)
+
+
+def test_triangulations_are_the_two_sides_of_the_relation():
+    cones = [hyper_total.cone(n) for n in range(3, 61)]
+    cones += [hyper_fixed.cone(FixedConeParams(n, d)) for d in range(3, 9) for n in range(3, 31)]
+    for cone in cones:
+        relation, sides = cone.relation, []
+        for label in ("omit_odd", "omit_even"):
+            omitted = cone.triangulation(label).omitted
+            assert omitted == reference_omitted(cone.n, label), (cone.title, cone.n, label)
+            assert len({relation[p] > 0 for p in omitted}) == 1, (cone.title, cone.n, label)
+            sides.append(set(omitted))
+        assert not sides[0] & sides[1], (cone.title, cone.n)
+        assert sides[0] | sides[1] == {p for p, r in enumerate(relation) if r}, \
+            (cone.title, cone.n)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -191,8 +191,22 @@ def test_certificates_build_one_simplex(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("a whole triangulation was built on the certificate path")
-    monkeypatch.setattr(cones, "parity_triangulation", refuse)
+    monkeypatch.setattr(Cone, "triangulation", refuse)
     assert [cone.decompose(w, which) for cone, w in cases for which in (1, 2)] == expected
+
+
+def test_triangulation_input_handling():
+    total = hyper_total.cone(4)
+    assert total.triangulation(1) == total.triangulation("omit_odd")
+    assert total.triangulation(2) == total.triangulation("omit_even")
+    for which in (0, 3, -1, "omit_all", "", None):
+        with pytest.raises(ConeInputError):
+            total.triangulation(which)
+    for cone in (regular.cone(4), hyper_fixed.cone(FixedConeParams(4, 2))):
+        with pytest.raises(ConeInputError, match="no relation"):
+            cone.triangulation(1)
+    with pytest.raises(ConeInputError):
+        hyper_total.triangulations(2)
 
 
 def reference_normals(cone):

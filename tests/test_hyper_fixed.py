@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from betticone import hyper_fixed, hyper_total, oracle, verification
-from betticone.cones import parity_triangulation
 from betticone.errors import ConeInputError, NotInConeError
 from betticone.hyper_fixed import (ContainmentReport, FixedConeParams,
                                    containment_report, decompose, member, rays)
@@ -113,14 +112,14 @@ class TestDecompose:
         with pytest.raises(NotInConeError):
             decompose(ray("tau_inf", 2, 3), FixedConeParams(3, 2))
 
-    @pytest.mark.parametrize("n", range(3, 6))
-    @pytest.mark.parametrize("d", range(3, 6))
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("d", range(3, 8))
     def test_parity_triangulations_valid_for_fixed_rays(self, n, d):
         p = FixedConeParams(n, d)
         projected = tuple(r.prefix(n + 1) for r in rays(p))
         cone = ConeDescription(n + 1, rays=projected)
         for label in ("omit_odd", "omit_even"):
-            tri = parity_triangulation(n, label)
+            tri = hyper_fixed.cone(p).triangulation(label)
             report = oracle.validate_triangulation(cone, tri)
             assert report.valid, (n, d, label, report.problems)
 

@@ -177,6 +177,17 @@ class TestTriangulations:
             "rho[-1]", "rho[1]", "tau_inf[3]"]
         assert [basis.names[o] for o in t2.omitted] == ["rho[0]", "tau_inf[2]"]
 
+    def test_n2_cone_keeps_the_two_sides_of_its_circuit(self):
+        # rho[0] is outside the relation at n = 2, so "omit_even" is the
+        # side opposite rho[-1]'s; certificates use the one simplex there
+        basis = ray_basis(2)
+        cone = ConeDescription(3, rays=tuple(basis.projected()))
+        tris = [basis.triangulation(which) for which in (1, 2)]
+        assert [tri.omitted for tri in tris] == [(0, 3), (2,)]
+        assert tris[1].simplices == (basis.core,)
+        for tri in tris:
+            assert oracle.validate_triangulation(cone, tri).valid, tri.label
+
     @pytest.mark.parametrize("n", range(3, 7))
     def test_oracle_validates_both(self, n):
         basis = ray_basis(n)
@@ -187,8 +198,8 @@ class TestTriangulations:
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_swapping_tau_omissions_breaks_both(self, n):
-        # the families must omit rays of a single index parity; swapping
-        # the two tail omissions produces non-triangulations
+        # each family must omit the rays of one side of the relation;
+        # swapping the two tail omissions produces non-triangulations
         basis = ray_basis(n)
         cone = ConeDescription(n + 1, rays=tuple(basis.projected()))
         for tri in triangulations(n):
