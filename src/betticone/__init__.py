@@ -21,31 +21,24 @@ bundles those sweeps; the CLI exposes them as `betticone verify`).
 
 from .errors import (ConeInputError, InternalInconsistencyError,
                      MalformedInputError, NotInConeError)
-from .sequences import (BettiVector, LinearFunctional, TailPeriodicSequence,
-                        as_fraction, chi, embed, rational_str, ray, rho_vector,
-                        sequence_from_json, sequence_to_json, shape_equal,
-                        truncate, xi)
+from .sequences import (BettiVector, TailPeriodicSequence, as_fraction, embed,
+                        rational_str, rho_vector, sequence_from_json,
+                        sequence_to_json)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BettiVector",
     "TailPeriodicSequence",
-    "LinearFunctional",
     "ConeInputError",
     "InternalInconsistencyError",
     "MalformedInputError",
     "NotInConeError",
     "as_fraction",
-    "chi",
     "embed",
     "rational_str",
-    "ray",
     "rho_vector",
     "sequence_from_json",
     "sequence_to_json",
-    "shape_equal",
-    "truncate",
-    "xi",
     "__version__",
 ]

@@ -132,7 +132,12 @@ def hk(degrees: str, n: int, normalize_at: int | None):
         parsed = tuple(int(part) for part in degrees.split(","))
     except ValueError as exc:
         raise MalformedInputError(f"invalid --degrees {quoted(degrees)}") from exc
-    v = pure.herzog_kuhl(pure.DegreeSequence(parsed), _capped(n))
+    sequence = pure.DegreeSequence(parsed)
+    largest = max(parsed, key=abs)
+    if abs(largest) > pure.HK_MAX_DEGREE:
+        raise ConeInputError(f"hk needs |degree| <= {pure.HK_MAX_DEGREE}, "
+                             f"got {bounded(str(largest))}")
+    v = pure.herzog_kuhl(sequence, _capped(n))
     if normalize_at is not None:
         v = pure.normalize_at(v, normalize_at)
     _echo_json(sequence_to_json(v))

@@ -79,9 +79,6 @@ class Decomposition:
     simplex_used: tuple[int, ...]
     label: str
 
-    def supported(self) -> list[tuple[str, Fraction]]:
-        return [(name, c) for name, c in zip(self.names, self.coefficients) if c != 0]
-
 
 def _triangulation_label(which: str | int) -> str:
     if isinstance(which, int):
@@ -136,8 +133,7 @@ class Cone:
     @cached_property
     def rays(self) -> tuple[Sequence, ...]:
         """The rays as sequences, written out from the layout.  Built on
-        first use: only `verification`, containment reports and tests
-        read them."""
+        first use: only `verification` and tests read them."""
         zero, one = Fraction(0), Fraction(1)
         rho = [tuple(one if p - 1 <= k <= p else zero for k in range(self._rho))
                for p in range(self._rho)]  # rho[p-1], at position p

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import hyper_total
 from .cones import Cone, Decomposition, MembershipReport
@@ -56,10 +55,6 @@ def rays(p: FixedConeParams) -> list[TailPeriodicSequence]:
     return list(cone(p).rays)
 
 
-def ray_names(p: FixedConeParams) -> list[str]:
-    return list(cone(p).names)
-
-
 def member(w: TailPeriodicSequence, p: FixedConeParams) -> MembershipReport:
     """Membership in the conjectured multiplicity-d cone: the total-cone
     constraints plus xi[i,n] >= 0 for 0 <= i <= n."""
@@ -70,51 +65,3 @@ def decompose(w: TailPeriodicSequence, p: FixedConeParams,
               which: str | int = "omit_odd") -> Decomposition:
     """Nonnegative ray certificate with exact reconstruction."""
     return cone(p).decompose(w, which)
-
-
-@dataclass(frozen=True)
-class RayContainment:
-    name: str
-    in_total: bool
-    total_violations: tuple[tuple[str, Fraction], ...]
-    in_larger: Optional[bool] = None
-    certificate: Optional[tuple[tuple[str, Fraction], ...]] = None
-
-
-@dataclass(frozen=True)
-class ContainmentReport:
-    params: FixedConeParams
-    larger: Optional[FixedConeParams]
-    entries: tuple[RayContainment, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.in_total and e.in_larger is not False for e in self.entries)
-
-
-def containment_report(p: FixedConeParams, p2: Optional[FixedConeParams] = None
-                       ) -> ContainmentReport:
-    """Per-ray certificates that cone(n, d) sits inside the total cone,
-    and (when p2 is given, with the same n and d' >= d) inside
-    cone(n, d')."""
-    if p2 is not None:
-        if p2.n != p.n:
-            raise ConeInputError("containment comparison needs matching n")
-        if p2.d < p.d:
-            raise ConeInputError(
-                f"containment holds for growing multiplicity; got d'={p2.d} < d={p.d}")
-    entries = []
-    fixed, total = cone(p), hyper_total.cone(p.n)
-    larger = cone(p2) if p2 is not None else None
-    for name, r in zip(fixed.names, fixed.rays):
-        total_report = total.member(r)
-        in_larger = None
-        certificate = None
-        if larger is not None:
-            in_larger = larger.member(r).ok
-            if in_larger:
-                certificate = tuple(larger.decompose(r).supported())
-        entries.append(RayContainment(name, total_report.ok,
-                                      total_report.violations,
-                                      in_larger, certificate))
-    return ContainmentReport(p, p2, tuple(entries))

@@ -203,20 +203,6 @@ def facets_to_rays(cone: ConeDescription) -> ConeDescription:
                            rays=tuple(_extreme_rays_from_halfspaces(cone.facets, cone.dim)))
 
 
-def canonical_rays(cone: ConeDescription) -> list[IntVector]:
-    """Extremal rays in primitive-integer form, computed via the double
-    dual when only a (possibly redundant) generator list is available."""
-    facets = (cone.facets if cone.facets is not None
-              else _facets_from_rays(cone.rays, cone.dim))
-    return _extreme_rays_from_halfspaces(facets, cone.dim)
-
-
-def canonical_facets(cone: ConeDescription) -> list[IntVector]:
-    rays = (cone.rays if cone.rays is not None
-            else _extreme_rays_from_halfspaces(cone.facets, cone.dim))
-    return _extreme_rays_from_halfspaces(rays, cone.dim)
-
-
 def _rays_and_facets(cone: ConeDescription) -> tuple[list[IntVector], list[IntVector]]:
     """Both presentations in primitive integer form, converting the
     missing one."""

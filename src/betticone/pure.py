@@ -20,6 +20,14 @@ from .sequences import BettiVector, rho_vector
 LIMIT_MAX_N = 400
 LIMIT_MAX_T = 10**9
 
+# herzog_kuhl multiplies s differences of degrees per entry, so its cost
+# grows with their digits: `hk --n 479` on 480 degrees of about 250 digits
+# runs for over a minute before its answer is refused as unprintable.  The
+# CLI accepts |degree| <= HK_MAX_DEGREE; at n = 500 the worst degrees
+# measured (spread over +-10**12, with or without --normalize-at) take
+# 0.5-0.6 s end to end on a shared 2-vCPU VM.
+HK_MAX_DEGREE = 10**12
+
 
 @dataclass(frozen=True)
 class DegreeSequence:
@@ -57,19 +65,6 @@ def herzog_kuhl(d: DegreeSequence, n: int) -> BettiVector:
     ]
     entries += [Fraction(0)] * (n - d.s)
     return BettiVector(n, tuple(entries))
-
-
-def hk_residual(v: BettiVector, d: DegreeSequence, k: int) -> Fraction:
-    """The k-th defining equation, sum_i (-1)^i d_i^k v_i with 0^0 = 1.
-
-    Vanishes identically on herzog_kuhl(d) for 0 <= k <= s-1; nonzero
-    residuals witness that a vector is not the pure shape for d.
-    """
-    total = Fraction(0)
-    for i, di in enumerate(d.degrees):
-        power = 1 if k == 0 else di ** k
-        total += Fraction((-1) ** i) * power * v[i]
-    return total
 
 
 def degree_family(j: int, t: int, n: int) -> DegreeSequence:

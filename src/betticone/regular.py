@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cones import Cone
-from .sequences import BettiVector, LinearFunctional, chi
+from .cones import Cone, Window
+from .sequences import BettiVector
 
 
 def cone(n: int) -> Cone:
@@ -25,9 +25,9 @@ def cone(n: int) -> Cone:
     return Cone("the regular cone", n, tuple((j, n, None) for j in range(n + 1)))
 
 
-def facets(n: int) -> list[LinearFunctional]:
-    """The n+1 facet functionals chi[j,n], j = 0..n."""
-    return [chi(i, j) for i, j, _ in cone(n).windows]
+def facets(n: int) -> list[Window]:
+    """The n+1 facet windows chi[j,n], j = 0..n."""
+    return list(cone(n).windows)
 
 
 def rays(n: int) -> list[BettiVector]:
@@ -39,13 +39,8 @@ def ray_names(n: int) -> list[str]:
     return list(cone(n).names)
 
 
-def member(v: BettiVector) -> bool:
-    """Closure membership: all partial Euler characteristics chi[j,n] >= 0."""
-    return not cone(v.n).violations(v)
-
-
 def facet_violations(v: BettiVector) -> list[tuple[str, Fraction]]:
-    """The facet functionals chi[j,n] that are negative on v, with values."""
+    """The facet windows chi[j,n] that are negative on v, with values."""
     return cone(v.n).violations(v)
 
 
@@ -69,9 +64,6 @@ class RegularDecomposition:
     @property
     def a_minus_1(self) -> Fraction:
         return self.a[0]
-
-    def reconstruct(self) -> BettiVector:
-        return cone(self.n).combine(self.a)
 
 
 def decompose(v: BettiVector) -> RegularDecomposition:

@@ -1,5 +1,6 @@
-"""Finite and tail-periodic rational sequences, plus the linear functionals
-used to cut out cones of resolution shapes.
+"""Finite and tail-periodic rational sequences, the names of the
+constraints that cut out cones of resolution shapes, the two-term shapes,
+and the JSON codec.
 
 Two ambient spaces appear throughout: finite vectors of length n+1
 (`BettiVector`, resolutions over a regular ring of dimension n) and
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import ConeInputError, MalformedInputError, quoted
 
@@ -192,98 +193,6 @@ def embed(v: BettiVector) -> TailPeriodicSequence:
     return TailPeriodicSequence(v.n + 1, v.entries, Fraction(0), Fraction(0))
 
 
-def truncate(s: TailPeriodicSequence, length: int) -> BettiVector:
-    """First ``length`` entries as a finite vector."""
-    if length < 1:
-        raise ConeInputError("truncation length must be at least 1")
-    return BettiVector(length - 1, s.prefix(length))
-
-
-@dataclass(frozen=True)
-class LinearFunctional:
-    """A finitely supported rational functional on the sequence space.
-
-    Evaluation on either sequence type is the finite sum over the support.
-    """
-
-    coeffs: tuple[tuple[int, Fraction], ...] = field(default=())
-
-    def __post_init__(self):
-        items = []
-        for i, c in self.coeffs:
-            c = as_fraction(c)
-            if i < 0:
-                raise ConeInputError("functional support must be at nonnegative indices")
-            if c != 0:
-                items.append((i, c))
-        items.sort()
-        object.__setattr__(self, "coeffs", tuple(items))
-
-    @classmethod
-    def from_map(cls, mapping: Mapping[int, RationalLike]) -> "LinearFunctional":
-        return cls(tuple((i, as_fraction(c)) for i, c in mapping.items()))
-
-    def __call__(self, seq: Sequence) -> Fraction:
-        if isinstance(seq, BettiVector):
-            return sum((c * seq.entries[i] for i, c in self.coeffs if i <= seq.n),
-                       Fraction(0))
-        return sum((c * seq.entry(i) for i, c in self.coeffs), Fraction(0))
-
-    def __add__(self, other: "LinearFunctional") -> "LinearFunctional":
-        acc = dict(self.coeffs)
-        for i, c in other.coeffs:
-            acc[i] = acc.get(i, Fraction(0)) + c
-        return LinearFunctional.from_map(acc)
-
-    def scale(self, c: RationalLike) -> "LinearFunctional":
-        c = as_fraction(c)
-        return LinearFunctional(tuple((i, c * v) for i, v in self.coeffs))
-
-    __rmul__ = scale
-
-    def coefficient(self, i: int) -> Fraction:
-        for j, c in self.coeffs:
-            if j == i:
-                return c
-        return Fraction(0)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.coeffs)
-
-    def as_vector(self, length: int) -> tuple[Fraction, ...]:
-        """Coefficients on indices 0..length-1 (support beyond is an error)."""
-        if self.coeffs and self.coeffs[-1][0] >= length:
-            raise ConeInputError("functional support exceeds requested length")
-        vec = [Fraction(0)] * length
-        for i, c in self.coeffs:
-            vec[i] = c
-        return tuple(vec)
-
-
-def chi(i: int, j: int) -> LinearFunctional:
-    """Partial Euler characteristic: alternating-sign coordinate sum over
-    indices i..j, starting with +1 at i.  The empty range j = i-1 gives
-    the zero functional (used when building the multiplicity functionals).
-    """
-    if i < 0:
-        raise ConeInputError(f"chi range must start at a nonnegative index, got i={i}")
-    if i > j + 1:
-        raise ConeInputError(f"invalid chi range [{i},{j}]")
-    return LinearFunctional(tuple((k, Fraction((-1) ** (k - i))) for k in range(i, j + 1)))
-
-
-def xi(i: int, j: int, d: int) -> LinearFunctional:
-    """Facet functional of the multiplicity-d cone: d*chi[i,j-1] plus
-    (d-1) (when j-i is even) or -1 (when j-i is odd) at index j."""
-    if d < 2:
-        raise ConeInputError(f"multiplicity must be at least 2, got d={d}")
-    if i < 0 or i > j:
-        raise ConeInputError(f"invalid xi range [{i},{j}]")
-    end_coeff = Fraction(d - 1) if (j - i) % 2 == 0 else Fraction(-1)
-    return chi(i, j - 1).scale(d) + LinearFunctional.from_map({j: end_coeff})
-
-
 def chi_name(i: int, j: int) -> str:
     return f"chi[{i},{j}]"
 
@@ -304,56 +213,6 @@ def rho_vector(i: int, n: int) -> BettiVector:
         entries[i] = Fraction(1)
         entries[i + 1] = Fraction(1)
     return BettiVector(n, tuple(entries))
-
-
-def ray(kind: str, i: int, n: int, d: int | None = None) -> TailPeriodicSequence:
-    """Named extremal rays as tail-periodic sequences.
-
-    kind "rho": finite ray, -1 <= i <= n-1.
-    kind "tau_inf": ones from index i on, i in {n-2, n-1}, n >= 2.
-    kind "tau_d": like tau_inf but the entry at index n-2 is (d-1)/d
-        for i = n-2 and 1/d for i = n-1; requires d >= 2.
-    """
-    if kind == "rho":
-        return embed(rho_vector(i, n))
-    if kind in ("tau_inf", "tau_d"):
-        if n < 2:
-            raise ConeInputError(f"tau rays need n >= 2, got n={n}")
-        if i not in (n - 2, n - 1):
-            raise ConeInputError(f"tau index {i} out of range for n={n}")
-        if kind == "tau_inf":
-            head = (Fraction(0),) * i
-            return TailPeriodicSequence.constant_tail(head, 1)
-        if d is None or d < 2:
-            raise ConeInputError(f"tau_d rays need multiplicity d >= 2, got {d}")
-        at_corner = Fraction(d - 1, d) if i == n - 2 else Fraction(1, d)
-        head = (Fraction(0),) * (n - 2) + (at_corner,)
-        return TailPeriodicSequence(n - 1, head, Fraction(1), Fraction(1))
-    raise ConeInputError(f"unknown ray kind: {quoted(kind)}")
-
-
-def shape_equal(a: Sequence, b: Sequence) -> bool:
-    """True when a = lambda * b for some positive rational lambda.
-
-    The zero sequence is shape-equal only to itself.
-    """
-    a_zero = a.is_zero
-    b_zero = b.is_zero
-    if a_zero or b_zero:
-        return a_zero and b_zero
-    if isinstance(a, BettiVector) != isinstance(b, BettiVector):
-        return False
-    if isinstance(a, BettiVector):
-        if a.n != b.n:
-            return False
-        pairs = list(zip(a.entries, b.entries))
-    else:
-        length = max(a.stab, b.stab) + 2  # two tail entries cover both parities
-        pairs = list(zip(a.prefix(length), b.prefix(length)))
-    lam = next((x / y for x, y in pairs if y != 0), None)
-    if lam is None or lam <= 0:
-        return False
-    return all(x == lam * y for x, y in pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 fixed list of cases covering every command and cone at n = 2..6.
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
-built from fixed ray combinations, so two recordings of the same code are
-byte-identical. Run from the repository root:
+built from fixed combinations of the rays in ``tests/reference_sequences.py``,
+so two recordings of the same code are byte-identical. Run from the repository root:
 
     PYTHONPATH=src python tests/golden/record.py
 
@@ -16,12 +16,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from betticone.cli import main
-from betticone.sequences import (BettiVector, TailPeriodicSequence, embed, ray,
-                                 rho_vector, sequence_to_json)
+from betticone.sequences import (BettiVector, TailPeriodicSequence, embed, rho_vector,
+                                 sequence_to_json)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the tests' references
+from reference_sequences import ray  # noqa: E402
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 NS = range(2, 7)

@@ -3,8 +3,8 @@
 `reference_decompose` is the simplex search that `Cone.decompose` used
 before the circuit walk: solve each simplex of the triangulation in turn
 with dense elimination and keep the first nonnegative solution.
-`reference_violations` evaluates the `chi`/`xi` functional of every window
-in `Cone.windows` one by one.  Both must agree exactly with the fast
+`reference_violations` evaluates the reference row of every window in
+`Cone.windows` one by one.  Both must agree exactly with the fast
 paths, tie-breaking and report order included.  `reference_omitted` is
 the index-label parity rule that defined the two triangulations before
 `Cone.triangulation` read them off the signs of the ray relation.
@@ -18,10 +18,10 @@ import pytest
 from betticone import hyper_fixed, hyper_total, linalg, regular
 from betticone.cones import Triangulation
 from betticone.hyper_fixed import FixedConeParams
-from betticone.sequences import (BettiVector, TailPeriodicSequence, chi, chi_name, xi,
-                                 xi_name)
+from betticone.sequences import BettiVector, TailPeriodicSequence, chi_name, xi_name
 
 from reference_linalg import linear_relation, solve_columns
+from reference_sequences import evaluate
 
 CONES = {"total": hyper_total.cone,
          **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
@@ -47,13 +47,13 @@ def reference_decompose(cone, w, which):
 
 
 def reference_violations(cone, w):
-    """The enclosing cone's violations, then every negative functional of
-    this cone's own windows, then each nonzero flatness gap of a tail cone
+    """The enclosing cone's violations, then every negative value of this
+    cone's own windows, then each nonzero flatness gap of a tail cone
     not cut from another."""
     out = reference_violations(cone.within, w) if cone.within is not None else []
     for i, j, d in cone.windows:
-        name, f = (chi_name(i, j), chi(i, j)) if d is None else (xi_name(i, j), xi(i, j, d))
-        value = f(w)
+        name = chi_name(i, j) if d is None else xi_name(i, j)
+        value = evaluate((i, j, d), w)
         if value < 0:
             out.append((name, value))
     if cone.tail is not None and cone.within is None:

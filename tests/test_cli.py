@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,10 @@ import betticone
 from betticone import cli, hyper_fixed, hyper_total, pure, regular, verification
 from betticone.cli import MAX_N, MAX_PLOT_LEN, main
 from betticone.hyper_total import phi
-from betticone.sequences import (BettiVector, embed, rational_str, ray, rho_vector,
+from betticone.sequences import (BettiVector, embed, rational_str, rho_vector,
                                  sequence_from_json, sequence_to_json)
+
+from reference_sequences import ray
 
 
 def run(capsys, *argv):
@@ -369,6 +372,26 @@ class TestHkCap:
     def test_the_cap_itself_is_accepted(self, capsys):
         code, out, _ = run(capsys, "hk", "--degrees", "0,1", "--n", str(MAX_N))
         assert code == 0 and json.loads(out)["n"] == MAX_N
+
+    def test_long_degrees_exit_2_on_one_line_before_any_shape_is_built(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(pure, "herzog_kuhl", None)  # any use would raise
+        degrees = ",".join(str(k * 10**249) for k in range(1, 481))  # 121 KB
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hk", "--degrees", degrees, "--n", "479")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: hk needs |degree| <= {pure.HK_MAX_DEGREE}, "
+                       f"got {'48' + '0' * 38}... (252 digits)\n")
+
+    def test_the_degree_cap_is_two_sided_and_itself_accepted(self, capsys):
+        cap = pure.HK_MAX_DEGREE
+        for degrees in (f"{-cap - 1},0", f"0,{cap + 1}"):
+            code, out, err = run(capsys, "hk", "--degrees", degrees, "--n", "2")
+            assert (code, out) == (2, "") and err.count("\n") == 1, degrees
+        code, out, _ = run(capsys, "hk", "--degrees", f"{-cap},0,{cap}", "--n", "2",
+                           "--normalize-at", "1")
+        assert code == 0 and json.loads(out)["entries"] == ["1/2", "1", "1/2"]
 
 
 class TestPlot:

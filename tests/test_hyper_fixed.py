@@ -5,11 +5,11 @@ import pytest
 
 from betticone import hyper_fixed, hyper_total, oracle, verification
 from betticone.errors import ConeInputError, NotInConeError
-from betticone.hyper_fixed import (ContainmentReport, FixedConeParams,
-                                   containment_report, decompose, member, rays)
+from betticone.hyper_fixed import FixedConeParams, decompose, member, rays
 from betticone.oracle import ConeDescription
-from betticone.sequences import (TailPeriodicSequence, embed, ray, rho_vector,
-                                 xi)
+from betticone.sequences import TailPeriodicSequence, embed, rho_vector
+
+from reference_sequences import evaluate, ray
 
 
 def tail_const(head, value):
@@ -35,8 +35,8 @@ class TestRays:
         p = FixedConeParams(4, 2)
         listed = rays(p)
         assert len(listed) == 5  # n+1 instead of n+2
-        assert hyper_fixed.ray_names(p) == [
-            "rho[-1]", "rho[0]", "rho[1]", "rho[2]", "tau_d[2]"]
+        assert hyper_fixed.cone(p).names == (
+            "rho[-1]", "rho[0]", "rho[1]", "rho[2]", "tau_d[2]")
         assert listed[-1].entry(2) == Fraction(1, 2)
 
     def test_every_ray_in_total_cone(self):
@@ -69,9 +69,7 @@ class TestMember:
 
     def test_xi_values_on_rays(self):
         # xi[0,2] at d=3 takes values (3, 0, 1, 0) on the four generators
-        p = FixedConeParams(2, 3)
-        f = xi(0, 2, 3)
-        values = [f(r) for r in rays(p)]
+        values = [evaluate((0, 2, 3), r) for r in rays(FixedConeParams(2, 3))]
         assert values == [3, 0, 1, 0]
 
 
@@ -79,7 +77,8 @@ class TestDecompose:
     def test_ray_multiple(self):
         p = FixedConeParams(2, 3)
         dec = decompose(ray("tau_d", 1, 2, 3).scale(3), p)
-        assert dec.supported() == [("tau_d[1]", Fraction(3))]
+        assert dict(zip(dec.names, dec.coefficients)) == {
+            "rho[-1]": 0, "rho[0]": 0, "tau_d[0]": 0, "tau_d[1]": 3}
 
     def test_two_ray_combination(self):
         p = FixedConeParams(2, 3)
@@ -127,31 +126,29 @@ class TestDecompose:
 class TestContainment:
     def test_within_total(self):
         for n in (2, 4):
+            total = hyper_total.cone(n)
             for d in (2, 5):
-                report = containment_report(FixedConeParams(n, d))
-                assert isinstance(report, ContainmentReport) and report.ok
-                assert all(e.in_larger is None for e in report.entries)
+                for r in hyper_fixed.cone(FixedConeParams(n, d)).rays:
+                    assert total.member(r).ok, (n, d, r)
 
     def test_monotone_in_multiplicity(self):
-        report = containment_report(FixedConeParams(3, 2), FixedConeParams(3, 5))
-        assert report.ok
-        by_name = {e.name: e for e in report.entries}
+        small = hyper_fixed.cone(FixedConeParams(3, 2))
+        large = hyper_fixed.cone(FixedConeParams(3, 5))
+        assert all(large.member(r).ok for r in small.rays)
         # the merged d=2 tail ray splits evenly across the two d=5 tail rays
-        assert dict(by_name["tau_d[1]"].certificate) == {
+        assert small.names[-1] == "tau_d[1]"
+        dec = large.decompose(small.rays[-1])
+        assert {name: c for name, c in zip(dec.names, dec.coefficients) if c} == {
             "tau_d[1]": Fraction(1, 2), "tau_d[2]": Fraction(1, 2)}
-
-    def test_larger_multiplicity_required(self):
-        with pytest.raises(ConeInputError):
-            containment_report(FixedConeParams(3, 5), FixedConeParams(3, 2))
-        with pytest.raises(ConeInputError):
-            containment_report(FixedConeParams(3, 2), FixedConeParams(4, 5))
 
     def test_sweep_over_grid(self):
         for n in (2, 3, 4):
             for d in range(2, 6):
                 for d2 in range(d, 7):
-                    assert containment_report(
-                        FixedConeParams(n, d), FixedConeParams(n, d2)).ok
+                    larger = hyper_fixed.cone(FixedConeParams(n, d2))
+                    for r in hyper_fixed.cone(FixedConeParams(n, d)).rays:
+                        assert larger.member(r).ok, (n, d, d2, r)
+                        larger.decompose(r)  # raises without an exact certificate
 
 
 class TestSweepIntegration:
@@ -181,7 +178,7 @@ class TestSweepIntegration:
         from betticone.linalg import primitive
         n, d = 3, 3
         facets = tuple(hyper_fixed.cone(FixedConeParams(n, d)).normals())
-        found = oracle.canonical_rays(ConeDescription(n + 1, facets=facets))
+        found = list(oracle.facets_to_rays(ConeDescription(n + 1, facets=facets)).rays)
         expected = sorted(primitive(r.prefix(n + 1))
                           for r in rays(FixedConeParams(n, d)))
         assert found == expected
