@@ -48,9 +48,14 @@ def row(window, n: int) -> tuple[Fraction, ...]:
 
     chi[i,j] (d None) is (-1)^(k-i) at each k in i..j; the empty range
     j = i-1 is the zero row.  xi[i,j] of multiplicity d is d * chi[i,j-1]
-    plus d-1 (j-i even) or -1 (j-i odd) at j.
+    plus d-1 (j-i even) or -1 (j-i odd) at j.  Windows outside that
+    domain raise ConeInputError.
     """
     i, j, d = window
+    if d is not None and d < 2:
+        raise ConeInputError(f"multiplicity must be at least 2, got d={d}")
+    if i < 0 or i > (j + 1 if d is None else j):
+        raise ConeInputError(f"invalid window range [{i},{j}]")
     coeffs = [Fraction(0)] * (n + 1)
     for k in range(i, j + 1 if d is None else j):
         coeffs[k] = Fraction((-1) ** (k - i) * (1 if d is None else d))

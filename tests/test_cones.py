@@ -159,6 +159,34 @@ def test_members_round_trip_and_a_pushed_window_is_rejected(family):
             assert str(caught.value) == f"not in {cone.title}: {name} = {rational_str(value)}"
 
 
+@pytest.mark.parametrize("family", ["regular", "total", 2, 5])
+def test_positive_scaling_scales_the_certificate(family):
+    rng = random.Random(f"scaled-{family}")
+    for n in range(2, 8):
+        cone = build(family, n)
+        w = cone.combine([Fraction(rng.randint(0, 9)) for _ in cone.names])
+        lam = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        for which in ("omit_odd", "omit_even"):
+            dec = cone.decompose(w, which)
+            scaled = cone.decompose(w.scale(lam), which)
+            assert scaled.simplex_used == dec.simplex_used, (family, n, which)
+            assert scaled.coefficients == tuple(lam * c for c in dec.coefficients)
+
+
+@pytest.mark.parametrize("family", ["regular", "total", 2, 5])
+def test_a_negated_member_leaves_the_cone_unless_zero(family):
+    rng = random.Random(f"negated-{family}")
+    for n in range(2, 8):
+        cone = build(family, n)
+        zero = cone.combine((Fraction(0),) * len(cone.names))
+        assert cone.member(zero.scale(-1))
+        assert cone.decompose(zero).coefficients == (Fraction(0),) * len(cone.names)
+        w = cone.combine([Fraction(rng.randint(1, 9)) for _ in cone.names])
+        assert not cone.member(w.scale(-1)), (family, n)
+        with pytest.raises(NotInConeError):
+            cone.decompose(w.scale(Fraction(-1, 3)))
+
+
 def test_certificates_build_no_ray(monkeypatch):
     def refuse(*args):
         raise AssertionError("a ray object was built on the certificate path")

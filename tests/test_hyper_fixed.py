@@ -141,6 +141,16 @@ class TestContainment:
         assert {name: c for name, c in zip(dec.names, dec.coefficients) if c} == {
             "tau_d[1]": Fraction(1, 2), "tau_d[2]": Fraction(1, 2)}
 
+    def test_larger_multiplicity_required(self):
+        # the d=2 cone has one tail ray, with corner 1/2; the d=5 tail rays,
+        # with corners 4/5 and 1/5, both lie outside it
+        small = hyper_fixed.cone(FixedConeParams(3, 2))
+        large = hyper_fixed.cone(FixedConeParams(3, 5))
+        outside = [name for name, r in zip(large.names, large.rays) if not small.member(r).ok]
+        assert outside == ["tau_d[1]", "tau_d[2]"]
+        with pytest.raises(NotInConeError):
+            small.decompose(large.rays[-1])
+
     def test_sweep_over_grid(self):
         for n in (2, 3, 4):
             for d in range(2, 6):

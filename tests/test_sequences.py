@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betticone
+from betticone import hyper_fixed, hyper_total
 from betticone.errors import ConeInputError, MalformedInputError
+from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, embed,
                                  rational_str, rho_vector, sequence_from_json,
                                  sequence_to_json)
@@ -86,6 +88,10 @@ class TestBettiVector:
         assert s.tail_even == 0 and s.tail_odd == 0
         assert s.prefix(6) == (1, 3, 3, 1, 0, 0)
 
+    def test_embed_truncate_round_trip(self):
+        v = BettiVector.of(["1", "3", "3", "1"])
+        assert BettiVector.of(embed(v).prefix(4)) == v
+
 
 class TestChi:
     def test_alternating_signs(self):
@@ -105,6 +111,12 @@ class TestChi:
 
     def test_empty_range_is_zero(self):
         assert row((3, 2, None), 4) == (0,) * 5
+
+    def test_invalid_range(self):
+        with pytest.raises(ConeInputError):
+            row((3, 1, None), 4)
+        with pytest.raises(ConeInputError):
+            row((-1, 2, None), 4)
 
     @given(st.lists(rationals, min_size=5, max_size=9),
            st.integers(0, 3), st.integers(0, 4))
@@ -129,6 +141,10 @@ class TestXi:
         w = tail_seq([1, 2], 7, 7)
         assert evaluate((2, 2, 5), w) == 4 * 7
 
+    def test_requires_multiplicity(self):
+        with pytest.raises(ConeInputError):
+            row((0, 2, 1), 2)
+
     @given(st.integers(0, 3), st.integers(0, 4), st.integers(2, 7))
     def test_chi_identity(self, i, extra, d):
         # xi = d*chi[i,j] + (d-1)*eps_j (odd gap) or d*chi[i,j] - eps_j (even)
@@ -136,6 +152,28 @@ class TestXi:
         expected = [d * c for c in row((i, j, None), j)]
         expected[j] += d - 1 if (j - i) % 2 == 1 else -1
         assert row((i, j, d), j) == tuple(expected)
+
+
+class TestLinearFunctional:
+    """Each facet window is a linear functional; `Cone.values` evaluates
+    the windows of a cone on its entries 0..n."""
+
+    @given(st.lists(rationals, min_size=6, max_size=6),
+           st.lists(rationals, min_size=6, max_size=6),
+           rationals, rationals)
+    @settings(max_examples=60)
+    def test_linearity(self, xs, ys, a, b):
+        values = hyper_fixed.cone(FixedConeParams(5, 3)).values
+        x = BettiVector.of(xs)
+        y = BettiVector.of(ys)
+        assert values((x.scale(a) + y.scale(b)).entries) == [
+            a * u + b * v for u, v in zip(values(x.entries), values(y.entries))]
+
+    def test_evaluation_on_tail(self):
+        w = tail_seq([3], 10, 20)
+        assert evaluate((0, 5, None), w) == 3 - 20 + 10 - 20 + 10 - 20
+        cone = hyper_total.cone(5)
+        assert cone.values(w.prefix(6)) == [evaluate(window, w) for window in cone.windows]
 
 
 class TestRays:
