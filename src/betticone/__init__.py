@@ -22,8 +22,7 @@ bundles those sweeps; the CLI exposes them as `betticone verify`).
 from .errors import (ConeInputError, InternalInconsistencyError,
                      MalformedInputError, NotInConeError)
 from .sequences import (BettiVector, TailPeriodicSequence, as_fraction, embed,
-                        rational_str, rho_vector, sequence_from_json,
-                        sequence_to_json)
+                        rational_str, sequence_from_json, sequence_to_json)
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,6 @@ __all__ = [
     "as_fraction",
     "embed",
     "rational_str",
-    "rho_vector",
     "sequence_from_json",
     "sequence_to_json",
     "__version__",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -295,13 +294,9 @@ def plot(input_path, inline, length):
     if length > MAX_PLOT_LEN:
         raise ConeInputError(
             f"--len must be at most {MAX_PLOT_LEN}, got --len {bounded(str(length))}")
-    if isinstance(seq, BettiVector):
-        entries = [seq[i] if i <= seq.n else Fraction(0) for i in range(length)]
-    else:
-        entries = list(seq.prefix(length))
     click.echo("index,approx,exact")
     rows = {}  # each distinct value formatted once: a tail repeats two
-    for i, value in enumerate(entries):
+    for i, value in enumerate(_tail(seq).prefix(length)):
         if value not in rows:
             try:
                 approx = f"{float(value):.12g}"

@@ -27,8 +27,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
-from .sequences import (BettiVector, Sequence, TailPeriodicSequence, as_fraction,
-                        chi_name, xi_name)
+from .sequences import BettiVector, Sequence, TailPeriodicSequence, as_fraction
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
 
@@ -40,8 +39,9 @@ or odd) times entry j."""
 
 
 def window_name(window: Window) -> str:
+    """The constraint's name in reports, like "chi[1,2]" or "xi[0,3]"."""
     i, j, d = window
-    return chi_name(i, j) if d is None else xi_name(i, j)
+    return f"{'chi' if d is None else 'xi'}[{i},{j}]"
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,23 @@ class Cone:
 
     def projected(self) -> list[tuple[Fraction, ...]]:
         """The rays as coordinate vectors on indices 0..n."""
-        return [r.entries if isinstance(r, BettiVector) else r.prefix(self.n + 1)
-                for r in self.rays]
+        return [self._entries(r) for r in self.rays]
+
+    def _entries(self, w: Sequence) -> tuple[Fraction, ...]:
+        """Coordinates 0..n of a point of this cone's space, the one read
+        of an input point: a finite cone takes a `BettiVector` of its own
+        n, a tail cone a `TailPeriodicSequence`.  Any other point is a
+        `ConeInputError` naming this cone."""
+        finite = isinstance(w, BettiVector)
+        if self.tail is None and finite and w.n == self.n:
+            return w.entries
+        if self.tail is not None and isinstance(w, TailPeriodicSequence):
+            return w.prefix(self.n + 1)
+        space = "a tail-periodic sequence" if self.tail else f"a finite sequence with n={self.n}"
+        got = (f"a finite sequence with n={w.n}" if finite
+               else "a tail-periodic sequence" if isinstance(w, TailPeriodicSequence)
+               else quoted(w))
+        raise ConeInputError(f"{self.title} for n={self.n} needs {space}, got {got}")
 
     def combine(self, coeffs) -> Sequence:
         """The exact sum of ``coeffs[k]`` times the k-th ray, in the rays'
@@ -198,8 +213,8 @@ class Cone:
     def violations(self, w: Sequence) -> list[tuple[str, Fraction]]:
         """Violated constraints with their values: the enclosing cone's,
         then this cone's negative facets, then flatness."""
+        entries = self._entries(w)
         out = self.within.violations(w) if self.within is not None else []
-        entries = w.entries if isinstance(w, BettiVector) else w.prefix(self.n + 1)
         out += [(window_name(window), v)
                 for window, v in zip(self.windows, self.values(entries)) if v < 0]
         if self.tail is not None and self.within is None:
@@ -209,7 +224,7 @@ class Cone:
             for i in range(self.n, max(self.n, w.stab) + 2):
                 gap = w.entry(i) - w.entry(i + 1)
                 if gap != 0:
-                    out.append((chi_name(i, i + 1), gap))
+                    out.append((window_name((i, i + 1, None)), gap))
         return out
 
     def member(self, w: Sequence) -> MembershipReport:
@@ -258,7 +273,7 @@ class Cone:
         times it at n-2.  Then each coordinate k left meets only the rho
         rays at positions k and k+1, solved top-down; in the regular cone
         this gives chi[k,n] on the ray at position k."""
-        y = list(w.entries if isinstance(w, BettiVector) else w.prefix(self.n + 1))
+        y = list(self._entries(w))
         x = [Fraction(0)] * len(self.names)
         if self.tail is not None:
             x[-1] = t = y.pop()

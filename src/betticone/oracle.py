@@ -244,9 +244,6 @@ class TriangulationReport:
     def __bool__(self) -> bool:
         return self.valid
 
-    def kinds(self) -> set[str]:
-        return {p.kind for p in self.problems}
-
 
 def _simplex_membership(inverse, point) -> bool:
     return all(dot(row, point) >= 0 for row in inverse)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import prod
 
 from .errors import ConeInputError, bounded, quoted
-from .sequences import BettiVector, rho_vector
+from .sequences import BettiVector
 
 # limit_gap is O(n^2) in big integers (about 80 ms at n = 400, 2 s at
 # n = 1600), so its ambient length is capped.  Its exact answer grows with
@@ -97,5 +97,5 @@ def limit_gap(j: int, t: int, n: int) -> Fraction:
     if t > LIMIT_MAX_T:
         raise ConeInputError(f"limit needs t <= {LIMIT_MAX_T}, got t={bounded(str(t))}")
     v = normalize_at(herzog_kuhl(degree_family(j, t, n), n), j)
-    target = rho_vector(j, n)
-    return max(abs(a - b) for a, b in zip(v.entries, target.entries))
+    # entry k of the limit ray is 1 at k = j and k = j + 1, else 0
+    return max(abs(x - (j <= k <= j + 1)) for k, x in enumerate(v.entries))

@@ -1,6 +1,5 @@
-"""Finite and tail-periodic rational sequences, the names of the
-constraints that cut out cones of resolution shapes, the two-term shapes,
-and the JSON codec.
+"""Finite and tail-periodic rational sequences, exact rational parsing
+and printing, and the JSON codec.
 
 Two ambient spaces appear throughout: finite vectors of length n+1
 (`BettiVector`, resolutions over a regular ring of dimension n) and
@@ -144,17 +143,6 @@ class TailPeriodicSequence:
         object.__setattr__(self, "tail_even", te)
         object.__setattr__(self, "tail_odd", to)
 
-    @classmethod
-    def constant_tail(cls, head: Iterable[RationalLike], tail: RationalLike
-                      ) -> "TailPeriodicSequence":
-        head = tuple(as_fraction(e) for e in head)
-        t = as_fraction(tail)
-        return cls(len(head), head, t, t)
-
-    @classmethod
-    def zero(cls) -> "TailPeriodicSequence":
-        return cls(0, (), Fraction(0), Fraction(0))
-
     def entry(self, i: int) -> Fraction:
         if i < 0:
             raise ConeInputError(f"sequence index must be nonnegative, got {i}")
@@ -179,11 +167,6 @@ class TailPeriodicSequence:
 
     __rmul__ = scale
 
-    @property
-    def is_zero(self) -> bool:
-        return (self.tail_even == 0 and self.tail_odd == 0
-                and all(e == 0 for e in self.head))
-
 
 Sequence = Union[BettiVector, TailPeriodicSequence]
 
@@ -191,28 +174,6 @@ Sequence = Union[BettiVector, TailPeriodicSequence]
 def embed(v: BettiVector) -> TailPeriodicSequence:
     """View a finite vector inside the tail-periodic space (zero tail)."""
     return TailPeriodicSequence(v.n + 1, v.entries, Fraction(0), Fraction(0))
-
-
-def chi_name(i: int, j: int) -> str:
-    return f"chi[{i},{j}]"
-
-
-def xi_name(i: int, j: int) -> str:
-    return f"xi[{i},{j}]"
-
-
-def rho_vector(i: int, n: int) -> BettiVector:
-    """The two-term-complex shape epsilon_i + epsilon_{i+1} in Q^{n+1};
-    i = -1 degenerates to the free-module shape epsilon_0."""
-    if not -1 <= i <= n - 1:
-        raise ConeInputError(f"rho index {i} out of range for n={n}")
-    entries = [Fraction(0)] * (n + 1)
-    if i == -1:
-        entries[0] = Fraction(1)
-    else:
-        entries[i] = Fraction(1)
-        entries[i + 1] = Fraction(1)
-    return BettiVector(n, tuple(entries))
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from betticone.cli import main
-from betticone.sequences import (BettiVector, TailPeriodicSequence, embed, rho_vector,
-                                 sequence_to_json)
+from betticone.sequences import BettiVector, TailPeriodicSequence, embed, sequence_to_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the tests' references
-from reference_sequences import ray  # noqa: E402
+from reference_sequences import constant_tail, ray, rho_vector  # noqa: E402
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 NS = range(2, 7)
@@ -37,7 +36,7 @@ def _json(seq) -> str:
 
 
 def _combine(coeffs, rays):
-    total = TailPeriodicSequence.zero()
+    total = constant_tail((), 0)
     for c, r in zip(coeffs, rays):
         total = total + r.scale(c)
     return total

@@ -17,6 +17,8 @@ from typing import Sequence
 
 from betticone import hyper_total
 
+from reference_sequences import constant_tail
+
 Vector = tuple[Fraction, ...]
 
 
@@ -115,5 +117,5 @@ def linear_relation(n: int) -> Vector:
     last = kernel[0][n + 1]
     assert last != 0, "relation does not involve tau_inf[n-1]"
     coeffs = tuple(c / last for c in kernel[0])
-    assert cone.combine(coeffs).is_zero, "ray relation failed exact verification"
+    assert cone.combine(coeffs) == constant_tail((), 0), "ray relation failed exact verification"
     return coeffs

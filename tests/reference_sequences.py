@@ -1,11 +1,11 @@
 """Independent references for the sequence layer, kept out of the package.
 
-`ray` builds each named extremal ray one by one, the layout that
-`Cone.rays` is checked against.  `row` writes a facet window's
-coefficients out one by one, and `evaluate` pairs a row with a sequence by
-a plain dot product, so neither shares the alternating prefix sums that
-`Cone.values` runs.  `hk_residual` evaluates the defining equations of a
-pure shape.
+`ray` builds each named extremal ray one by one from `rho_vector` and
+`constant_tail`, the layout that `Cone.rays` is checked against.  `row`
+writes a facet window's coefficients out one by one, and `evaluate` pairs
+a row with a sequence by a plain dot product, so neither shares the
+alternating prefix sums that `Cone.values` runs.  `hk_residual` evaluates
+the defining equations of a pure shape.
 """
 
 from __future__ import annotations
@@ -14,7 +14,28 @@ from fractions import Fraction
 
 from betticone.errors import ConeInputError, quoted
 from betticone.pure import DegreeSequence
-from betticone.sequences import BettiVector, TailPeriodicSequence, embed, rho_vector
+from betticone.sequences import BettiVector, TailPeriodicSequence, embed
+
+
+def rho_vector(i: int, n: int) -> BettiVector:
+    """The two-term-complex shape epsilon_i + epsilon_{i+1} in Q^{n+1};
+    i = -1 degenerates to the free-module shape epsilon_0."""
+    if not -1 <= i <= n - 1:
+        raise ConeInputError(f"rho index {i} out of range for n={n}")
+    entries = [Fraction(0)] * (n + 1)
+    if i == -1:
+        entries[0] = Fraction(1)
+    else:
+        entries[i] = Fraction(1)
+        entries[i + 1] = Fraction(1)
+    return BettiVector(n, tuple(entries))
+
+
+def constant_tail(head, tail) -> TailPeriodicSequence:
+    """The head followed by one value at every index past it;
+    constant_tail((), 0) is the zero sequence."""
+    head = tuple(head)
+    return TailPeriodicSequence(len(head), head, tail, tail)
 
 
 def ray(kind: str, i: int, n: int, d: int | None = None) -> TailPeriodicSequence:
@@ -34,7 +55,7 @@ def ray(kind: str, i: int, n: int, d: int | None = None) -> TailPeriodicSequence
             raise ConeInputError(f"tau index {i} out of range for n={n}")
         if kind == "tau_inf":
             head = (Fraction(0),) * i
-            return TailPeriodicSequence.constant_tail(head, 1)
+            return constant_tail(head, 1)
         if d is None or d < 2:
             raise ConeInputError(f"tau_d rays need multiplicity d >= 2, got {d}")
         at_corner = Fraction(d - 1, d) if i == n - 2 else Fraction(1, d)

@@ -16,12 +16,12 @@ from fractions import Fraction
 import pytest
 
 from betticone import hyper_fixed, hyper_total, linalg, regular
-from betticone.cones import Triangulation
+from betticone.cones import Triangulation, window_name
 from betticone.hyper_fixed import FixedConeParams
-from betticone.sequences import BettiVector, TailPeriodicSequence, chi_name, xi_name
+from betticone.sequences import BettiVector, TailPeriodicSequence
 
 from reference_linalg import linear_relation, solve_columns
-from reference_sequences import evaluate
+from reference_sequences import constant_tail, evaluate
 
 CONES = {"total": hyper_total.cone,
          **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
@@ -52,13 +52,13 @@ def reference_violations(cone, w):
     not cut from another."""
     out = reference_violations(cone.within, w) if cone.within is not None else []
     for i, j, d in cone.windows:
-        name = chi_name(i, j) if d is None else xi_name(i, j)
+        name = window_name((i, j, d))
         value = evaluate((i, j, d), w)
         if value < 0:
             out.append((name, value))
     if cone.tail is not None and cone.within is None:
         last = max(cone.n, w.stab) + 2
-        out += [(chi_name(i, i + 1), w.entry(i) - w.entry(i + 1))
+        out += [(window_name((i, i + 1, None)), w.entry(i) - w.entry(i + 1))
                 for i in range(cone.n, last) if w.entry(i) != w.entry(i + 1)]
     return out
 
@@ -138,7 +138,7 @@ def test_closed_form_relation(n):
     assert hyper_total.cone(n).relation == linear_relation(n)
     for d in range(3, 7):
         cone = hyper_fixed.cone(FixedConeParams(n, d))
-        assert cone.combine(cone.relation).is_zero
+        assert cone.combine(cone.relation) == constant_tail((), 0)
         assert {abs(c) for c in cone.relation[:n - 1]} == {Fraction(d - 2, d)}
 
 

@@ -17,10 +17,10 @@ import betticone
 from betticone import cli, hyper_fixed, hyper_total, pure, regular, verification
 from betticone.cli import MAX_N, MAX_PLOT_LEN, main
 from betticone.hyper_total import phi
-from betticone.sequences import (BettiVector, embed, rational_str, rho_vector,
-                                 sequence_from_json, sequence_to_json)
+from betticone.sequences import (BettiVector, embed, rational_str, sequence_from_json,
+                                 sequence_to_json)
 
-from reference_sequences import ray
+from reference_sequences import ray, rho_vector
 
 
 def run(capsys, *argv):

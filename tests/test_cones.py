@@ -1,6 +1,5 @@
 import random
 import re
-import sys
 from fractions import Fraction
 
 import pytest
@@ -10,10 +9,9 @@ from betticone.cones import Cone
 from betticone.errors import (ConeInputError, InternalInconsistencyError, NotInConeError,
                               bounded)
 from betticone.hyper_fixed import FixedConeParams
-from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction,
-                                 rational_str, rho_vector)
+from betticone.sequences import BettiVector, TailPeriodicSequence, as_fraction, embed, rational_str
 
-from reference_sequences import evaluate, ray, row
+from reference_sequences import constant_tail, evaluate, ray, rho_vector, row
 
 
 def reference_rays(family, n):
@@ -187,17 +185,57 @@ def test_a_negated_member_leaves_the_cone_unless_zero(family):
             cone.decompose(w.scale(Fraction(-1, 3)))
 
 
+@pytest.mark.parametrize("family", ["regular", "total", 2, 5])
+def test_a_point_of_another_space_is_refused_naming_the_cone(family):
+    rng = random.Random(f"space-{family}")
+    for n in range(2, 8):
+        cone = build(family, n)
+        w = cone.combine([Fraction(rng.randint(0, 9)) for _ in cone.names])
+        if family == "regular":  # the tail space, a longer and a shorter n
+            others = [embed(w), BettiVector.of(w.entries + (1,)), BettiVector.of(w.entries[:-1])]
+        else:
+            others = [BettiVector.of(w.prefix(n + 1))]
+        for other in others:
+            for call in (cone.member, cone.decompose):
+                with pytest.raises(ConeInputError) as caught:
+                    call(other)
+                assert not isinstance(caught.value, NotInConeError)
+                assert str(caught.value).startswith(f"{cone.title} for n={n} needs "), (family, n)
+        # a point of the cone's own space is read as before
+        assert cone.member(w) and cone.combine(cone.decompose(w).coefficients) == w
+
+
+def test_the_reported_wrong_space_calls_are_refused():
+    finite, tail = "a finite sequence", "a tail-periodic sequence"
+    calls = [
+        (lambda: regular.cone(1).member(BettiVector.of([1, 1, -5, 7])),
+         f"the regular cone for n=1 needs {finite} with n=1, got {finite} with n=3"),
+        (lambda: regular.cone(3).member(embed(BettiVector.of([1, 1, 1, 1]))),
+         f"the regular cone for n=3 needs {finite} with n=3, got {tail}"),
+        (lambda: regular.cone(3).member(BettiVector.of([1, 1])),
+         f"the regular cone for n=3 needs {finite} with n=3, got {finite} with n=1"),
+        (lambda: hyper_total.cone(3).member(BettiVector.of([1, 1, 1, 1])),
+         f"the total hypersurface cone for n=3 needs {tail}, got {finite} with n=3"),
+        (lambda: hyper_total.decompose(BettiVector.of([1, 1, 1, 1]), 3),
+         f"the total hypersurface cone for n=3 needs {tail}, got {finite} with n=3"),
+        (lambda: hyper_fixed.member(BettiVector.of([1, 1, 1, 1]), FixedConeParams(3, 5)),
+         f"the multiplicity-5 cone for n=3 needs {tail}, got {finite} with n=3"),
+        (lambda: regular.cone(2).member((1, 2, 1)),
+         f"the regular cone for n=2 needs {finite} with n=2, got (1, 2, 1)"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ConeInputError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 def test_certificates_build_no_ray(monkeypatch):
     def refuse(*args):
         raise AssertionError("a ray object was built on the certificate path")
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").split(".")[0] == "betticone":
-            if hasattr(module, "rho_vector"):
-                monkeypatch.setattr(module, "rho_vector", refuse)
     monkeypatch.setattr(Cone, "rays", property(refuse))
     monkeypatch.setattr(Cone, "projected", refuse)
-    # rho_vector, Cone.rays and Cone.projected are the package's only ray builders
-    assert sequences.rho_vector is refuse and not hasattr(sequences, "ray")
+    # Cone.rays and Cone.projected are the package's only ray builders
+    assert not hasattr(sequences, "rho_vector") and not hasattr(sequences, "ray")
     n = 48
     w = hyper_total.cone(n).combine(list(range(1, n + 3)))
     for which in (1, 2):
@@ -291,9 +329,9 @@ def test_an_xi_slip_in_the_evaluator_fails_verify(monkeypatch, n, d):
 
 def test_combine_edge_cases():
     cases = [(regular.cone(3), BettiVector(3, (0,) * 4), 4),
-             (hyper_total.cone(3), TailPeriodicSequence.zero(), 5),
-             (hyper_fixed.cone(FixedConeParams(3, 4)), TailPeriodicSequence.zero(), 5),
-             (hyper_fixed.cone(FixedConeParams(3, 2)), TailPeriodicSequence.zero(), 4)]
+             (hyper_total.cone(3), constant_tail((), 0), 5),
+             (hyper_fixed.cone(FixedConeParams(3, 4)), constant_tail((), 0), 5),
+             (hyper_fixed.cone(FixedConeParams(3, 2)), constant_tail((), 0), 4)]
     for cone, zero, count in cases:
         assert len(cone.rays) == len(cone.names) == count
         combined = cone.combine((Fraction(0),) * count)

@@ -7,13 +7,13 @@ from betticone import hyper_fixed, hyper_total, oracle, verification
 from betticone.errors import ConeInputError, NotInConeError
 from betticone.hyper_fixed import FixedConeParams, decompose, member, rays
 from betticone.oracle import ConeDescription
-from betticone.sequences import TailPeriodicSequence, embed, rho_vector
+from betticone.sequences import TailPeriodicSequence, embed
 
-from reference_sequences import evaluate, ray
+from reference_sequences import constant_tail, evaluate, ray, rho_vector
 
 
 def tail_const(head, value):
-    return TailPeriodicSequence.constant_tail(head, value)
+    return constant_tail(head, value)
 
 
 class TestParams:
@@ -55,7 +55,7 @@ class TestMember:
             assert member(w0, FixedConeParams(2, d)).ok
 
     def test_zero_is_member(self):
-        assert member(TailPeriodicSequence.zero(), FixedConeParams(3, 2)).ok
+        assert member(constant_tail((), 0), FixedConeParams(3, 2)).ok
 
     def test_total_tail_rays_excluded_at_small_multiplicity(self):
         p = FixedConeParams(3, 2)
@@ -84,7 +84,7 @@ class TestDecompose:
         p = FixedConeParams(2, 3)
         w = embed(rho_vector(-1, 2)) + ray("tau_d", 0, 2, 3)
         dec = decompose(w, p)
-        total = TailPeriodicSequence.zero()
+        total = constant_tail((), 0)
         for c, r in zip(dec.coefficients, rays(p)):
             total = total + r.scale(c)
         assert total == w
@@ -96,11 +96,11 @@ class TestDecompose:
             d = rng.randint(2, 6)
             p = FixedConeParams(n, d)
             listed = rays(p)
-            w = TailPeriodicSequence.zero()
+            w = constant_tail((), 0)
             for r in listed:
                 w = w + r.scale(Fraction(rng.randint(0, 9)))
             dec = decompose(w, p)
-            total = TailPeriodicSequence.zero()
+            total = constant_tail((), 0)
             for c, r in zip(dec.coefficients, listed):
                 total = total + r.scale(c)
             assert total == w

@@ -185,20 +185,20 @@ class TestValidateTriangulation:
     def test_dropped_simplex_is_coverage_failure(self):
         report = validate_triangulation(self.cone, [(0, 1, 2)])
         assert not report.valid
-        assert "coverage" in report.kinds()
+        assert "coverage" in {p.kind for p in report.problems}
 
     def test_added_simplex_is_overlap_failure(self):
         report = validate_triangulation(
             self.cone, [(0, 1, 2), (0, 2, 3), (0, 1, 3)])
         assert not report.valid
-        assert "overlap" in report.kinds()
+        assert "overlap" in {p.kind for p in report.problems}
 
     def test_degenerate_simplex_reported(self):
         collinear = ConeDescription(3, rays=self.rays + (
             (Fraction(2), Fraction(0), Fraction(2)),))
         report = validate_triangulation(collinear, [(0, 2, 4)])
         assert not report.valid
-        assert "simplex" in report.kinds()
+        assert "simplex" in {p.kind for p in report.problems}
 
     def test_malformed_indices_raise(self):
         with pytest.raises(ConeInputError):

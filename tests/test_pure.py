@@ -9,7 +9,7 @@ from betticone.pure import (DegreeSequence, degree_family, herzog_kuhl, limit_ga
 from betticone.sequences import BettiVector
 
 from reference_linalg import nullspace
-from reference_sequences import evaluate, hk_residual
+from reference_sequences import evaluate, hk_residual, rho_vector
 
 
 def hk_by_linear_system(degrees: tuple[int, ...]) -> BettiVector:
@@ -140,6 +140,15 @@ class TestLimitGap:
     def test_exact_value(self):
         # normalized vector is (1, 11/10, 1/10); entrywise gaps to (1,1,0)
         assert limit_gap(0, 10, 2) == Fraction(1, 10)
+
+    def test_matches_the_distance_to_the_reference_ray(self):
+        rng = random.Random("limit-gap")
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            j, t = rng.randint(0, n - 1), rng.randint(2, 10**6)
+            v = normalize_at(herzog_kuhl(degree_family(j, t, n), n), j)
+            target = rho_vector(j, n)
+            assert limit_gap(j, t, n) == max(abs(a - b) for a, b in zip(v.entries, target.entries))
 
     def test_nonnegative(self):
         rng = random.Random(3)

@@ -7,9 +7,9 @@ from betticone import oracle, regular, verification
 from betticone.cones import Cone
 from betticone.errors import NotInConeError
 from betticone.oracle import ConeDescription
-from betticone.sequences import BettiVector, rho_vector
+from betticone.sequences import BettiVector
 
-from reference_sequences import evaluate, row
+from reference_sequences import evaluate, rho_vector, row
 
 DELTA = Fraction(1, 10)
 

@@ -9,10 +9,9 @@ from betticone import hyper_fixed, hyper_total
 from betticone.errors import ConeInputError, MalformedInputError
 from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, embed,
-                                 rational_str, rho_vector, sequence_from_json,
-                                 sequence_to_json)
+                                 rational_str, sequence_from_json, sequence_to_json)
 
-from reference_sequences import evaluate, ray, row
+from reference_sequences import constant_tail, evaluate, ray, rho_vector, row
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -74,7 +73,7 @@ class TestTailPeriodicSequence:
         assert (Fraction(1, 2) * a).entry(3) == Fraction(3, 2)
 
     def test_structural_equality_is_value_equality(self):
-        assert tail_seq([], 1, 1) == TailPeriodicSequence.constant_tail([], 1)
+        assert tail_seq([], 1, 1) == constant_tail([], 1)
         assert tail_seq([1], 1, 1) == tail_seq([], 1, 1)
 
 
@@ -261,5 +260,5 @@ def test_public_surface():
     assert betticone.__all__ == [
         "BettiVector", "TailPeriodicSequence", "ConeInputError", "InternalInconsistencyError",
         "MalformedInputError", "NotInConeError", "as_fraction", "embed", "rational_str",
-        "rho_vector", "sequence_from_json", "sequence_to_json", "__version__"]
+        "sequence_from_json", "sequence_to_json", "__version__"]
     assert all(hasattr(betticone, name) for name in betticone.__all__)
