@@ -160,11 +160,10 @@ def limit(j: int, t: int, n: int):
 def phi(input_path, inline, n):
     """Even/odd prefix-sum transform of a finite sequence."""
     v = _load_sequence(input_path, inline)
-    if isinstance(v, TailPeriodicSequence):
-        raise ConeInputError("the transform applies to finite sequences")
+    image = hyper_total.phi(v)  # refuses a tail-periodic input first
     if n is not None and v.n != n:
         raise ConeInputError(f"sequence has n={v.n}, but --n {n} was given")
-    _echo_json(sequence_to_json(hyper_total.phi(v)))
+    _echo_json(sequence_to_json(image))
 
 
 def _fixed(seq, n, mult):

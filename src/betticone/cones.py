@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Optional
 
 from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
-from .sequences import BettiVector, Sequence, TailPeriodicSequence, as_fraction
+from .sequences import BettiVector, Sequence, TailPeriodicSequence, as_fraction, described
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
 
@@ -130,38 +130,26 @@ class Cone:
         return (tuple(f"rho[{i}]" for i in range(-1, self._rho - 1))
                 + tuple(f"{self.tail}[{self.n - 2 + k}]" for k in range(len(self.corners))))
 
-    @cached_property
-    def rays(self) -> tuple[Sequence, ...]:
-        """The rays as sequences, written out from the layout.  Built on
-        first use: only `verification` and tests read them."""
-        zero, one = Fraction(0), Fraction(1)
-        rho = [tuple(one if p - 1 <= k <= p else zero for k in range(self._rho))
-               for p in range(self._rho)]  # rho[p-1], at position p
-        if self.tail is None:
-            return tuple(BettiVector(self.n, e) for e in rho)
-        return (tuple(TailPeriodicSequence(self.n, e, zero, zero) for e in rho)
-                + tuple(TailPeriodicSequence(self.n, (zero,) * (self.n - 2) + (c, one), one, one)
-                        for c in self.corners))
-
     def projected(self) -> list[tuple[Fraction, ...]]:
-        """The rays as coordinate vectors on indices 0..n."""
-        return [self._entries(r) for r in self.rays]
+        """The rays as coordinate rows on indices 0..n, written out from
+        the layout: the rho ray at position p is e_{p-1} + e_p (e_0 at
+        p = 0), and a tail ray holds its corner at n-2 and 1 from n-1 on."""
+        zero, one = Fraction(0), Fraction(1)
+        return ([tuple(one if p - 1 <= k <= p else zero for k in range(self.n + 1))
+                 for p in range(self._rho)]
+                + [(zero,) * (self.n - 2) + (c, one, one) for c in self.corners])
 
     def _entries(self, w: Sequence) -> tuple[Fraction, ...]:
         """Coordinates 0..n of a point of this cone's space, the one read
         of an input point: a finite cone takes a `BettiVector` of its own
         n, a tail cone a `TailPeriodicSequence`.  Any other point is a
         `ConeInputError` naming this cone."""
-        finite = isinstance(w, BettiVector)
-        if self.tail is None and finite and w.n == self.n:
+        if self.tail is None and isinstance(w, BettiVector) and w.n == self.n:
             return w.entries
         if self.tail is not None and isinstance(w, TailPeriodicSequence):
             return w.prefix(self.n + 1)
         space = "a tail-periodic sequence" if self.tail else f"a finite sequence with n={self.n}"
-        got = (f"a finite sequence with n={w.n}" if finite
-               else "a tail-periodic sequence" if isinstance(w, TailPeriodicSequence)
-               else quoted(w))
-        raise ConeInputError(f"{self.title} for n={self.n} needs {space}, got {got}")
+        raise ConeInputError(f"{self.title} for n={self.n} needs {space}, got {described(w)}")
 
     def combine(self, coeffs) -> Sequence:
         """The exact sum of ``coeffs[k]`` times the k-th ray, in the rays'

@@ -51,8 +51,9 @@ def cone(p: FixedConeParams) -> Cone:
                 tail="tau_d", corners=corners, within=hyper_total.cone(n))
 
 
-def rays(p: FixedConeParams) -> list[TailPeriodicSequence]:
-    return list(cone(p).rays)
+def rays(p: FixedConeParams) -> list[tuple[Fraction, ...]]:
+    """The extremal rays as coordinate rows on indices 0..n."""
+    return cone(p).projected()
 
 
 def member(w: TailPeriodicSequence, p: FixedConeParams) -> MembershipReport:

@@ -28,7 +28,10 @@ def phi(v: BettiVector) -> TailPeriodicSequence:
     The image stabilizes by index n+1: the even tail is the sum of the
     even-index entries, the odd tail the sum of the odd-index ones.  The
     two tails agree exactly when the alternating sum chi[0,n](v) is 0.
+    A point that is not finite is a `ConeInputError`.
     """
+    if not isinstance(v, BettiVector):
+        raise ConeInputError("the transform applies to finite sequences")
     head = []
     acc = [Fraction(0), Fraction(0)]  # running even and odd sums
     for i in range(v.n + 1):
@@ -59,7 +62,7 @@ def cone(n: int) -> Cone:
                 tail="tau_inf", corners=(Fraction(1), Fraction(0)))
 
 
-ray_basis = cone  # the cone's ``rays`` and ``names`` are the ray basis
+ray_basis = cone  # the cone's ``names`` and ``projected()`` rows are the ray basis
 
 
 def facets_check(w: TailPeriodicSequence, n: int) -> MembershipReport:

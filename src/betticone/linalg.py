@@ -3,10 +3,11 @@
 `dot` is the inner product and `primitive` scales a rational vector to
 its primitive integer form.  Their callers are `oracle` (on its
 primitive integer rays and facets) and `verification` (`primitive`, to
-compare facet lists), at desk scale (dims around a dozen).  The package
-has one exact elimination kernel, the oracle's fraction-free one
-(`oracle.rank`); membership and certificates never call this module:
-they use prefix sums and a banded solve (see `cones`).
+compare facet lists), at desk scale (dims around a dozen).  The
+package's exact eliminations are the oracle's two fraction-free ones
+(`oracle.rank` and the simplex inverses of `validate_triangulation`);
+membership and certificates never call this module: they use prefix
+sums and a banded solve (see `cones`).
 
 Arithmetic is exact.  `dot` keeps the type of its inputs: integer
 vectors give an `int`, rational ones a `Fraction`.

@@ -4,9 +4,14 @@ Everything else in the package describes specific cones through closed
 formulas; this module re-derives ray/facet presentations from scratch so
 those formulas can be cross-checked.  The only dependencies are `dot` and
 `primitive` from the tiny `linalg` module, so a bug elsewhere cannot leak
-in here.  Its fraction-free elimination is the package's only one: `rank`
-exposes it, and `verification` proves the total cone's ray relation with
-it.
+in here.  It holds the package's two exact eliminations, both
+fraction-free: `_independent` serves `rank` (which `verification` proves
+the ray relation with), the double description's starting basis and its
+full-dimension check; `_primitive_inverse_rows` gives the starting rays
+and the simplex normals in `validate_triangulation`.  They stay apart:
+the first reduces forward only and stops at the dimension, the second
+needs the full reduction of [M | I]; one pass for both needs a flag and
+was no faster on the `verify` sweep.
 
 The core primitive is extreme-ray enumeration for a pointed cone given by
 halfspaces, via the classical double description method with the

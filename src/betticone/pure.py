@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import prod
 
 from .errors import ConeInputError, bounded, quoted
-from .sequences import BettiVector
+from .sequences import BettiVector, described
 
 # limit_gap is O(n^2) in big integers (about 80 ms at n = 400, 2 s at
 # n = 1600), so its ambient length is capped.  Its exact answer grows with
@@ -80,12 +80,14 @@ def degree_family(j: int, t: int, n: int) -> DegreeSequence:
 
 
 def normalize_at(v: BettiVector, j: int) -> BettiVector:
-    """Scale v so entry j becomes 1."""
+    """Scale the finite v so entry j becomes 1."""
+    if not isinstance(v, BettiVector):
+        raise ConeInputError(f"normalizing needs a finite sequence, got {described(v)}")
     if not 0 <= j <= v.n:
         raise ConeInputError(f"pivot index {j} out of range")
     if v[j] == 0:
         raise ConeInputError(f"cannot normalize at a zero entry (index {j})")
-    return v.scale(Fraction(1) / v[j])
+    return BettiVector(v.n, tuple(e / v[j] for e in v.entries))
 
 
 def limit_gap(j: int, t: int, n: int) -> Fraction:

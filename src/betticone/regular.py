@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .cones import Cone, Window
-from .sequences import BettiVector
+from .errors import ConeInputError
+from .sequences import BettiVector, described
 
 
 def cone(n: int) -> Cone:
@@ -30,18 +31,27 @@ def facets(n: int) -> list[Window]:
     return list(cone(n).windows)
 
 
-def rays(n: int) -> list[BettiVector]:
-    """The n+1 extremal rays: the free shape, then the two-term shapes."""
-    return list(cone(n).rays)
+def rays(n: int) -> list[tuple[Fraction, ...]]:
+    """The n+1 extremal rays as coordinate rows: the free shape, then the
+    two-term shapes."""
+    return cone(n).projected()
 
 
 def ray_names(n: int) -> list[str]:
     return list(cone(n).names)
 
 
+def _cone_of(v: BettiVector) -> Cone:
+    """The regular cone of a finite point's own n; any other point is a
+    `ConeInputError`."""
+    if not isinstance(v, BettiVector):
+        raise ConeInputError(f"the regular cone needs a finite sequence, got {described(v)}")
+    return cone(v.n)
+
+
 def facet_violations(v: BettiVector) -> list[tuple[str, Fraction]]:
     """The facet windows chi[j,n] that are negative on v, with values."""
-    return cone(v.n).violations(v)
+    return _cone_of(v).violations(v)
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,8 @@ def decompose(v: BettiVector) -> RegularDecomposition:
     Raises NotInConeError naming the violated facet when some chi[j,n] is
     negative.
     """
-    return RegularDecomposition(v.n, cone(v.n).decompose(v).coefficients)
+    shapes = _cone_of(v)
+    return RegularDecomposition(shapes.n, shapes.decompose(v).coefficients)
 
 
 @dataclass(frozen=True)
@@ -96,15 +107,16 @@ class ShapeClass:
 
 
 def classify(v: BettiVector) -> ShapeClass:
-    n = v.n
-    coeffs = tuple(cone(n).values(v.entries))
+    shapes = _cone_of(v)
+    n = shapes.n
+    coeffs = tuple(shapes.values(shapes._entries(v)))
     dec = RegularDecomposition(n, coeffs)
     is_member = all(c >= 0 for c in coeffs)
     cm = coeffs[0] == 0
 
     if not is_member:
         return ShapeClass(False, False, None, cm, dec)
-    if v.is_zero:
+    if not any(coeffs):  # the rays are a basis: v is 0 when its coefficients are
         return ShapeClass(True, True, None, cm, dec)
 
     positive = [i for i in range(0, n) if dec.coefficient(i) > 0]

@@ -90,21 +90,6 @@ class BettiVector:
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
 
-    def __add__(self, other: "BettiVector") -> "BettiVector":
-        if self.n != other.n:
-            raise ConeInputError("cannot add vectors of different ambient length")
-        return BettiVector(self.n, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: RationalLike) -> "BettiVector":
-        c = as_fraction(c)
-        return BettiVector(self.n, tuple(c * e for e in self.entries))
-
-    __rmul__ = scale
-
-    @property
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
 
 @dataclass(frozen=True)
 class TailPeriodicSequence:
@@ -160,15 +145,16 @@ class TailPeriodicSequence:
                                     self.tail_even + other.tail_even,
                                     self.tail_odd + other.tail_odd)
 
-    def scale(self, c: RationalLike) -> "TailPeriodicSequence":
-        c = as_fraction(c)
-        return TailPeriodicSequence(self.stab, tuple(c * e for e in self.head),
-                                    c * self.tail_even, c * self.tail_odd)
-
-    __rmul__ = scale
-
 
 Sequence = Union[BettiVector, TailPeriodicSequence]
+
+
+def described(value) -> str:
+    """How an error names a point it refuses: its space, with n when it is
+    finite, or its quoted value when it is no sequence."""
+    if isinstance(value, BettiVector):
+        return f"a finite sequence with n={value.n}"
+    return "a tail-periodic sequence" if isinstance(value, TailPeriodicSequence) else quoted(value)
 
 
 def embed(v: BettiVector) -> TailPeriodicSequence:

@@ -2,8 +2,10 @@
 fixed list of cases covering every command and cone at n = 2..6.
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
-built from fixed combinations of the rays in ``tests/reference_sequences.py``,
-so two recordings of the same code are byte-identical. Run from the repository root:
+fixed combinations of each cone's rays through ``Cone.combine``, the named
+rays in ``tests/reference_sequences.py`` and sequences written out entry
+by entry, so two recordings of the same code are byte-identical. Run from
+the repository root:
 
     PYTHONPATH=src python tests/golden/record.py
 
@@ -20,11 +22,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from betticone import hyper_fixed, hyper_total, regular
 from betticone.cli import main
-from betticone.sequences import BettiVector, TailPeriodicSequence, embed, sequence_to_json
+from betticone.sequences import TailPeriodicSequence, embed, sequence_to_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the tests' references
-from reference_sequences import constant_tail, ray, rho_vector  # noqa: E402
+from reference_sequences import ray, rho_vector  # noqa: E402
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 NS = range(2, 7)
@@ -35,43 +38,34 @@ def _json(seq) -> str:
     return json.dumps(sequence_to_json(seq))
 
 
-def _combine(coeffs, rays):
-    total = constant_tail((), 0)
-    for c, r in zip(coeffs, rays):
-        total = total + r.scale(c)
-    return total
-
-
 def _coeffs(n: int, count: int, salt: int) -> list[Fraction]:
     # small, tie-heavy integer and rational coefficients, fixed per (n, salt)
     return [Fraction((3 * k + n + salt) % 4, 1 + (k + salt) % 2) for k in range(count)]
 
 
-def _total_rays(n):
-    return ([ray("rho", i, n) for i in range(-1, n - 1)]
-            + [ray("tau_inf", n - 2, n), ray("tau_inf", n - 1, n)])
+def _total(n, salt):
+    return hyper_total.cone(n).combine(_coeffs(n, n + 2, salt))
 
 
-def _fixed_rays(n, d):
-    return ([ray("rho", i, n) for i in range(-1, n - 1)]
-            + [ray("tau_d", n - 2, n, d), ray("tau_d", n - 1, n, d)])
+def _fixed(n, d):
+    coeffs = _coeffs(n, n + 2, d)
+    if d == 2:  # the one tail ray, into which the two tail rays of d > 2 merge
+        coeffs = coeffs[:n] + [coeffs[n] + coeffs[n + 1]]
+    return hyper_fixed.cone(hyper_fixed.FixedConeParams(n, d)).combine(coeffs)
 
 
 def _finite(n, salt):
-    v = BettiVector(n, (Fraction(0),) * (n + 1))
-    for i, c in zip(range(-1, n), _coeffs(n, n + 1, salt)):
-        v = v + rho_vector(i, n).scale(c)
-    return v
+    return regular.cone(n).combine(_coeffs(n, n + 1, salt))
 
 
 def _finite_nonmember(n):
-    # a two-term ray with its first entry pushed below zero
-    return rho_vector(0, n) + rho_vector(-1, n).scale(-1)
+    # a two-term ray with its first entry pushed below zero: rho[0] - rho[-1]
+    return regular.cone(n).combine([-1, 1] + [0] * (n - 1))
 
 
 def _tail_nonmember(n):
     # a member with 3 added at index n-1, which breaks windows ending at n
-    w = _combine(_coeffs(n, n + 2, 1), _total_rays(n))
+    w = _total(n, 1)
     return w + TailPeriodicSequence(n, (Fraction(0),) * (n - 1) + (Fraction(3),),
                                     Fraction(0), Fraction(0))
 
@@ -92,14 +86,14 @@ def cases() -> list[list[str]]:
         out.append(["phi", "--inline", _json(_finite(n, 1)), "--n", str(n)])
     out.append(["phi", "--inline", _json(ray("tau_inf", 1, 3))])
     for n in NS:
-        member_f, member_t = _finite(n, 0), _combine(_coeffs(n, n + 2, 0), _total_rays(n))
+        member_f, member_t = _finite(n, 0), _total(n, 0)
         for inline in (_json(member_f), _json(_finite_nonmember(n))):
             out.append(["member", "--cone", "regular", "--n", str(n), "--inline", inline])
             out.append(["decompose", "--cone", "regular", "--n", str(n), "--inline", inline])
             out.append(["classify", "--n", str(n), "--inline", inline])
         out.append(["classify", "--n", str(n), "--inline", _json(rho_vector(n - 2, n))])
-        out.append(["classify", "--n", str(n), "--inline",
-                    _json(rho_vector(0, n) + rho_vector(n - 1, n))])
+        out.append(["classify", "--n", str(n), "--inline",  # rho[0] + rho[n-1]
+                    _json(regular.cone(n).combine([0, 1] + [0] * (n - 2) + [1]))])
         for inline in (_json(member_t), _json(embed(member_f)), _json(_tail_nonmember(n))):
             out.append(["member", "--cone", "total", "--n", str(n), "--inline", inline])
             for tri in ("1", "2"):
@@ -107,7 +101,7 @@ def cases() -> list[list[str]]:
                             "--triangulation", tri, "--inline", inline])
             out.append(["split", "--n", str(n), "--inline", inline])
         for d in MULTS:
-            member_x = _combine(_coeffs(n, n + 2, d), _fixed_rays(n, d))
+            member_x = _fixed(n, d)
             for inline in (_json(member_x), _json(member_t)):
                 out.append(["member", "--cone", "fixed", "--n", str(n), "--mult", str(d),
                             "--inline", inline])

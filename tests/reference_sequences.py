@@ -1,7 +1,9 @@
 """Independent references for the sequence layer, kept out of the package.
 
 `ray` builds each named extremal ray one by one from `rho_vector` and
-`constant_tail`, the layout that `Cone.rays` is checked against.  `row`
+`constant_tail`, the reference that the layout's two writers,
+`Cone.projected` and `Cone.combine`, are checked against; `unit_rays`
+reads a cone's rays through `Cone.combine` for the tests.  `row`
 writes a facet window's coefficients out one by one, and `evaluate` pairs
 a row with a sequence by a plain dot product, so neither shares the
 alternating prefix sums that `Cone.values` runs.  `hk_residual` evaluates
@@ -62,6 +64,13 @@ def ray(kind: str, i: int, n: int, d: int | None = None) -> TailPeriodicSequence
         head = (Fraction(0),) * (n - 2) + (at_corner,)
         return TailPeriodicSequence(n - 1, head, Fraction(1), Fraction(1))
     raise ConeInputError(f"unknown ray kind: {quoted(kind)}")
+
+
+def unit_rays(cone) -> list:
+    """The cone's rays as sequences: `Cone.combine` of each unit
+    coefficient vector."""
+    size = len(cone.names)
+    return [cone.combine([int(k == p) for k in range(size)]) for p in range(size)]
 
 
 def row(window, n: int) -> tuple[Fraction, ...]:

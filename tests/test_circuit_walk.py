@@ -40,7 +40,7 @@ def reference_decompose(cone, w, which):
             break
     else:
         raise AssertionError("no nonnegative simplex")
-    coeffs = [Fraction(0)] * len(cone.rays)
+    coeffs = [Fraction(0)] * len(cone.names)
     for k, c in zip(simplex, sol):
         coeffs[k] = c
     return tri.label, simplex, tuple(coeffs)
@@ -85,9 +85,11 @@ def test_certificates_match_the_simplex_search(name):
     cases += [(n, KINDS[(index + n // 8) % 3]) for n in (16, 24, 32, 48)]
     for n, kind in cases:
         cone = CONES[name](n)
-        w = cone.combine(coefficients(rng, kind, len(cone.rays)))
-        if kind == "rational":
-            w = w.scale(Fraction(rng.randint(1, 30), rng.randint(1, 30)))
+        coeffs = coefficients(rng, kind, len(cone.names))
+        if kind == "rational":  # a rational multiple of the combination
+            lam = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+            coeffs = [lam * c for c in coeffs]
+        w = cone.combine(coeffs)
         for which in ("omit_odd", "omit_even"):
             dec = cone.decompose(w, which)
             assert (dec.label, dec.simplex_used, dec.coefficients) == \
@@ -102,7 +104,7 @@ def test_certificates_solve_no_dense_system(monkeypatch):
     for name, build in CONES.items():
         for n in (2, 3, 8):
             cone = build(n)
-            w = cone.combine([1] * len(cone.rays))
+            w = cone.combine([1] * len(cone.names))
             for which in (1, 2):
                 assert cone.decompose(w, which).coefficients
 
@@ -147,7 +149,7 @@ def _probes(rng, cone):
     not flat past n (stab > n)."""
     n = cone.n
     for kind in KINDS:
-        w = cone.combine(coefficients(rng, kind, len(cone.rays)))
+        w = cone.combine(coefficients(rng, kind, len(cone.names)))
         yield w
         k, delta = rng.randint(0, n), Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
         if isinstance(w, BettiVector):

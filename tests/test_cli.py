@@ -177,8 +177,8 @@ class TestDecompose:
             "rho[-1]": "0", "rho[0]": "1", "rho[1]": "2", "rho[2]": "1"}
 
     def test_total_certificate(self, capsys):
-        w = json.dumps(sequence_to_json(ray("tau_inf", 1, 3)
-                                        + embed(rho_vector(0, 3)).scale(2)))
+        w = json.dumps(sequence_to_json(ray("tau_inf", 1, 3) + embed(rho_vector(0, 3))
+                                        + embed(rho_vector(0, 3))))
         code, out, _ = run(capsys, "decompose", "--cone", "total", "--n", "3",
                            "--inline", w, "--triangulation", "2")
         assert code == 0
@@ -194,7 +194,8 @@ class TestDecompose:
         assert "chi[0,2]" in err
 
     def test_fixed_certificate(self, capsys):
-        w = json.dumps(sequence_to_json(ray("tau_d", 1, 2, 3).scale(3)))
+        three_tau = hyper_fixed.cone(hyper_fixed.FixedConeParams(2, 3)).combine((0, 0, 0, 3))
+        w = json.dumps(sequence_to_json(three_tau))
         code, out, _ = run(capsys, "decompose", "--cone", "fixed", "--n", "2",
                            "--mult", "3", "--inline", w)
         assert code == 0
@@ -515,7 +516,7 @@ class TestDeterminism:
         args = ("decompose", "--cone", "total", "--n", "4", "--inline",
                 json.dumps(sequence_to_json(
                     ray("tau_inf", 2, 4) + ray("tau_inf", 3, 4)
-                    + embed(rho_vector(-1, 4)).scale(Fraction(5, 3)))))
+                    + embed(BettiVector.of([Fraction(5, 3), 0, 0, 0, 0])))))
         first = run(capsys, *args)
         second = run(capsys, *args)
         assert first == second

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import cli, cones, hyper_fixed, hyper_total, regular, sequences, verification
+from betticone import cli, cones, hyper_fixed, hyper_total, pure, regular, sequences, verification
 from betticone.cones import Cone
 from betticone.errors import (ConeInputError, InternalInconsistencyError, NotInConeError,
                               bounded)
 from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import BettiVector, TailPeriodicSequence, as_fraction, embed, rational_str
 
-from reference_sequences import constant_tail, evaluate, ray, rho_vector, row
+from reference_sequences import constant_tail, evaluate, ray, rho_vector, row, unit_rays
 
 
 def reference_rays(family, n):
@@ -65,13 +65,24 @@ def reference_combine(rays, coeffs):
 FAMILIES = ["regular", "total", *range(2, 9)]
 
 
+def coordinates(w, n):
+    """Entries 0..n of a reference ray, finite or tail-periodic."""
+    return w.entries if isinstance(w, BettiVector) else w.prefix(n + 1)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_layout_rays_match_the_ray_constructors(family):
+    # the layout's two writers: `projected` rows and `combine` of a unit
+    # coefficient vector, each against the reference rays
     for n in range(0 if family == "regular" else 2, 61):
         cone = build(family, n)
         expected = reference_rays(family, n)
         assert cone.names == tuple(name for name, _ in expected), (family, n)
-        for got, (name, want) in zip(cone.rays, expected, strict=True):
+        rows, units = cone.projected(), unit_rays(cone)
+        assert len(rows) == len(units) == len(expected), (family, n)
+        for row_got, got, (name, want) in zip(rows, units, expected):
+            assert row_got == coordinates(want, n), (family, n, name)
+            assert all(type(x) is Fraction for x in row_got), (family, n, name)
             assert type(got) is type(want) and got == want, (family, n, name)
 
 
@@ -138,11 +149,11 @@ def test_members_round_trip_and_a_pushed_window_is_rejected(family):
             window = rng.choice(all_windows)
             i = window[0]
             delta = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            step = -(evaluate(window, w) + delta) / row(window, n)[i]
             if isinstance(w, BettiVector):
-                unit = BettiVector(n, tuple(int(k == i) for k in range(n + 1)))
+                pushed = BettiVector(n, tuple(e + step * (k == i) for k, e in enumerate(w.entries)))
             else:
-                unit = TailPeriodicSequence(i + 1, (0,) * i + (1,), 0, 0)
-            pushed = w + unit.scale(-(evaluate(window, w) + delta) / row(window, n)[i])
+                pushed = w + TailPeriodicSequence(i + 1, (0,) * i + (step,), 0, 0)
             assert evaluate(window, pushed) == -delta
             with pytest.raises(NotInConeError) as caught:
                 cone.decompose(pushed)
@@ -162,11 +173,12 @@ def test_positive_scaling_scales_the_certificate(family):
     rng = random.Random(f"scaled-{family}")
     for n in range(2, 8):
         cone = build(family, n)
-        w = cone.combine([Fraction(rng.randint(0, 9)) for _ in cone.names])
+        coeffs = [Fraction(rng.randint(0, 9)) for _ in cone.names]
+        w = cone.combine(coeffs)
         lam = Fraction(rng.randint(1, 30), rng.randint(1, 30))
         for which in ("omit_odd", "omit_even"):
             dec = cone.decompose(w, which)
-            scaled = cone.decompose(w.scale(lam), which)
+            scaled = cone.decompose(cone.combine([lam * c for c in coeffs]), which)
             assert scaled.simplex_used == dec.simplex_used, (family, n, which)
             assert scaled.coefficients == tuple(lam * c for c in dec.coefficients)
 
@@ -177,12 +189,12 @@ def test_a_negated_member_leaves_the_cone_unless_zero(family):
     for n in range(2, 8):
         cone = build(family, n)
         zero = cone.combine((Fraction(0),) * len(cone.names))
-        assert cone.member(zero.scale(-1))
+        assert cone.member(zero)
         assert cone.decompose(zero).coefficients == (Fraction(0),) * len(cone.names)
-        w = cone.combine([Fraction(rng.randint(1, 9)) for _ in cone.names])
-        assert not cone.member(w.scale(-1)), (family, n)
+        coeffs = [Fraction(rng.randint(1, 9)) for _ in cone.names]
+        assert not cone.member(cone.combine([-c for c in coeffs])), (family, n)
         with pytest.raises(NotInConeError):
-            cone.decompose(w.scale(Fraction(-1, 3)))
+            cone.decompose(cone.combine([c * Fraction(-1, 3) for c in coeffs]))
 
 
 @pytest.mark.parametrize("family", ["regular", "total", 2, 5])
@@ -222,6 +234,18 @@ def test_the_reported_wrong_space_calls_are_refused():
          f"the multiplicity-5 cone for n=3 needs {tail}, got {finite} with n=3"),
         (lambda: regular.cone(2).member((1, 2, 1)),
          f"the regular cone for n=2 needs {finite} with n=2, got (1, 2, 1)"),
+        # the module wrappers that read v.n before building their cone
+        (lambda: regular.decompose(embed(BettiVector.of([1, 1, 1]))),
+         f"the regular cone needs {finite}, got {tail}"),
+        (lambda: regular.classify(embed(BettiVector.of([1, 1, 1]))),
+         f"the regular cone needs {finite}, got {tail}"),
+        (lambda: regular.facet_violations(embed(BettiVector.of([1, 1, 1]))),
+         f"the regular cone needs {finite}, got {tail}"),
+        (lambda: regular.classify((1, 2, 1)), f"the regular cone needs {finite}, got (1, 2, 1)"),
+        (lambda: hyper_total.phi(embed(BettiVector.of([1, 1, 1]))),
+         "the transform applies to finite sequences"),
+        (lambda: pure.normalize_at(embed(BettiVector.of([1, 1, 1])), 0),
+         f"normalizing needs {finite}, got {tail}"),
     ]
     for call, message in calls:
         with pytest.raises(ConeInputError) as caught:
@@ -231,10 +255,11 @@ def test_the_reported_wrong_space_calls_are_refused():
 
 def test_certificates_build_no_ray(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a ray object was built on the certificate path")
-    monkeypatch.setattr(Cone, "rays", property(refuse))
+        raise AssertionError("a ray was written out on the certificate path")
     monkeypatch.setattr(Cone, "projected", refuse)
-    # Cone.rays and Cone.projected are the package's only ray builders
+    # Cone.projected writes the ray rows and Cone.combine every ray sum;
+    # nothing else builds a ray
+    assert not hasattr(Cone, "rays")
     assert not hasattr(sequences, "rho_vector") and not hasattr(sequences, "ray")
     n = 48
     w = hyper_total.cone(n).combine(list(range(1, n + 3)))
@@ -333,7 +358,7 @@ def test_combine_edge_cases():
              (hyper_fixed.cone(FixedConeParams(3, 4)), constant_tail((), 0), 5),
              (hyper_fixed.cone(FixedConeParams(3, 2)), constant_tail((), 0), 4)]
     for cone, zero, count in cases:
-        assert len(cone.rays) == len(cone.names) == count
+        assert len(cone.projected()) == len(cone.names) == count
         combined = cone.combine((Fraction(0),) * count)
         assert type(combined) is type(zero) and combined == zero
         for wrong in (count - 1, count + 1):

@@ -9,7 +9,7 @@ from betticone.hyper_fixed import FixedConeParams, decompose, member, rays
 from betticone.oracle import ConeDescription
 from betticone.sequences import TailPeriodicSequence, embed
 
-from reference_sequences import constant_tail, evaluate, ray, rho_vector
+from reference_sequences import constant_tail, evaluate, ray, rho_vector, unit_rays
 
 
 def tail_const(head, value):
@@ -26,10 +26,11 @@ class TestParams:
 
 class TestRays:
     def test_n2_d3(self):
-        listed = rays(FixedConeParams(2, 3))
+        p = FixedConeParams(2, 3)
+        listed = unit_rays(hyper_fixed.cone(p))
         assert ray("tau_d", 0, 2, 3) in listed and ray("tau_d", 1, 2, 3) in listed
-        assert listed[2].prefix(3) == (Fraction(2, 3), 1, 1)
-        assert listed[3].prefix(3) == (Fraction(1, 3), 1, 1)
+        assert rays(p)[2] == (Fraction(2, 3), 1, 1)
+        assert rays(p)[3] == (Fraction(1, 3), 1, 1)
 
     def test_d2_deduplicates(self):
         p = FixedConeParams(4, 2)
@@ -37,12 +38,12 @@ class TestRays:
         assert len(listed) == 5  # n+1 instead of n+2
         assert hyper_fixed.cone(p).names == (
             "rho[-1]", "rho[0]", "rho[1]", "rho[2]", "tau_d[2]")
-        assert listed[-1].entry(2) == Fraction(1, 2)
+        assert listed[-1][2] == Fraction(1, 2)
 
     def test_every_ray_in_total_cone(self):
         for n in (2, 3, 5):
             for d in (2, 3, 7):
-                for r in rays(FixedConeParams(n, d)):
+                for r in unit_rays(hyper_fixed.cone(FixedConeParams(n, d))):
                     assert hyper_total.facets_check(r, n).ok
 
 
@@ -69,14 +70,14 @@ class TestMember:
 
     def test_xi_values_on_rays(self):
         # xi[0,2] at d=3 takes values (3, 0, 1, 0) on the four generators
-        values = [evaluate((0, 2, 3), r) for r in rays(FixedConeParams(2, 3))]
+        values = [evaluate((0, 2, 3), r) for r in unit_rays(hyper_fixed.cone(FixedConeParams(2, 3)))]
         assert values == [3, 0, 1, 0]
 
 
 class TestDecompose:
     def test_ray_multiple(self):
         p = FixedConeParams(2, 3)
-        dec = decompose(ray("tau_d", 1, 2, 3).scale(3), p)
+        dec = decompose(hyper_fixed.cone(p).combine((0, 0, 0, 3)), p)  # 3 * tau_d[1]
         assert dict(zip(dec.names, dec.coefficients)) == {
             "rho[-1]": 0, "rho[0]": 0, "tau_d[0]": 0, "tau_d[1]": 3}
 
@@ -84,10 +85,7 @@ class TestDecompose:
         p = FixedConeParams(2, 3)
         w = embed(rho_vector(-1, 2)) + ray("tau_d", 0, 2, 3)
         dec = decompose(w, p)
-        total = constant_tail((), 0)
-        for c, r in zip(dec.coefficients, rays(p)):
-            total = total + r.scale(c)
-        assert total == w
+        assert hyper_fixed.cone(p).combine(dec.coefficients) == w
 
     def test_round_trips(self):
         rng = random.Random(55)
@@ -95,17 +93,11 @@ class TestDecompose:
             n = rng.randint(2, 6)
             d = rng.randint(2, 6)
             p = FixedConeParams(n, d)
-            listed = rays(p)
-            w = constant_tail((), 0)
-            for r in listed:
-                w = w + r.scale(Fraction(rng.randint(0, 9)))
+            cone = hyper_fixed.cone(p)
+            w = cone.combine([Fraction(rng.randint(0, 9)) for _ in cone.names])
             dec = decompose(w, p)
-            total = constant_tail((), 0)
-            for c, r in zip(dec.coefficients, listed):
-                total = total + r.scale(c)
-            assert total == w
             assert all(c >= 0 for c in dec.coefficients)
-            assert hyper_fixed.cone(p).combine(dec.coefficients) == w
+            assert cone.combine(dec.coefficients) == w
 
     def test_not_in_cone(self):
         with pytest.raises(NotInConeError):
@@ -115,8 +107,7 @@ class TestDecompose:
     @pytest.mark.parametrize("d", range(3, 8))
     def test_parity_triangulations_valid_for_fixed_rays(self, n, d):
         p = FixedConeParams(n, d)
-        projected = tuple(r.prefix(n + 1) for r in rays(p))
-        cone = ConeDescription(n + 1, rays=projected)
+        cone = ConeDescription(n + 1, rays=tuple(rays(p)))
         for label in ("omit_odd", "omit_even"):
             tri = hyper_fixed.cone(p).triangulation(label)
             report = oracle.validate_triangulation(cone, tri)
@@ -128,16 +119,16 @@ class TestContainment:
         for n in (2, 4):
             total = hyper_total.cone(n)
             for d in (2, 5):
-                for r in hyper_fixed.cone(FixedConeParams(n, d)).rays:
+                for r in unit_rays(hyper_fixed.cone(FixedConeParams(n, d))):
                     assert total.member(r).ok, (n, d, r)
 
     def test_monotone_in_multiplicity(self):
         small = hyper_fixed.cone(FixedConeParams(3, 2))
         large = hyper_fixed.cone(FixedConeParams(3, 5))
-        assert all(large.member(r).ok for r in small.rays)
+        assert all(large.member(r).ok for r in unit_rays(small))
         # the merged d=2 tail ray splits evenly across the two d=5 tail rays
         assert small.names[-1] == "tau_d[1]"
-        dec = large.decompose(small.rays[-1])
+        dec = large.decompose(unit_rays(small)[-1])
         assert {name: c for name, c in zip(dec.names, dec.coefficients) if c} == {
             "tau_d[1]": Fraction(1, 2), "tau_d[2]": Fraction(1, 2)}
 
@@ -146,17 +137,18 @@ class TestContainment:
         # with corners 4/5 and 1/5, both lie outside it
         small = hyper_fixed.cone(FixedConeParams(3, 2))
         large = hyper_fixed.cone(FixedConeParams(3, 5))
-        outside = [name for name, r in zip(large.names, large.rays) if not small.member(r).ok]
+        outside = [name for name, r in zip(large.names, unit_rays(large))
+                   if not small.member(r).ok]
         assert outside == ["tau_d[1]", "tau_d[2]"]
         with pytest.raises(NotInConeError):
-            small.decompose(large.rays[-1])
+            small.decompose(unit_rays(large)[-1])
 
     def test_sweep_over_grid(self):
         for n in (2, 3, 4):
             for d in range(2, 6):
                 for d2 in range(d, 7):
                     larger = hyper_fixed.cone(FixedConeParams(n, d2))
-                    for r in hyper_fixed.cone(FixedConeParams(n, d)).rays:
+                    for r in unit_rays(hyper_fixed.cone(FixedConeParams(n, d))):
                         assert larger.member(r).ok, (n, d, d2, r)
                         larger.decompose(r)  # raises without an exact certificate
 
@@ -189,8 +181,7 @@ class TestSweepIntegration:
         n, d = 3, 3
         facets = tuple(hyper_fixed.cone(FixedConeParams(n, d)).normals())
         found = list(oracle.facets_to_rays(ConeDescription(n + 1, facets=facets)).rays)
-        expected = sorted(primitive(r.prefix(n + 1))
-                          for r in rays(FixedConeParams(n, d)))
+        expected = sorted(primitive(r) for r in rays(FixedConeParams(n, d)))
         assert found == expected
 
 

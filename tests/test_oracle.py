@@ -156,7 +156,7 @@ class TestConeEqual:
         from betticone import hyper_total, regular
         n = 3
         finite = ConeDescription(
-            n + 1, rays=tuple(r.entries for r in regular.rays(n)))
+            n + 1, rays=tuple(regular.rays(n)))
         projected = ConeDescription(
             n + 1, rays=tuple(hyper_total.ray_basis(n).projected()))
         assert not cone_equal(finite, projected)
