@@ -1,5 +1,7 @@
 """Record the golden CLI corpus: argv, exit code, stdout and stderr for a
-fixed list of cases covering every command and cone at n = 2..6.
+fixed list of cases covering every command and cone at n = 2..6, plus
+members and crossed non-members of the total and multiplicity-3 cones
+at n = 48.
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
 fixed combinations of each cone's rays through ``Cone.combine``, the named
@@ -32,6 +34,7 @@ from reference_sequences import ray, rho_vector  # noqa: E402
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 NS = range(2, 7)
 MULTS = (2, 3, 5)
+LARGE_N = 48
 
 
 def _json(seq) -> str:
@@ -67,6 +70,13 @@ def _tail_nonmember(n):
     # a member with 3 added at index n-1, which breaks windows ending at n
     w = _total(n, 1)
     return w + TailPeriodicSequence(n, (Fraction(0),) * (n - 1) + (Fraction(3),),
+                                    Fraction(0), Fraction(0))
+
+
+def _crossed(w, n, bumps):
+    # ``w`` with bumps[k] added at entry k < n: windows from starts of both
+    # parities turn negative, chi[n-1,n] among them when k = n-1 is bumped
+    return w + TailPeriodicSequence(n, tuple(Fraction(bumps.get(k, 0)) for k in range(n)),
                                     Fraction(0), Fraction(0))
 
 
@@ -148,6 +158,14 @@ def cases() -> list[list[str]]:
         ["plot", "--len", "0", "--inline", finite2],
         ["verify", "--n-max", "3", "--mult-max", "3"],
     ]
+    # past the small cases: many violated windows from several starts, so
+    # the report order of a long violation list is pinned
+    n, bumps = LARGE_N, {4: -2, 11: Fraction(3, 2), 25: -1, LARGE_N - 1: -4}
+    for cone, member in ((["--cone", "total"], _total(n, 2)),
+                         (["--cone", "fixed", "--mult", "3"], _fixed(n, 3))):
+        for inline in (_json(member), _json(_crossed(member, n, bumps))):
+            for command in ("member", "decompose"):
+                out.append([command, *cone, "--n", str(n), "--inline", inline])
     return out
 
 
