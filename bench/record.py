@@ -9,8 +9,10 @@ the sides alternate within a seed, so a pair of runs shares the
 machine's state, and which side runs first alternates from seed to
 seed. certify, membership-scan and verify-sweep then run once more per
 side and seed with --trace 1 for their per-layer rows (see TRACED), and
-one more child per side times direct calls of the `verify` checks by n
-(see DIRECT), best of DIRECT_CALLS each. Children run with
+one more child per side times direct calls by n (see DIRECT): the
+`verify` checks, and total-cone membership and multiplicity-3
+certificates on a seeded member up to n = 500, past the workloads'
+n <= 48, best of DIRECT_CALLS each. Children run with
 PYTHONDONTWRITEBYTECODE=1, so no checkout gains `__pycache__` files.
 
 The output JSON holds, per side, the checkout's commit (when it is a git
@@ -46,29 +48,51 @@ TRACED = {
     "verify-sweep": re.compile(r"^(verification\.check_\w+|oracle\.\w+)_ms$"),
 }
 DIGEST_PREFIX = "# digest sha256 of the first round's answers: "
-# `verification` check -> the arguments it is timed at, as direct calls
-DIRECT = {"check_regular": [(6,), (8,), (11,)], "check_total": [(6,), (8,), (11,)],
-          "check_fixed": [(6, 3), (6, 6)], "check_triangulations": [(6,)]}
+# call -> the arguments it is timed at, as direct calls: n (and d)
+DIRECT = {"verification.check_regular": [(6,), (8,), (11,)],
+          "verification.check_total": [(6,), (8,), (11,)],
+          "verification.check_fixed": [(6, 3), (6, 6)],
+          "verification.check_triangulations": [(6,)],
+          "hyper_total.facets_check": [(48,), (200,), (500,)],
+          "hyper_fixed.decompose": [(48, 3), (500, 3)]}
 # Calls per DIRECT case, the best kept.  5 calls mostly timed warm-up: 7
 # back-to-back children on a shared 2-vCPU VM spread 5-31% (IQR over
 # median) with 5 and 1-7% with 30, at about 1.2 s a child.  Children
 # minutes apart drift further (34-65% over the 10 seeds of BENCH_9.json).
 DIRECT_CALLS = 30
 # Run in a child with the checkout's src/ on the path: best of
-# DIRECT_CALLS calls of each check, in ms, under a row name like
-# verification.check_fixed_ms.n6.d3.
+# DIRECT_CALLS calls of each case, in ms, under a row name like
+# verification.check_fixed_ms.n6.d3 or hyper_total.facets_check_ms.n500.
+# Membership and certificates run on a member seeded by n, built first.
 DIRECT_SCRIPT = """
-import json, sys, time
-from betticone import verification
+import json, random, sys, time
+from betticone import hyper_fixed, hyper_total, verification
+
+def member(cone):
+    rng = random.Random(cone.n)
+    return cone.combine([rng.randint(1, 9) for _ in cone.names])
+
+def call(name, args):
+    if name == "hyper_total.facets_check":
+        n, = args
+        w = member(hyper_total.cone(n))
+        return lambda: hyper_total.facets_check(w, n).ok
+    if name == "hyper_fixed.decompose":
+        p = hyper_fixed.FixedConeParams(*args)
+        w = member(hyper_fixed.cone(p))
+        return lambda: min(hyper_fixed.decompose(w, p).coefficients) >= 0
+    check = getattr(verification, name.split(".")[1])
+    return lambda: check(*args).ok
+
 rows, correct = {}, True
 for name, cases in json.loads(sys.argv[1]).items():
     for args in cases:
-        times = []
+        once, times = call(name, args), []
         for _ in range(int(sys.argv[2])):
             start = time.perf_counter()
-            correct = getattr(verification, name)(*args).ok and correct
+            correct = once() and correct
             times.append(time.perf_counter() - start)
-        row = f"verification.{name}_ms.n{args[0]}" + "".join(f".d{d}" for d in args[1:])
+        row = f"{name}_ms.n{args[0]}" + "".join(f".d{d}" for d in args[1:])
         rows[row] = {"value": 1000 * min(times), "unit": "ms"}
 print(json.dumps({"correct": correct, "rows": rows}))
 """

@@ -58,9 +58,12 @@ def _load_sequence(input_path: str | None, inline: str | None):
 
 # The largest n that member, decompose, classify and split accept, as --n
 # and as a finite input's "n", and the largest `hk --n` (which also bounds
-# the degree count).  Membership evaluates about n^2/4 windows, and a
-# certificate's solve and reconstruction check are O(n) after it: at
-# n = 500 one `member` or `decompose` process takes 0.35-0.55 s end to end.
+# the degree count).  Membership is O(n) on a member, plus O(n) for each
+# start with a negative window on a non-member, and a certificate's solve
+# and reconstruction check are O(n) after it: at n = 500 one `member` or
+# `decompose` process takes 0.2-0.3 s end to end on a member or a point
+# crossed at a few starts, and up to 0.8 s when all 63,000 windows are
+# negative (shared 2-vCPU VM).
 MAX_N = 500
 
 

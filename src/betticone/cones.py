@@ -11,12 +11,15 @@ index n on, so their linear algebra happens on coordinates 0..n and
 flatness is checked separately.
 
 Costs: one alternating prefix-sum array gives every window value in
-O(1), so membership is O(n^2) (the total cone has about n^2/4 windows)
-and the regular cone's n+1 values are O(n).  The n+2 rays of a
-hyperplane-family cone satisfy exactly one linear relation (the cone is
-a pyramid over a circuit), so a certificate is one banded solve, one
-ratio test along the relation and an exact reconstruction check that
-sums the layout: O(n) after membership.
+O(1).  The total cone has about n^2/4 windows, but all windows from one
+start are nonnegative exactly when one prefix sum bounds a suffix of
+the others, so one backward pass decides membership in O(n); a
+non-member pays O(n) more for each start with a negative window, whose
+windows are then listed.  The other cones' n+1 values are O(n).  The
+n+2 rays of a hyperplane-family cone satisfy exactly one linear
+relation (the cone is a pyramid over a circuit), so a certificate is
+one banded solve, one ratio test along the relation and an exact
+reconstruction check that sums the layout: O(n) after membership.
 """
 
 from __future__ import annotations
@@ -31,11 +34,62 @@ from .sequences import BettiVector, Sequence, TailPeriodicSequence, as_fraction,
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
 
-Window = tuple[int, int, Optional[int]]
+Window = tuple[int, Optional[int], Optional[int]]
 """A facet by its window (i, j, d): chi[i,j], the alternating sum of the
 entries i..j starting with +1, when d is None; else xi[i,j] of
 multiplicity d, which is d * chi[i,j-1] plus (d-1) or -1 (for j-i even
-or odd) times entry j."""
+or odd) times entry j.  In a cone's ``spans`` the open window (i, None,
+None) stands for every chi[i,j] with j - i even and j <= n."""
+
+
+def _prefix_sums(entries) -> list:
+    """sums[k], the sum of (-1)^m entries[m] over m < k, for k = 0..n+1."""
+    sums = [0]
+    for m, v in enumerate(entries):
+        sums.append(sums[-1] - v if m % 2 else sums[-1] + v)
+    return sums
+
+
+def _evaluate(windows, sums: list, entries) -> list:
+    """The windows' values from the prefix sums, in the entries' own
+    type: chi[i,j] = (-1)^i (sums[j+1] - sums[i]), and xi[i,j] adds d *
+    chi[i,j-1] and the end coefficient times entry j."""
+    out = []
+    for i, j, d in windows:
+        s = sums[j + 1 if d is None else j] - sums[i]
+        if i % 2:
+            s = -s
+        if d is not None:
+            s = d * s + (d - 1 if (j - i) % 2 == 0 else -1) * entries[j]
+        out.append(s)
+    return out
+
+
+def _crossed_starts(sums: list) -> set[int]:
+    """The starts i of an open window (see `Window`) with a negative
+    chi[i,j], in one backward pass.  chi[i,j] = (-1)^i (sums[j+1] -
+    sums[i]) and k = j+1 runs over i+1, i+3, ..., n+1, the suffix of the
+    other parity; so start i is crossed when sums[i] exceeds the least
+    odd-index sum past it (i even) or falls below the greatest even-index
+    one (i odd)."""
+    crossed, low, high = set(), None, None
+    for i in range(len(sums) - 2, -1, -1):
+        s = sums[i + 1]
+        if i % 2:
+            high = s if high is None or s > high else high
+            if sums[i] < high:
+                crossed.add(i)
+        else:
+            low = s if low is None or s < low else low
+            if sums[i] > low:
+                crossed.add(i)
+    return crossed
+
+
+def _written_out(span: Window, n: int):
+    """The windows a span stands for, by ascending end."""
+    i, j, _ = span
+    return ((i, end, None) for end in range(i, n + 1, 2)) if j is None else (span,)
 
 
 def window_name(window: Window) -> str:
@@ -93,7 +147,8 @@ def _triangulation_label(which: str | int) -> str:
 @dataclass(frozen=True, eq=False)
 class Cone:
     """A cone of shapes on coordinates 0..n: facets described by their
-    windows, each facet nonnegative on members.  ``title`` names the cone
+    windows in ``spans`` (see `Window`), each facet nonnegative on
+    members; `windows` writes the open ones out.  ``title`` names the cone
     in errors; the constraints of the enclosing cone ``within`` are
     checked and reported first; a tail cone not cut from another cone is
     flat from index n on.
@@ -106,7 +161,7 @@ class Cone:
 
     title: str
     n: int
-    windows: tuple[Window, ...]
+    spans: tuple[Window, ...]
     tail: Optional[str] = None
     corners: tuple[Fraction, ...] = ()
     within: Optional["Cone"] = None
@@ -170,24 +225,18 @@ class Cone:
         entries[-1] += top
         return TailPeriodicSequence(self.n, tuple(entries), top, top)
 
+    @cached_property
+    def windows(self) -> tuple[Window, ...]:
+        """Every facet's window in report order, the open spans written
+        out: about n^2/4 in the total cone, so membership and certificates
+        never build it."""
+        return tuple(window for span in self.spans for window in _written_out(span, self.n))
+
     def values(self, entries) -> list:
-        """This cone's own window values on entries 0..n, in report order
-        and in the entries' own type; the enclosing cone's are not
-        included.  With sums[k] the sum of (-1)^m entries[m] over m < k,
-        chi[i,j] = (-1)^i (sums[j+1] - sums[i]), and xi[i,j] adds d *
-        chi[i,j-1] and the end coefficient times entry j."""
-        sums = [0]
-        for m, v in enumerate(entries):
-            sums.append(sums[-1] - v if m % 2 else sums[-1] + v)
-        out = []
-        for i, j, d in self.windows:
-            s = sums[j + 1 if d is None else j] - sums[i]
-            if i % 2:
-                s = -s
-            if d is not None:
-                s = d * s + (d - 1 if (j - i) % 2 == 0 else -1) * entries[j]
-            out.append(s)
-        return out
+        """This cone's own window values on entries 0..n, in `windows`
+        order and in the entries' own type; the enclosing cone's are not
+        included."""
+        return _evaluate(self.windows, _prefix_sums(entries), entries)
 
     def normals(self) -> list[tuple[int, ...]]:
         """Every facet's integer normal on coordinates 0..n, the enclosing
@@ -200,11 +249,16 @@ class Cone:
 
     def violations(self, w: Sequence) -> list[tuple[str, Fraction]]:
         """Violated constraints with their values: the enclosing cone's,
-        then this cone's negative facets, then flatness."""
+        then this cone's negative facets in `windows` order, then
+        flatness.  An open span is written out only from a crossed start."""
         entries = self._entries(w)
         out = self.within.violations(w) if self.within is not None else []
+        sums = _prefix_sums(entries)
+        crossed = _crossed_starts(sums) if any(j is None for _, j, _ in self.spans) else ()
+        scanned = [window for span in self.spans if span[1] is not None or span[0] in crossed
+                   for window in _written_out(span, self.n)]
         out += [(window_name(window), v)
-                for window, v in zip(self.windows, self.values(entries)) if v < 0]
+                for window, v in zip(scanned, _evaluate(scanned, sums, entries)) if v < 0]
         if self.tail is not None and self.within is None:
             # entry(i) = entry(i+1) for i >= n; scanning up to two indices
             # past the stabilization point decides the whole infinite

@@ -13,10 +13,8 @@ structure of the cone.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
-
 from . import regular
-from .cones import Cone, Decomposition, MembershipReport, Triangulation, Window
+from .cones import Cone, Decomposition, MembershipReport, Triangulation
 from .errors import ConeInputError, InternalInconsistencyError
 from .sequences import BettiVector, TailPeriodicSequence, embed
 
@@ -40,16 +38,10 @@ def phi(v: BettiVector) -> TailPeriodicSequence:
     return TailPeriodicSequence(v.n + 1, tuple(head), acc[0], acc[1])
 
 
-def _windows(n: int) -> Iterator[Window]:
-    for i in range(n + 1):
-        for j in range(i, n + 1, 2):
-            yield i, j, None
-    yield n - 1, n, None
-
-
 def cone(n: int) -> Cone:
-    """The total hypersurface cone: nonnegative chi[i,j] for the
-    even-length windows with j <= n and chi[n-1,n], flat from index n on.
+    """The total hypersurface cone: nonnegative chi[i,j] for j - i even
+    and j <= n (one open span per start i) and chi[n-1,n], flat from
+    index n on.
 
     The n+2 generating rays come in the fixed order rho[-1], rho[0], ...,
     rho[n-2], tau_inf[n-2], tau_inf[n-1].  They satisfy exactly one linear
@@ -58,7 +50,8 @@ def cone(n: int) -> Cone:
     """
     if n < 2:
         raise ConeInputError(f"the total hypersurface cone needs n >= 2, got n={n}")
-    return Cone("the total hypersurface cone", n, tuple(_windows(n)),
+    spans = tuple((i, None, None) for i in range(n + 1)) + ((n - 1, n, None),)
+    return Cone("the total hypersurface cone", n, spans,
                 tail="tau_inf", corners=(Fraction(1), Fraction(0)))
 
 

@@ -15,13 +15,13 @@ from fractions import Fraction
 
 import pytest
 
-from betticone import hyper_fixed, hyper_total, linalg, regular
+from betticone import cones, hyper_fixed, hyper_total, linalg, regular
 from betticone.cones import Triangulation, window_name
 from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import BettiVector, TailPeriodicSequence
 
 from reference_linalg import linear_relation, solve_columns
-from reference_sequences import constant_tail, evaluate
+from reference_sequences import constant_tail, evaluate, row
 
 CONES = {"total": hyper_total.cone,
          **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
@@ -195,3 +195,65 @@ def test_regular_facet_values_are_the_ray_coefficients():
         assert cone.values(v.entries) == coeffs
         assert regular.decompose(v).a == tuple(coeffs)
         assert regular.classify(v).decomposition.a == tuple(coeffs)
+
+
+LISTED_CONES = {"total": hyper_total.cone,
+                **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
+                   for d in (2, 3, 7)}}
+TIES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+
+def listing(cone, entries):
+    """The full `Cone.values` listing, window by window, the enclosing
+    cone's first."""
+    out = listing(cone.within, entries) if cone.within is not None else []
+    return out + list(zip(cone.windows, cone.values(entries)))
+
+
+def _listing_probes(rng, cone, every_kind):
+    """Tie-heavy points flat from n on: a member of the cone, the member
+    moved at one entry so that one window reads exactly 0, and (with
+    ``every_kind``) an arbitrary point and the member moved at 0 to 5
+    entries."""
+    n = cone.n
+    all_windows = [window for c in (cone.within, cone) if c is not None for window in c.windows]
+
+    def flat(head):
+        return constant_tail(head[:n], head[n])
+    member = cone.combine([rng.choice(TIES) for _ in cone.names])
+    head = list(member.prefix(n + 1))
+    yield member
+    window = rng.choice(all_windows)
+    i = window[0]
+    on_facet = head[:]
+    on_facet[i] -= evaluate(window, member) / row(window, n)[i]
+    on_facet = flat(on_facet)
+    assert evaluate(window, on_facet) == 0
+    yield on_facet
+    if every_kind:
+        yield flat([rng.choice(TIES) for _ in range(n + 1)])
+        moved = head[:]
+        for _ in range(rng.randint(0, 5)):
+            moved[rng.randint(0, n)] += rng.choice((-1, Fraction(-1, 2), Fraction(1, 2), 1))
+        yield flat(moved)
+
+
+@pytest.mark.parametrize("name", list(LISTED_CONES))
+def test_violations_match_the_full_listing(name):
+    # the total cone decides each start from prefix-sum extrema and lists
+    # only crossed starts; the answer must be the full listing's, in order,
+    # and the crossed starts exactly those with a negative chi[i,j], j - i
+    # even (a start flagged in excess would only cost time)
+    rng = random.Random(f"full-listing-{name}")
+    members = several = 0
+    for n in list(range(2, 61)) + [200, 500]:
+        cone = LISTED_CONES[name](n)
+        for w in _listing_probes(rng, cone, every_kind=n <= 60):
+            got, entries = cone.violations(w), w.prefix(n + 1)
+            listed = listing(cone, entries)  # w is flat from n on: no flatness gap
+            assert got == [(window_name(window), v) for window, v in listed if v < 0], (name, n, w)
+            negative = {i for (i, j, d), v in listed if v < 0 and d is None and (j - i) % 2 == 0}
+            assert cones._crossed_starts(cones._prefix_sums(entries)) == negative, (name, n, w)
+            members += not got
+            several += len(negative) > 1
+    assert members > 60 and several > 60, (members, several)

@@ -287,6 +287,42 @@ def test_certificates_build_one_simplex(monkeypatch):
     assert [cone.decompose(w, which) for cone, w in cases for which in (1, 2)] == expected
 
 
+def test_membership_and_certificates_build_no_window_list(monkeypatch):
+    # the total cone has about n^2/4 windows; member, decompose and split
+    # decide from its n+2 spans and never write the list out
+    n, p = 48, FixedConeParams(48, 3)
+    bump = TailPeriodicSequence(n, (0,) * 4 + (-2,) + (0,) * (n - 6) + (-4,), 0, 0)
+    points = []
+    for cone in (hyper_total.cone(n), hyper_fixed.cone(p)):
+        member = cone.combine([1 + k % 3 for k in range(n + 2)])
+        points += [member, member + bump]
+
+    def answers():
+        out = []
+        for w in points:
+            calls = [lambda: hyper_total.facets_check(w, n), lambda: hyper_fixed.member(w, p),
+                     lambda: hyper_total.split(w, n)]
+            calls += [lambda which=which: hyper_total.decompose(w, n, which) for which in (1, 2)]
+            calls += [lambda which=which: hyper_fixed.decompose(w, p, which) for which in (1, 2)]
+            for call in calls:
+                try:
+                    out.append(call())
+                except NotInConeError as exc:
+                    out.append((str(exc), exc.violations))
+        return out
+    expected = answers()
+    reports = [a for a in expected if isinstance(a, cones.MembershipReport)]
+    assert sum(map(bool, reports)) == 4 and any(len(r.violations) > 1 for r in reports)
+    assert any(r.violations and r.violations[-1][0] == "chi[47,48]" for r in reports)
+
+    def refuse(self):
+        raise AssertionError("the window list was built on the membership path")
+    monkeypatch.setattr(Cone, "windows", property(refuse))
+    assert answers() == expected
+    with pytest.raises(AssertionError, match="window list"):
+        hyper_total.cone(n).values((0,) * (n + 1))
+
+
 def test_triangulation_input_handling():
     total = hyper_total.cone(4)
     assert total.triangulation(1) == total.triangulation("omit_odd")
