@@ -13,6 +13,7 @@ structure of the cone.
 from __future__ import annotations
 
 from fractions import Fraction
+
 from . import regular
 from .cones import Cone, Decomposition, MembershipReport, Triangulation
 from .errors import ConeInputError, InternalInconsistencyError

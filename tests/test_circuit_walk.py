@@ -4,8 +4,10 @@
 before the circuit walk: solve each simplex of the triangulation in turn
 with dense elimination and keep the first nonnegative solution.
 `reference_violations` evaluates the reference row of every window in
-`Cone.windows` one by one.  Both must agree exactly with the fast
-paths, tie-breaking and report order included.  `reference_omitted` is
+`Cone.windows` one by one, and `listing` is the full `Cone.values`
+listing, which membership reads only from the starts it finds crossed.
+They must agree exactly with the fast paths, tie-breaking and report
+order included.  `reference_omitted` is
 the index-label parity rule that defined the two triangulations before
 `Cone.triangulation` read them off the signs of the ray relation.
 """
