@@ -10,9 +10,9 @@ machine's state, and which side runs first alternates from seed to
 seed. certify, membership-scan and verify-sweep then run once more per
 side and seed with --trace 1 for their per-layer rows (see TRACED), and
 one more child per side times direct calls by n (see DIRECT): the
-`verify` checks, and total-cone membership and multiplicity-3
-certificates on a seeded member up to n = 500, past the workloads'
-n <= 48, best of DIRECT_CALLS each. Children run with
+`verify` checks, and total-cone membership and certificates and
+multiplicity-3 certificates up to n = 500, past the workloads' n <= 48,
+best of DIRECT_CALLS each. Children run with
 PYTHONDONTWRITEBYTECODE=1, so no checkout gains `__pycache__` files.
 
 The output JSON holds, per side, the checkout's commit (when it is a git
@@ -48,12 +48,15 @@ TRACED = {
     "verify-sweep": re.compile(r"^(verification\.check_\w+|oracle\.\w+)_ms$"),
 }
 DIGEST_PREFIX = "# digest sha256 of the first round's answers: "
-# call -> the arguments it is timed at, as direct calls: n (and d)
+# call -> the arguments it is timed at, as direct calls: n (and d), and
+# for membership and certificates the point, when it is not a seeded
+# member (see DIRECT_SCRIPT)
 DIRECT = {"verification.check_regular": [(6,), (8,), (11,)],
           "verification.check_total": [(6,), (8,), (11,)],
           "verification.check_fixed": [(6, 3), (6, 6)],
           "verification.check_triangulations": [(6,)],
-          "hyper_total.facets_check": [(48,), (200,), (500,)],
+          "hyper_total.facets_check": [(48,), (200,), (500,), (200, "coprime_negative")],
+          "hyper_total.decompose": [(500, "coprime")],
           "hyper_fixed.decompose": [(48, 3), (500, 3)]}
 # Calls per DIRECT case, the best kept.  5 calls mostly timed warm-up: 7
 # back-to-back children on a shared 2-vCPU VM spread 5-31% (IQR over
@@ -62,21 +65,53 @@ DIRECT = {"verification.check_regular": [(6,), (8,), (11,)],
 DIRECT_CALLS = 30
 # Run in a child with the checkout's src/ on the path: best of
 # DIRECT_CALLS calls of each case, in ms, under a row name like
-# verification.check_fixed_ms.n6.d3 or hyper_total.facets_check_ms.n500.
-# Membership and certificates run on a member seeded by n, built first.
+# verification.check_fixed_ms.n6.d3 or hyper_total.facets_check_ms.n500,
+# with the point's name last when it is not a seeded member.  Membership
+# and certificates run on a point built first: a member seeded by n; a
+# "coprime" member, level at 2(n+1) and moved off the integers by a
+# fraction of the k-th prime at entry k < n; or the "coprime_negative"
+# point, -1 - 1/p^2 at entry k for the k-th prime p, on which every
+# total-cone window is negative.  Their denominators are pairwise coprime,
+# so their common denominator has thousands of bits at n = 500.
 DIRECT_SCRIPT = """
 import json, random, sys, time
+from fractions import Fraction
 from betticone import hyper_fixed, hyper_total, verification
+from betticone.sequences import TailPeriodicSequence
 
 def member(cone):
     rng = random.Random(cone.n)
     return cone.combine([rng.randint(1, 9) for _ in cone.names])
 
+def primes(count):
+    out, k = [], 2
+    while len(out) < count:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+def flat(head):
+    return TailPeriodicSequence(len(head) - 1, tuple(head[:-1]), head[-1], head[-1])
+
+def coprime(n):
+    rng = random.Random(n)
+    return flat([2 * (n + 1) + Fraction(rng.randrange(p), p) for p in primes(n)]
+                + [Fraction(2 * (n + 1))])
+
+def coprime_negative(n):
+    return flat([-1 - Fraction(1, p * p) for p in primes(n + 1)])
+
+POINTS = {"coprime": coprime, "coprime_negative": coprime_negative}
+
 def call(name, args):
-    if name == "hyper_total.facets_check":
-        n, = args
-        w = member(hyper_total.cone(n))
-        return lambda: hyper_total.facets_check(w, n).ok
+    if name.startswith("hyper_total."):
+        n, *point = args
+        w = POINTS[point[0]](n) if point else member(hyper_total.cone(n))
+        if name == "hyper_total.facets_check":
+            ok = point != ["coprime_negative"]
+            return lambda: hyper_total.facets_check(w, n).ok == ok
+        return lambda: min(hyper_total.decompose(w, n).coefficients) >= 0
     if name == "hyper_fixed.decompose":
         p = hyper_fixed.FixedConeParams(*args)
         w = member(hyper_fixed.cone(p))
@@ -92,7 +127,8 @@ for name, cases in json.loads(sys.argv[1]).items():
             start = time.perf_counter()
             correct = once() and correct
             times.append(time.perf_counter() - start)
-        row = f"{name}_ms.n{args[0]}" + "".join(f".d{d}" for d in args[1:])
+        row = f"{name}_ms.n{args[0]}" + "".join(f".d{a}" if isinstance(a, int) else f".{a}"
+                                                for a in args[1:])
         rows[row] = {"value": 1000 * min(times), "unit": "ms"}
 print(json.dumps({"correct": correct, "rows": rows}))
 """

@@ -20,10 +20,19 @@ n+2 rays of a hyperplane-family cone satisfy exactly one linear
 relation (the cone is a pyramid over a circuit), so a certificate is
 one banded solve, one ratio test along the relation and an exact
 reconstruction check that sums the layout: O(n) after membership.
+
+Arithmetic: a call reads the point once, as the integer numerators of
+entries 0..n over their least common denominator (`Cone._read`).
+Membership and the certificate decide and solve on those ints; a
+`Fraction` is built only for a value a report names and for a
+certificate's coefficients, which the reconstruction check sums against
+the input point.  `values`, and so `normals()` and `verify`, keep the
+entries' own type.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -42,6 +51,13 @@ or odd) times entry j.  In a cone's ``spans`` the open window (i, None,
 None) stands for every chi[i,j] with j - i even and j <= n."""
 
 
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over one positive denominator q,
+    the least common multiple of their denominators."""
+    q = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
+
+
 def _prefix_sums(entries) -> list:
     """sums[k], the sum of (-1)^m entries[m] over m < k, for k = 0..n+1."""
     sums = [0]
@@ -56,9 +72,8 @@ def _evaluate(windows, sums: list, entries) -> list:
     chi[i,j-1] and the end coefficient times entry j."""
     out = []
     for i, j, d in windows:
-        s = sums[j + 1 if d is None else j] - sums[i]
-        if i % 2:
-            s = -s
+        k = j + 1 if d is None else j
+        s = sums[i] - sums[k] if i % 2 else sums[k] - sums[i]
         if d is not None:
             s = d * s + (d - 1 if (j - i) % 2 == 0 else -1) * entries[j]
         out.append(s)
@@ -195,7 +210,7 @@ class Cone:
                 + [(zero,) * (self.n - 2) + (c, one, one) for c in self.corners])
 
     def _entries(self, w: Sequence) -> tuple[Fraction, ...]:
-        """Coordinates 0..n of a point of this cone's space, the one read
+        """Coordinates 0..n of a point of this cone's space, the one check
         of an input point: a finite cone takes a `BettiVector` of its own
         n, a tail cone a `TailPeriodicSequence`.  Any other point is a
         `ConeInputError` naming this cone."""
@@ -205,6 +220,13 @@ class Cone:
             return w.prefix(self.n + 1)
         space = "a tail-periodic sequence" if self.tail else f"a finite sequence with n={self.n}"
         raise ConeInputError(f"{self.title} for n={self.n} needs {space}, got {described(w)}")
+
+    def _read(self, w: Sequence) -> tuple[tuple[Fraction, ...], list[int], int]:
+        """The one read of a point per call, shared by membership and the
+        certificate: entries 0..n (see `_entries`), then their integer
+        numerators over their least common denominator q, then q."""
+        entries = self._entries(w)
+        return (entries, *_over_common_denominator(entries))
 
     def combine(self, coeffs) -> Sequence:
         """The exact sum of ``coeffs[k]`` times the k-th ray, in the rays'
@@ -250,15 +272,26 @@ class Cone:
     def violations(self, w: Sequence) -> list[tuple[str, Fraction]]:
         """Violated constraints with their values: the enclosing cone's,
         then this cone's negative facets in `windows` order, then
-        flatness.  An open span is written out only from a crossed start."""
-        entries = self._entries(w)
-        out = self.within.violations(w) if self.within is not None else []
-        sums = _prefix_sums(entries)
+        flatness."""
+        return self._violations(w, self._read(w))
+
+    def _violations(self, w: Sequence, point) -> list[tuple[str, Fraction]]:
+        """`violations` on the point's one read (see `_read`), which the
+        enclosing cone shares.  Windows are decided on the integer
+        numerators, an open span written out only from a crossed start.
+        The negative ones are evaluated again on the `Fraction` entries:
+        on pairwise-coprime denominators that is cheaper than reducing
+        each numerator over the common denominator."""
+        entries, nums, _ = point
+        out = self.within._violations(w, point) if self.within is not None else []
+        sums = _prefix_sums(nums)
         crossed = _crossed_starts(sums) if any(j is None for _, j, _ in self.spans) else ()
         scanned = [window for span in self.spans if span[1] is not None or span[0] in crossed
                    for window in _written_out(span, self.n)]
-        out += [(window_name(window), v)
-                for window, v in zip(scanned, _evaluate(scanned, sums, entries)) if v < 0]
+        negative = [window for window, v in zip(scanned, _evaluate(scanned, sums, nums)) if v < 0]
+        if negative:
+            values = _evaluate(negative, _prefix_sums(entries), entries)
+            out += [(window_name(window), v) for window, v in zip(negative, values)]
         if self.tail is not None and self.within is None:
             # entry(i) = entry(i+1) for i >= n; scanning up to two indices
             # past the stabilization point decides the whole infinite
@@ -307,24 +340,28 @@ class Cone:
         return Triangulation(label, tuple(tuple(q for q in range(len(self.names)) if q != p)
                                           for p in omitted), omitted)
 
-    def _solve(self, w: Sequence) -> list[Fraction]:
+    def _solve(self, nums: list[int], q: int) -> tuple[list[int], int]:
         """Exact coefficients of a member on the rho rays and the last ray
-        (0 on any ray between), by back substitution on the banded system.
+        (0 on any ray between), by back substitution on the banded system,
+        as integer numerators over one positive denominator.  The point
+        comes as its numerators over q (see `_read`); both are scaled by
+        the corners' common denominator, so the corner term is an integer.
         A tail cone first takes off its last ray: coordinate n meets only
         that ray, which also adds its coefficient at n-1 and its corner
         times it at n-2.  Then each coordinate k left meets only the rho
         rays at positions k and k+1, solved top-down; in the regular cone
         this gives chi[k,n] on the ray at position k."""
-        y = list(self._entries(w))
-        x = [Fraction(0)] * len(self.names)
+        corners, scale = _over_common_denominator(self.corners)
+        y = [v * scale for v in nums]
+        x = [0] * len(self.names)
         if self.tail is not None:
             x[-1] = t = y.pop()
             y[-1] -= t
-            y[-2] -= self.corners[-1] * t
+            y[-2] -= corners[-1] * nums[-1]
         above = 0
         for k in range(self._rho - 1, -1, -1):
             x[k] = above = y[k] - above
-        return x
+        return x, q * scale
 
     def decompose(self, w: Sequence, which: str | int = "omit_odd") -> Decomposition:
         """Nonnegative ray certificate for a member, with exact
@@ -339,25 +376,39 @@ class Cone:
         solutions are x - t * relation for one solution x; the simplex
         omitting p gives t = x_p / relation_p.  The omitted rays are one
         side of the relation, so the nonnegative simplices are those whose
-        t is the least (positive side) or the greatest (negative side).
+        t is the least (positive side) or the greatest (negative side); on
+        a tie the first omitted position wins.
+
+        Membership and the solve share one read of the point, and the
+        ratio test runs on integers: the relation is scaled to integers,
+        and as the omitted rays share one relation sign, two ratios
+        compare by cross-multiplying.  Only the coefficients become
+        `Fraction`, and the reconstruction check sums them against w.
         """
         which = _triangulation_label(which)
-        violations = self.violations(w)
+        point = self._read(w)
+        violations = self._violations(w, point)
         if violations:
             raise NotInConeError.naming_first(self.title, violations)
-        coeffs = self._solve(w)
+        x, q = self._solve(*point[1:])
         if (core := self.core) is not None:
             label, simplex = "simplicial", core
         else:
-            relation, omitted = self.relation, self._omitted(which)
-            ratios = [coeffs[p] / relation[p] for p in omitted]
-            t = (min if relation[omitted[0]].numerator > 0 else max)(ratios)
-            skip = omitted[ratios.index(t)]
-            label, simplex = which, tuple(q for q in range(len(coeffs)) if q != skip)
-            coeffs = [c - t * r for c, r in zip(coeffs, relation)]
-        if any(c < 0 for c in coeffs):
+            relation, _ = _over_common_denominator(self.relation)
+            omitted = self._omitted(which)
+            sign = 1 if relation[omitted[0]] > 0 else -1
+            skip = omitted[0]
+            for p in omitted[1:]:
+                if sign * (x[p] * relation[skip] - x[skip] * relation[p]) < 0:
+                    skip = p
+            label, simplex = which, tuple(k for k in range(len(x)) if k != skip)
+            # x - t * relation with t = x_skip / relation_skip, over q * |relation_skip|
+            pivot, lead = abs(relation[skip]), sign * x[skip]
+            x, q = [c * pivot - lead * r for c, r in zip(x, relation)], q * pivot
+        if any(c < 0 for c in x):
             raise InternalInconsistencyError(
                 "member vector admits no nonnegative simplex certificate")
+        coeffs = [Fraction(c, q) for c in x]
         if self.combine(coeffs) != w:
             raise InternalInconsistencyError("decomposition failed exact reconstruction")
         return Decomposition(self.names, tuple(coeffs), simplex, label)

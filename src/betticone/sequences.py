@@ -35,8 +35,9 @@ def as_fraction(value: RationalLike) -> Fraction:
         text = value.strip()
         if not _RATIONAL_RE.match(text):
             raise MalformedInputError(f"not a rational string: {quoted(value)}")
+        num, _, den = text.partition("/")
         try:
-            return Fraction(text)
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise MalformedInputError(f"zero denominator in {quoted(value)}") from None
         except ValueError:

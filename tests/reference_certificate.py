@@ -1,0 +1,43 @@
+"""The `Fraction` certificate that `Cone.decompose` computed before its
+integer core, kept as a reference for the tests.
+
+`fraction_solve` is the banded back substitution on the point's
+`Fraction` entries, and `fraction_decompose` the ratio test along
+`Cone.relation`: every ratio x_p / relation_p built as a `Fraction`, the
+least (positive side) or greatest (negative side) taken, and a tie
+broken by `ratios.index`, so the first omitted position wins.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def fraction_solve(cone, w) -> list[Fraction]:
+    """Coefficients on the rho rays and the last ray (0 between), solved
+    top-down in `Fraction` arithmetic."""
+    y = list(w.entries if cone.tail is None else w.prefix(cone.n + 1))
+    x = [Fraction(0)] * len(cone.names)
+    if cone.tail is not None:
+        x[-1] = t = y.pop()
+        y[-1] -= t
+        y[-2] -= cone.corners[-1] * t
+    above = 0
+    for k in range(len(cone.names) - len(cone.corners) - 1, -1, -1):
+        x[k] = above = y[k] - above
+    return x
+
+
+def fraction_decompose(cone, w, which) -> tuple[str, tuple[int, ...], tuple[Fraction, ...]]:
+    """(label, simplex_used, coefficients) of a member, as `Cone.decompose`
+    gave them before its integer core."""
+    coeffs = fraction_solve(cone, w)
+    if (core := cone.core) is not None:
+        return "simplicial", core, tuple(coeffs)
+    relation, tri = cone.relation, cone.triangulation(which)
+    omitted = tri.omitted
+    ratios = [coeffs[p] / relation[p] for p in omitted]
+    t = (min if relation[omitted[0]].numerator > 0 else max)(ratios)
+    skip = omitted[ratios.index(t)]
+    simplex = tuple(q for q in range(len(coeffs)) if q != skip)
+    return tri.label, simplex, tuple(c - t * r for c, r in zip(coeffs, relation))

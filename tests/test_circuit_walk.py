@@ -9,7 +9,9 @@ listing, which membership reads only from the starts it finds crossed.
 They must agree exactly with the fast paths, tie-breaking and report
 order included.  `reference_omitted` is
 the index-label parity rule that defined the two triangulations before
-`Cone.triangulation` read them off the signs of the ray relation.
+`Cone.triangulation` read them off the signs of the ray relation, and
+`fraction_decompose` the `Fraction` solve and ratio test that the
+integer certificate replaced.
 """
 
 import random
@@ -22,6 +24,7 @@ from betticone.cones import Triangulation, window_name
 from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import BettiVector, TailPeriodicSequence
 
+from reference_certificate import fraction_decompose
 from reference_linalg import linear_relation, solve_columns
 from reference_sequences import constant_tail, evaluate, row
 
@@ -98,6 +101,74 @@ def test_certificates_match_the_simplex_search(name):
                 reference_decompose(cone, w, which), (name, n, kind, which)
 
 
+def primes(count):
+    """The first ``count`` primes."""
+    out, k = [], 2
+    while len(out) < count:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+
+def point(cone, head):
+    """Entries 0..n as a point of the cone's space: the finite vector, or
+    flat from n on."""
+    if cone.tail is None:
+        return BettiVector(cone.n, tuple(head))
+    return constant_tail(head[:cone.n], head[cone.n])
+
+
+def coprime_member(rng, cone):
+    """A member whose entries have pairwise-coprime denominators: entry k
+    moved off an integer by a fraction of the k-th prime in [0, 1).  The
+    regular cone's entries fall by 2 a step, so each chi[j,n] is a sum of
+    pairs above 1; a tail cone's are level at 2(n+1) with entry n an
+    integer, so every window is far from 0 and chi[n-1,n] is not
+    negative."""
+    n = cone.n
+    moves = [Fraction(rng.randrange(p), p) for p in primes(n)] + [Fraction(0)]
+    base = ([2 * (n + 1 - k) for k in range(n + 1)] if cone.tail is None
+            else [2 * (n + 1)] * (n + 1))
+    return point(cone, [b + m for b, m in zip(base, moves)])
+
+
+CERTIFIED_CONES = {"regular": regular.cone, "total": hyper_total.cone,
+                   **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
+                      for d in (2, 3, 7)}}
+POINT_KINDS = ("integer", "ties", "single_scale", "coprime")
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_CONES))
+def test_integer_certificates_match_the_fraction_certificate(name):
+    # coefficients, simplex and label against the Fraction solve and
+    # ratio test; tie-heavy members lie on faces the two triangulations
+    # share, where the first omitted position must win
+    rng = random.Random(f"integer-core-{name}")
+    low = 0 if name == "regular" else 2
+    kinds = dict.fromkeys(POINT_KINDS, 0)
+    for n in list(range(low, 61)) + [200, 500]:
+        cone = CERTIFIED_CONES[name](n)
+        for kind in POINT_KINDS:
+            if kind == "coprime":
+                w = coprime_member(rng, cone)
+            else:
+                coeffs = coefficients(rng, "ties" if kind == "ties" else "integer",
+                                      len(cone.names))
+                if kind == "single_scale":  # entries over one denominator
+                    den = rng.randint(2, 30)
+                    coeffs = [Fraction(c, den) for c in coeffs]
+                w = cone.combine(coeffs)
+            assert cone.member(w), (name, n, kind)
+            for which in ("omit_odd", "omit_even"):
+                dec = cone.decompose(w, which)
+                got = (dec.label, dec.simplex_used, dec.coefficients)
+                assert got == fraction_decompose(cone, w, which), (name, n, kind, which)
+                assert all(type(c) is Fraction for c in dec.coefficients)
+            kinds[kind] += 1
+    assert min(kinds.values()) > 60, kinds
+
+
 def test_certificates_solve_no_dense_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("linalg on the certificate path")
@@ -166,6 +237,25 @@ def _probes(rng, cone):
         stab = n + rng.randint(1, 4)
         yield TailPeriodicSequence(stab, tuple(rng.randint(-2, 3) for _ in range(stab)),
                                    rng.randint(0, 3), rng.randint(0, 3))
+    yield from _coprime_probes(random.Random(f"coprime-{cone.title}-{n}"), cone)
+
+
+def _coprime_probes(rng, cone):
+    """Points whose entries have pairwise-coprime denominators: a member,
+    the member moved by the reciprocal of a prime at up to five entries
+    (crossing windows from starts of both parities), and a point below
+    -1 at every entry by the reciprocal of a prime's square, on which
+    every window of the total cone is negative."""
+    n = cone.n
+    member = coprime_member(rng, cone)
+    yield member
+    head = list(member.entries if cone.tail is None else member.prefix(n + 1))
+    ps = primes(n + 7)
+    for _ in range(rng.randint(1, 5)):
+        k = rng.randint(0, n)
+        head[k] -= 3 * (n + 1) + Fraction(1, ps[n + rng.randint(1, 6)])
+    yield point(cone, head)
+    yield point(cone, [-1 - Fraction(1, p * p) for p in ps[:n + 1]])
 
 
 MEMBERSHIP_CONES = {"regular": regular.cone, **CONES}
@@ -238,6 +328,7 @@ def _listing_probes(rng, cone, every_kind):
         for _ in range(rng.randint(0, 5)):
             moved[rng.randint(0, n)] += rng.choice((-1, Fraction(-1, 2), Fraction(1, 2), 1))
         yield flat(moved)
+        yield from _coprime_probes(random.Random(f"listing-coprime-{cone.title}-{n}"), cone)
 
 
 @pytest.mark.parametrize("name", list(LISTED_CONES))

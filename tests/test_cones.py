@@ -110,7 +110,28 @@ def test_a_wrong_solve_fails_the_reconstruction_check(monkeypatch, family):
     cone = build(family, 6)
     w = cone.combine([1] * len(cone.names))
     solve = Cone._solve
-    monkeypatch.setattr(Cone, "_solve", lambda self, w: [2 * x for x in solve(self, w)])
+
+    def doubled(self, nums, q):
+        x, q = solve(self, nums, q)
+        return [2 * c for c in x], q
+    monkeypatch.setattr(Cone, "_solve", doubled)
+    with pytest.raises(InternalInconsistencyError, match="exact reconstruction"):
+        cone.decompose(w)
+
+
+@pytest.mark.parametrize("family", ["regular", "total", 2, 3])
+def test_right_numerators_over_a_wrong_denominator_fail_the_reconstruction_check(
+        monkeypatch, family):
+    # the solve returns numerators over one denominator; the check must
+    # catch a wrong denominator as it catches wrong numerators
+    cone = build(family, 6)
+    w = cone.combine([1] * len(cone.names))
+    solve = Cone._solve
+
+    def over_twice(self, nums, q):
+        x, q = solve(self, nums, q)
+        return x, 2 * q
+    monkeypatch.setattr(Cone, "_solve", over_twice)
     with pytest.raises(InternalInconsistencyError, match="exact reconstruction"):
         cone.decompose(w)
 

@@ -31,6 +31,24 @@ class TestRationalStrings:
             with pytest.raises(MalformedInputError):
                 as_fraction(bad)
 
+    @pytest.mark.parametrize("text, value", [("+5", Fraction(5)), ("-0/3", Fraction(0)),
+                                             ("007", Fraction(7)), ("6/4", Fraction(3, 2)),
+                                             (" -12/8 ", Fraction(-3, 2))])
+    def test_signs_zeros_and_unreduced_strings(self, text, value):
+        got = as_fraction(text)
+        assert type(got) is Fraction and got == value
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "zero denominator in '1/0'"),
+        ("7" * 4301, "rational string of 4301 characters has too many digits"),
+        ("1/" + "7" * 4301, "rational string of 4303 characters has too many digits"),
+    ])
+    def test_refusals_name_the_zero_denominator_or_the_digit_count(self, text, message):
+        # 4,301 digits is one past the interpreter's default int-string limit
+        with pytest.raises(MalformedInputError) as refused:
+            as_fraction(text)
+        assert str(refused.value) == message
+
 
 class TestTailPeriodicSequence:
     def test_entry_by_convention(self):
