@@ -133,9 +133,10 @@ def coprime_member(rng, cone):
     return point(cone, [b + m for b, m in zip(base, moves)])
 
 
-CERTIFIED_CONES = {"regular": regular.cone, "total": hyper_total.cone,
-                   **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
-                      for d in (2, 3, 7)}}
+LISTED_CONES = {"total": hyper_total.cone,
+                **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
+                   for d in (2, 3, 7)}}
+CERTIFIED_CONES = {"regular": regular.cone, **LISTED_CONES}
 POINT_KINDS = ("integer", "ties", "single_scale", "coprime")
 
 
@@ -242,10 +243,10 @@ def _probes(rng, cone):
 
 def _coprime_probes(rng, cone):
     """Points whose entries have pairwise-coprime denominators: a member,
-    the member moved by the reciprocal of a prime at up to five entries
-    (crossing windows from starts of both parities), and a point below
-    -1 at every entry by the reciprocal of a prime's square, on which
-    every window of the total cone is negative."""
+    the member lowered at one to five entries by 3(n+1) and the
+    reciprocal of a further prime (so some windows cross 0), and a point
+    below -1 at every entry by the reciprocal of a prime's square, on
+    which every window of the total cone is negative."""
     n = cone.n
     member = coprime_member(rng, cone)
     yield member
@@ -289,9 +290,6 @@ def test_regular_facet_values_are_the_ray_coefficients():
         assert regular.classify(v).decomposition.a == tuple(coeffs)
 
 
-LISTED_CONES = {"total": hyper_total.cone,
-                **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
-                   for d in (2, 3, 7)}}
 TIES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
 
 
