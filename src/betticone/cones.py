@@ -72,8 +72,9 @@ def _evaluate(windows, sums: list, entries) -> list:
     chi[i,j-1] and the end coefficient times entry j."""
     out = []
     for i, j, d in windows:
-        k = j + 1 if d is None else j
-        s = sums[i] - sums[k] if i % 2 else sums[k] - sums[i]
+        s = sums[j + 1 if d is None else j] - sums[i]
+        if i % 2:
+            s = -s
         if d is not None:
             s = d * s + (d - 1 if (j - i) % 2 == 0 else -1) * entries[j]
         out.append(s)
