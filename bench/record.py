@@ -56,7 +56,7 @@ DIRECT = {"verification.check_regular": [(6,), (8,), (11,)],
           "verification.check_fixed": [(6, 3), (6, 6)],
           "verification.check_triangulations": [(6,)],
           "hyper_total.facets_check": [(48,), (200,), (500,), (200, "coprime_negative")],
-          "hyper_total.decompose": [(500, "coprime")],
+          "hyper_total.decompose": [(48,), (200,), (500, "coprime")],
           "hyper_fixed.decompose": [(48, 3), (500, 3)]}
 # Calls per DIRECT case, the best kept.  5 calls mostly timed warm-up: 7
 # back-to-back children on a shared 2-vCPU VM spread 5-31% (IQR over

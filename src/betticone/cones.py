@@ -23,11 +23,13 @@ reconstruction check that sums the layout: O(n) after membership.
 
 Arithmetic: a call reads the point once, as the integer numerators of
 entries 0..n over their least common denominator (`Cone._read`).
-Membership and the certificate decide and solve on those ints; a
-`Fraction` is built only for a value a report names and for a
-certificate's coefficients, which the reconstruction check sums against
-the input point.  `values`, and so `normals()` and `verify`, keep the
-entries' own type.
+Membership and the certificate decide, solve and check on ints: the ray
+relation and the corners are written once over the corners' common
+denominator, and the reconstruction check sums the integer coefficients
+on the layout and cross-multiplies each sum with its entry's own
+numerator and denominator.  A `Fraction` is built only for a value a
+report names and for a certificate's coefficients.  `values`, and so
+`normals()` and `verify`, keep the entries' own type.
 """
 
 from __future__ import annotations
@@ -308,6 +310,24 @@ class Cone:
         return MembershipReport(not violations, tuple(violations))
 
     @cached_property
+    def _scaled_corners(self) -> tuple[list[int], int]:
+        """The corners as integer numerators over their common denominator
+        s (1 when there are none)."""
+        return _over_common_denominator(self.corners)
+
+    @cached_property
+    def _scaled_relation(self) -> list[int]:
+        """`relation` as integers over the corners' common denominator s:
+        the closed form is written here once, and `relation` is read off
+        it."""
+        n = self.n
+        if len(self.corners) != 2:
+            raise ConeInputError(f"{self.title} has no relation among {len(self.names)} rays")
+        (first, second), s = self._scaled_corners
+        g = first - second
+        return [g if (n - k) % 2 == 0 else -g for k in range(n - 1)] + [0, -s, s]
+
+    @cached_property
     def relation(self) -> tuple[Fraction, ...]:
         """The one linear relation among the n+2 rays of a hyperplane-family
         cone, scaled so the last ray has coefficient +1.
@@ -318,20 +338,16 @@ class Cone:
         ..., rho[-1].  So the ray at position k <= n-2 carries
         (-1)^(n-k) g, rho[n-2] carries 0 and the tails -1 and +1.
         """
-        n = self.n
-        if len(self.corners) != 2:
-            raise ConeInputError(f"{self.title} has no relation among {len(self.names)} rays")
-        g = self.corners[0] - self.corners[1]
-        return (tuple(g if (n - k) % 2 == 0 else -g for k in range(n - 1))
-                + (Fraction(0), Fraction(-1), Fraction(1)))
+        relation, (_, s) = self._scaled_relation, self._scaled_corners
+        return tuple(Fraction(r, s) for r in relation)
 
     def _omitted(self, label: str) -> tuple[int, ...]:
         """The positions on the label's side of the relation, ascending:
         rho[-1]'s side for "omit_odd", the other side (rho[0]'s from n = 3
-        on) for "omit_even".  Signs are read off the numerators."""
-        numerators = [r.numerator for r in self.relation]
-        positive = (numerators[0] > 0) == (label == "omit_odd")
-        return tuple(p for p, k in enumerate(numerators) if k and (k > 0) == positive)
+        on) for "omit_even"."""
+        relation = self._scaled_relation
+        positive = (relation[0] > 0) == (label == "omit_odd")
+        return tuple(p for p, k in enumerate(relation) if k and (k > 0) == positive)
 
     def triangulation(self, which: str | int) -> Triangulation:
         """The triangulation ``which`` (as in `decompose`) of the circuit:
@@ -352,7 +368,7 @@ class Cone:
         times it at n-2.  Then each coordinate k left meets only the rho
         rays at positions k and k+1, solved top-down; in the regular cone
         this gives chi[k,n] on the ray at position k."""
-        corners, scale = _over_common_denominator(self.corners)
+        corners, scale = self._scaled_corners
         y = [v * scale for v in nums]
         x = [0] * len(self.names)
         if self.tail is not None:
@@ -381,10 +397,11 @@ class Cone:
         a tie the first omitted position wins.
 
         Membership and the solve share one read of the point, and the
-        ratio test runs on integers: the relation is scaled to integers,
-        and as the omitted rays share one relation sign, two ratios
-        compare by cross-multiplying.  Only the coefficients become
-        `Fraction`, and the reconstruction check sums them against w.
+        ratio test and the exact reconstruction check (see
+        `_reconstructs`) run on integers: the relation is read over the
+        corners' common denominator, and as the omitted rays share one
+        relation sign, two ratios compare by cross-multiplying.  Only the
+        returned coefficients become `Fraction`.
         """
         which = _triangulation_label(which)
         point = self._read(w)
@@ -395,7 +412,7 @@ class Cone:
         if (core := self.core) is not None:
             label, simplex = "simplicial", core
         else:
-            relation, _ = _over_common_denominator(self.relation)
+            relation = self._scaled_relation
             omitted = self._omitted(which)
             sign = 1 if relation[omitted[0]] > 0 else -1
             skip = omitted[0]
@@ -409,7 +426,30 @@ class Cone:
         if any(c < 0 for c in x):
             raise InternalInconsistencyError(
                 "member vector admits no nonnegative simplex certificate")
-        coeffs = [Fraction(c, q) for c in x]
-        if self.combine(coeffs) != w:
+        if not self._reconstructs(w, point[0], x, q):
             raise InternalInconsistencyError("decomposition failed exact reconstruction")
-        return Decomposition(self.names, tuple(coeffs), simplex, label)
+        return Decomposition(self.names, tuple(Fraction(c, q) for c in x), simplex, label)
+
+    def _reconstructs(self, w: Sequence, entries, x: list[int], q: int) -> bool:
+        """Whether the coefficients x / q sum to the point w, whose entries
+        0..n are ``entries`` (see `_entries`): `combine`'s sum on the
+        layout, in integers over q times the corners' common denominator
+        s (a tail ray adds its corner at n-2), each sum compared with its
+        entry's own numerator and denominator by cross-multiplying.  The
+        sum covers entries 0..n, so a tail point must also be flat from n
+        on at entry n's value: no head entry past n, and both tails equal
+        to that value."""
+        corners, s = self._scaled_corners
+        rho = [c * s for c in x[:self._rho]]
+        sums = [a + b for a, b in zip(rho, rho[1:])] + [rho[-1]]
+        if self.tail is not None:
+            tails = x[self._rho:]
+            top = sum(tails) * s
+            sums[-2] += sum(c * t for c, t in zip(corners, tails))
+            sums[-1] += top
+            sums.append(top)
+        q *= s
+        if any(v * e.denominator != e.numerator * q for v, e in zip(sums, entries)):
+            return False
+        return self.tail is None or (w.stab <= self.n + 1 and all(
+            top * t.denominator == t.numerator * q for t in (w.tail_even, w.tail_odd)))

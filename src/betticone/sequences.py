@@ -37,7 +37,8 @@ def as_fraction(value: RationalLike) -> Fraction:
             raise MalformedInputError(f"not a rational string: {quoted(value)}")
         num, _, den = text.partition("/")
         try:
-            return Fraction(int(num), int(den or 1))
+            # an integer needs no gcd, so it is built without a denominator
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except ZeroDivisionError:
             raise MalformedInputError(f"zero denominator in {quoted(value)}") from None
         except ValueError:
@@ -83,7 +84,9 @@ class BettiVector:
 
     @classmethod
     def of(cls, entries: Iterable[RationalLike]) -> "BettiVector":
-        items = tuple(as_fraction(e) for e in entries)
+        """The vector of the given entries, each coerced once, by
+        `__post_init__`."""
+        items = tuple(entries)
         if not items:
             raise ConeInputError("a shape vector needs at least one entry")
         return cls(len(items) - 1, items)

@@ -6,6 +6,9 @@ integer core, kept as a reference for the tests.
 `Cone.relation`: every ratio x_p / relation_p built as a `Fraction`, the
 least (positive side) or greatest (negative side) taken, and a tie
 broken by `ratios.index`, so the first omitted position wins.
+`fraction_reconstructs` is the exact reconstruction check it ran after
+them: the ray sum written out by `Cone.combine` and compared with the
+point as a sequence.
 """
 
 from __future__ import annotations
@@ -41,3 +44,9 @@ def fraction_decompose(cone, w, which) -> tuple[str, tuple[int, ...], tuple[Frac
     skip = omitted[ratios.index(t)]
     simplex = tuple(q for q in range(len(coeffs)) if q != skip)
     return tri.label, simplex, tuple(c - t * r for c, r in zip(coeffs, relation))
+
+
+def fraction_reconstructs(cone, w, x, q) -> bool:
+    """Whether the coefficients x / q (integer numerators over q) rebuild
+    w, as `Cone.decompose` checked before its integer reconstruction."""
+    return cone.combine([Fraction(c, q) for c in x]) == w

@@ -11,7 +11,8 @@ order included.  `reference_omitted` is
 the index-label parity rule that defined the two triangulations before
 `Cone.triangulation` read them off the signs of the ray relation, and
 `fraction_decompose` the `Fraction` solve and ratio test that the
-integer certificate replaced.
+integer certificate replaced, and `fraction_reconstructs` the `Fraction`
+reconstruction check that the integer one replaced.
 """
 
 import random
@@ -24,7 +25,7 @@ from betticone.cones import Triangulation, window_name
 from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import BettiVector, TailPeriodicSequence
 
-from reference_certificate import fraction_decompose
+from reference_certificate import fraction_decompose, fraction_reconstructs
 from reference_linalg import linear_relation, solve_columns
 from reference_sequences import constant_tail, evaluate, row
 
@@ -168,6 +169,29 @@ def test_integer_certificates_match_the_fraction_certificate(name):
                 assert all(type(c) is Fraction for c in dec.coefficients)
             kinds[kind] += 1
     assert min(kinds.values()) > 60, kinds
+
+
+@pytest.mark.parametrize("name", ["regular", "total", "fixed_d2", "fixed_d3"])
+def test_the_integer_reconstruction_check_matches_the_fraction_check(name):
+    # on the true coefficients, on one perturbed numerator and on the
+    # right numerators over a wrong denominator, the check on integers
+    # must judge as the Fraction sum compared with the point does
+    rng = random.Random(f"reconstruction-{name}")
+    low = 0 if name == "regular" else 2
+    verdicts = []
+    for n in list(range(low, 13)) + [20, 33, 48]:
+        cone = CERTIFIED_CONES[name](n)
+        for kind in KINDS:
+            w = cone.combine(coefficients(rng, kind, len(cone.names)))
+            x, q = cones._over_common_denominator(cone.decompose(w).coefficients)
+            perturbed = list(x)
+            perturbed[rng.randrange(len(x))] += rng.choice((-1, 1))
+            for numerators, denominator in ((x, q), (perturbed, q), (x, q + 1)):
+                got = cone._reconstructs(w, cone._entries(w), numerators, denominator)
+                assert got == fraction_reconstructs(cone, w, numerators, denominator), \
+                    (name, n, kind, numerators, denominator)
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts
 
 
 def test_certificates_solve_no_dense_system(monkeypatch):

@@ -136,6 +136,51 @@ def test_right_numerators_over_a_wrong_denominator_fail_the_reconstruction_check
         cone.decompose(w)
 
 
+@pytest.mark.parametrize("family", ["total", 2, 3])
+@pytest.mark.parametrize("n", [6, 7])
+def test_a_tail_that_is_not_flat_fails_the_reconstruction_check(family, n):
+    # entries 0..n match the coefficients, but the point leaves entry n's
+    # value past n: the other tail differs, or a head entry at n or n+1
+    # does.  Membership refuses such a point first, so the check is
+    # called directly.
+    cone = build(family, n)
+    w = cone.combine(range(1, len(cone.names) + 1))
+    x, q = cones._over_common_denominator(cone.decompose(w).coefficients)
+    head, top = w.prefix(n + 1), w.entry(n)
+    assert cone._reconstructs(w, head, x, q)
+    other = (top, top + 1) if n % 2 == 0 else (top + 1, top)  # entry n stays at top
+    for bent in (TailPeriodicSequence(n, head[:n], *other),
+                 TailPeriodicSequence(n + 1, head, top + 1, top + 1),
+                 TailPeriodicSequence(n + 2, head + (top + 1,), top, top)):
+        assert bent.prefix(n + 1) == head and bent.stab >= n
+        assert not cone.member(bent)
+        assert not cone._reconstructs(bent, cone._entries(bent), x, q), bent
+        assert cone.combine([Fraction(c, q) for c in x]) != bent
+
+
+def test_certificates_check_on_integers(monkeypatch):
+    # decompose neither writes its ray sum with combine nor builds the
+    # Fraction relation
+    points = [(cone, cone.combine([1] * len(cone.names)))
+              for cone in (regular.cone(6), hyper_total.cone(6), hyper_total.cone(2),
+                           hyper_fixed.cone(FixedConeParams(6, 3)))]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction sum or relation on the certificate path")
+    monkeypatch.setattr(Cone, "combine", refuse)
+    monkeypatch.setattr(Cone, "relation", property(refuse))
+    for cone, w in points:
+        for which in (1, 2):
+            assert cone.decompose(w, which).coefficients
+
+
+def test_a_cone_without_two_corners_has_no_relation():
+    for cone, rays in ((regular.cone(4), 5), (hyper_fixed.cone(FixedConeParams(4, 2)), 5)):
+        with pytest.raises(ConeInputError) as caught:
+            cone.relation
+        assert str(caught.value) == f"{cone.title} has no relation among {rays} rays"
+
+
 def reference_value(cone, name, w):
     """A reported constraint's value read from its name, and whether the
     name is a flatness gap: chi[i,i+1] with i >= n in a tail cone, the
