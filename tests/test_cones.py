@@ -11,6 +11,7 @@ from betticone.errors import (ConeInputError, InternalInconsistencyError, NotInC
 from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import BettiVector, TailPeriodicSequence, as_fraction, embed, rational_str
 
+from reference_certificate import fraction_reconstructs
 from reference_sequences import constant_tail, evaluate, ray, rho_vector, row, unit_rays
 
 
@@ -155,7 +156,7 @@ def test_a_tail_that_is_not_flat_fails_the_reconstruction_check(family, n):
         assert bent.prefix(n + 1) == head and bent.stab >= n
         assert not cone.member(bent)
         assert not cone._reconstructs(bent, cone._entries(bent), x, q), bent
-        assert cone.combine([Fraction(c, q) for c in x]) != bent
+        assert not fraction_reconstructs(cone, bent, x, q)
 
 
 def test_certificates_check_on_integers(monkeypatch):
