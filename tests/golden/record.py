@@ -1,7 +1,7 @@
 """Record the golden CLI corpus: argv, exit code, stdout and stderr for a
 fixed list of cases covering every command and cone at n = 2..6, plus
 members and crossed non-members of the total and multiplicity-3 cones
-at n = 48.
+at n = 48, and the command line's usage errors and parsing rules.
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
 fixed combinations of each cone's rays through ``Cone.combine``, the named
@@ -166,6 +166,48 @@ def cases() -> list[list[str]]:
         for inline in (_json(member), _json(_crossed(member, n, bumps))):
             for command in ("member", "decompose"):
                 out.append([command, *cone, "--n", str(n), "--inline", inline])
+    regular2 = ["--cone", "regular", "--n", "2"]
+    out += [
+        # missing required options (a choice lists its values)
+        ["member", "--cone", "regular", "--inline", finite2],
+        ["member", "--n", "2", "--inline", finite2],
+        ["hk", "--n", "2"],
+        # values that are not integers or not a choice
+        ["verify", "--n-max", "x"],
+        ["plot", "--len", "1.5", "--inline", finite2],
+        ["hk", "--degrees", "0,1,2", "--n", "2", "--normalize-at", "a"],
+        ["decompose", *regular2, "--triangulation", "omit_odd", "--inline", finite2],
+        # unknown options: one close match, several, none
+        ["member", *regular2, "--mlt", "3", "--inline", finite2],
+        ["member", *regular2, "--inlin", finite2],
+        ["--version"],
+        ["-h"],
+        ["member", "--version"],
+        ["member", *regular2, "-h"],
+        # unknown commands: with a close match, with two, with none
+        ["membr", *regular2],
+        ["plt", "--len", "2"],
+        ["cubic"],
+        # no command after the top-level options
+        ["--"],
+        # extra arguments, one or two, and everything after "--"
+        ["member", *regular2, "--inline", finite2, "x"],
+        ["member", *regular2, "x", "--inline", finite2, "y"],
+        ["member", *regular2, "--", "--inline", finite2],
+        # the errors come in command-line order, the missing ones last
+        ["member", "--n", "x", "--cone", "cubic"],
+        ["member", "--cone", "cubic", "--n", "x"],
+        ["member", "--n", "x"],
+        # --opt=value, a repeated option (the last one wins), a value that
+        # starts with "-", an empty value
+        ["member", "--cone=total", "--n=3", f"--inline={tail3}"],
+        ["decompose", "--cone", "total", "--n", "3", "--triangulation=2", "--inline", tail3],
+        ["member", "--cone", "cubic", "--cone", "regular", "--n", "5", "--n", "2",
+         "--inline", finite2],
+        ["limit", "--j", "-1", "--t", "3", "--n", "2"],
+        ["member", "--cone", "regular", "--n", "", "--inline", finite2],
+        ["member", "--cone", "regular", "--n=", "--inline", finite2],
+    ]
     return out
 
 
