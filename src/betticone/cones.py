@@ -35,13 +35,13 @@ report names and for a certificate's coefficients.  `values`, and so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
 from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
-from .sequences import BettiVector, Sequence, TailPeriodicSequence, as_fraction, described
+from .sequences import (BettiVector, Frozen, Sequence, TailPeriodicSequence, _set, as_fraction,
+                        described)
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
 
@@ -116,40 +116,57 @@ def window_name(window: Window) -> str:
     return f"{'chi' if d is None else 'xi'}[{i},{j}]"
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(Frozen):
     """Outcome of a membership check with the violated constraints, as
     (name, value) pairs like ("chi[1,2]", Fraction(-1))."""
 
+    __slots__ = ("ok", "violations")
     ok: bool
     violations: tuple[tuple[str, Fraction], ...]
+
+    def __init__(self, ok: bool, violations: tuple[tuple[str, Fraction], ...]):
+        _set(self, "ok", ok)
+        _set(self, "violations", violations)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(Frozen):
     """A set of simplices covering a cone, as index tuples into the ray
     list.  `Cone.triangulation` lists them by ascending omitted-ray
     position; the omitted rays are one side of `Cone.relation`, so they
     share one relation sign by construction.  A simplicial cone has the
     one simplex and no omitted positions."""
 
+    __slots__ = ("label", "simplices", "omitted")
     label: str
     simplices: tuple[tuple[int, ...], ...]
     omitted: tuple[int, ...]
 
+    def __init__(self, label: str, simplices: tuple[tuple[int, ...], ...],
+                 omitted: tuple[int, ...]):
+        _set(self, "label", label)
+        _set(self, "simplices", simplices)
+        _set(self, "omitted", omitted)
 
-@dataclass(frozen=True)
-class Decomposition:
+
+class Decomposition(Frozen):
     """Nonnegative ray coefficients supported on one simplex, plus which
     simplex was used.  ``coefficients`` is aligned with the ray list."""
 
+    __slots__ = ("names", "coefficients", "simplex_used", "label")
     names: tuple[str, ...]
     coefficients: tuple[Fraction, ...]
     simplex_used: tuple[int, ...]
     label: str
+
+    def __init__(self, names: tuple[str, ...], coefficients: tuple[Fraction, ...],
+                 simplex_used: tuple[int, ...], label: str):
+        _set(self, "names", names)
+        _set(self, "coefficients", coefficients)
+        _set(self, "simplex_used", simplex_used)
+        _set(self, "label", label)
 
 
 def _triangulation_label(which: str | int) -> str:
@@ -162,8 +179,7 @@ def _triangulation_label(which: str | int) -> str:
     return which
 
 
-@dataclass(frozen=True, eq=False)
-class Cone:
+class Cone(Frozen):
     """A cone of shapes on coordinates 0..n: facets described by their
     windows in ``spans`` (see `Window`), each facet nonnegative on
     members; `windows` writes the open ones out.  ``title`` names the cone
@@ -175,14 +191,30 @@ class Cone:
     e_{k+1}, up to rho[n-1] in a finite cone (``tail`` None).  A tail
     cone, which certificates need, has rho[-1..n-2] and then one ray
     ``tail[n-2+k]`` per value in ``corners``: 1 from index n-1 on, 0
-    below n-2 and corners[k] at n-2."""
+    below n-2 and corners[k] at n-2.
 
+    A cone is equal only to itself; its ``__dict__`` holds the cached
+    properties."""
+
+    __slots__ = ("title", "n", "spans", "tail", "corners", "within", "__dict__")
     title: str
     n: int
     spans: tuple[Window, ...]
-    tail: Optional[str] = None
-    corners: tuple[Fraction, ...] = ()
-    within: Optional["Cone"] = None
+    tail: Optional[str]
+    corners: tuple[Fraction, ...]
+    within: Optional["Cone"]
+
+    def __init__(self, title: str, n: int, spans: tuple[Window, ...], tail: Optional[str] = None,
+                 corners: tuple[Fraction, ...] = (), within: Optional["Cone"] = None):
+        _set(self, "title", title)
+        _set(self, "n", n)
+        _set(self, "spans", spans)
+        _set(self, "tail", tail)
+        _set(self, "corners", corners)
+        _set(self, "within", within)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def core(self) -> Optional[tuple[int, ...]]:

@@ -10,28 +10,31 @@ these cones is the total hypersurface cone, coordinatewise on rays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import hyper_total
 from .cones import Cone, Decomposition, MembershipReport
 from .errors import ConeInputError
-from .sequences import TailPeriodicSequence
+from .sequences import Frozen, TailPeriodicSequence, _set
 
 MEMBERSHIP_CAVEAT = ("membership in the conjectured cone; does not certify "
                      "that the shape is realizable")
 
 
-@dataclass(frozen=True)
-class FixedConeParams:
+class FixedConeParams(Frozen):
+    """Embedding dimension n >= 2 and multiplicity d >= 2."""
+
+    __slots__ = ("n", "d")
     n: int
     d: int
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ConeInputError(f"embedding dimension must be >= 2, got n={self.n}")
-        if self.d < 2:
-            raise ConeInputError(f"multiplicity must be >= 2, got d={self.d}")
+    def __init__(self, n: int, d: int):
+        if n < 2:
+            raise ConeInputError(f"embedding dimension must be >= 2, got n={n}")
+        if d < 2:
+            raise ConeInputError(f"multiplicity must be >= 2, got d={d}")
+        _set(self, "n", n)
+        _set(self, "d", d)
 
 
 def cone(p: FixedConeParams) -> Cone:

@@ -5,12 +5,11 @@ the degree families whose normalized shapes converge to the two-term rays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .errors import ConeInputError, bounded, quoted
-from .sequences import BettiVector, described
+from .sequences import BettiVector, Frozen, _set, described
 
 # limit_gap is O(n^2) in big integers (about 80 ms at n = 400, 2 s at
 # n = 1600), so its ambient length is capped.  Its exact answer grows with
@@ -29,20 +28,20 @@ LIMIT_MAX_T = 10**9
 HK_MAX_DEGREE = 10**12
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(Frozen):
     """Strictly increasing integers (d_0, ..., d_s)."""
 
+    __slots__ = ("degrees",)
     degrees: tuple[int, ...]
 
-    def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
+    def __init__(self, degrees: tuple[int, ...]):
+        degrees = tuple(int(d) for d in degrees)
         if not degrees:
             raise ConeInputError("degree sequence must be nonempty")
         if any(a >= b for a, b in zip(degrees, degrees[1:])):
             raise ConeInputError(
                 f"degree sequence must be strictly increasing, got {quoted(degrees)}")
-        object.__setattr__(self, "degrees", degrees)
+        _set(self, "degrees", degrees)
 
     @property
     def s(self) -> int:

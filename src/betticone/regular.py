@@ -10,13 +10,12 @@ the ray coefficients that the shared certificate driver solves for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .cones import Cone, Window
 from .errors import ConeInputError
-from .sequences import BettiVector, described
+from .sequences import BettiVector, Frozen, _set, described
 
 
 def cone(n: int) -> Cone:
@@ -54,8 +53,7 @@ def facet_violations(v: BettiVector) -> list[tuple[str, Fraction]]:
     return _cone_of(v).violations(v)
 
 
-@dataclass(frozen=True)
-class RegularDecomposition:
+class RegularDecomposition(Frozen):
     """Coefficients a_i of the ray expansion v = sum a_i rho_i, i = -1..n-1.
 
     ``a[k]`` holds the coefficient of rho_{k-1}; use ``coefficient(i)`` to
@@ -63,8 +61,13 @@ class RegularDecomposition:
     the vector is a member of the closed cone.
     """
 
+    __slots__ = ("n", "a")
     n: int
     a: tuple[Fraction, ...]
+
+    def __init__(self, n: int, a: tuple[Fraction, ...]):
+        _set(self, "n", n)
+        _set(self, "a", a)
 
     def coefficient(self, i: int) -> Fraction:
         if not -1 <= i <= self.n - 1:
@@ -87,8 +90,7 @@ def decompose(v: BettiVector) -> RegularDecomposition:
     return RegularDecomposition(shapes.n, shapes.decompose(v).coefficients)
 
 
-@dataclass(frozen=True)
-class ShapeClass:
+class ShapeClass(Frozen):
     """Classification of a shape vector.
 
     realizable means some module's resolution has this shape; it requires
@@ -99,11 +101,21 @@ class ShapeClass:
     whether the free-ray coefficient vanishes.
     """
 
+    __slots__ = ("member_of_closure", "realizable", "depth", "cm_choice_exists",
+                 "decomposition")
     member_of_closure: bool
     realizable: bool
     depth: Optional[int]
     cm_choice_exists: bool
     decomposition: RegularDecomposition
+
+    def __init__(self, member_of_closure: bool, realizable: bool, depth: Optional[int],
+                 cm_choice_exists: bool, decomposition: RegularDecomposition):
+        _set(self, "member_of_closure", member_of_closure)
+        _set(self, "realizable", realizable)
+        _set(self, "depth", depth)
+        _set(self, "cm_choice_exists", cm_choice_exists)
+        _set(self, "decomposition", decomposition)
 
 
 def classify(v: BettiVector) -> ShapeClass:

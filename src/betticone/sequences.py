@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -66,26 +65,67 @@ def rational_str(value: Fraction) -> str:
             f"{sys.get_int_max_str_digits()}-digit limit for printing integers") from None
 
 
-@dataclass(frozen=True)
-class BettiVector:
+_set = object.__setattr__  # how a constructor writes a field of a `Frozen` value
+
+
+class Frozen:
+    """Base of the package's immutable value types.  The fields are the
+    names in ``__slots__`` (but ``__dict__``), in constructor order; a
+    constructor writes each once through ``_set``, and any later
+    assignment or deletion is an `AttributeError`.  Values of one type
+    are equal when their fields are, and hash as the tuple of their
+    fields."""
+
+    __slots__ = ()
+
+    def _names(self) -> list[str]:
+        return [name for name in self.__slots__ if name != "__dict__"]
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return self.__class__, self._fields()
+
+
+class BettiVector(Frozen):
     """A finite shape vector (v_0, ..., v_n) in Q^{n+1}."""
 
+    __slots__ = ("n", "entries")
     n: int
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ConeInputError(f"ambient length must be nonnegative, got n={self.n}")
-        entries = tuple(as_fraction(e) for e in self.entries)
-        if len(entries) != self.n + 1:
-            raise ConeInputError(
-                f"expected {self.n + 1} entries for n={self.n}, got {len(entries)}")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, n: int, entries: Iterable[RationalLike]):
+        if n < 0:
+            raise ConeInputError(f"ambient length must be nonnegative, got n={n}")
+        entries = tuple(as_fraction(e) for e in entries)
+        if len(entries) != n + 1:
+            raise ConeInputError(f"expected {n + 1} entries for n={n}, got {len(entries)}")
+        _set(self, "n", n)
+        _set(self, "entries", entries)
 
     @classmethod
     def of(cls, entries: Iterable[RationalLike]) -> "BettiVector":
-        """The vector of the given entries, each coerced once, by
-        `__post_init__`."""
+        """The vector of the given entries, each coerced once, by the
+        constructor."""
         items = tuple(entries)
         if not items:
             raise ConeInputError("a shape vector needs at least one entry")
@@ -95,8 +135,7 @@ class BettiVector:
         return self.entries[i]
 
 
-@dataclass(frozen=True)
-class TailPeriodicSequence:
+class TailPeriodicSequence(Frozen):
     """An infinite sequence whose entries, from index ``stab`` on, depend
     only on index parity: ``tail_even`` at even indices, ``tail_odd`` at
     odd ones.
@@ -106,31 +145,31 @@ class TailPeriodicSequence:
     makes equality structural and the type hashable.
     """
 
+    __slots__ = ("stab", "head", "tail_even", "tail_odd")
     stab: int
     head: tuple[Fraction, ...]
     tail_even: Fraction
     tail_odd: Fraction
 
-    def __post_init__(self):
-        if self.stab < 0:
+    def __init__(self, stab: int, head: Iterable[RationalLike], tail_even: RationalLike,
+                 tail_odd: RationalLike):
+        if stab < 0:
             raise ConeInputError("stabilization index must be nonnegative")
-        head = tuple(as_fraction(e) for e in self.head)
-        if len(head) != self.stab:
-            raise ConeInputError(
-                f"head length {len(head)} does not match stab={self.stab}")
-        te = as_fraction(self.tail_even)
-        to = as_fraction(self.tail_odd)
+        head = tuple(as_fraction(e) for e in head)
+        if len(head) != stab:
+            raise ConeInputError(f"head length {len(head)} does not match stab={stab}")
+        te = as_fraction(tail_even)
+        to = as_fraction(tail_odd)
         # Trim head entries that the periodic tail already reproduces.
-        stab = self.stab
         while stab > 0:
             tail_value = te if (stab - 1) % 2 == 0 else to
             if head[stab - 1] != tail_value:
                 break
             stab -= 1
-        object.__setattr__(self, "stab", stab)
-        object.__setattr__(self, "head", head[:stab])
-        object.__setattr__(self, "tail_even", te)
-        object.__setattr__(self, "tail_odd", to)
+        _set(self, "stab", stab)
+        _set(self, "head", head[:stab])
+        _set(self, "tail_even", te)
+        _set(self, "tail_odd", to)
 
     def entry(self, i: int) -> Fraction:
         if i < 0:

@@ -207,6 +207,10 @@ def cases() -> list[list[str]]:
         ["limit", "--j", "-1", "--t", "3", "--n", "2"],
         ["member", "--cone", "regular", "--n", "", "--inline", finite2],
         ["member", "--cone", "regular", "--n=", "--inline", finite2],
+        # an option given no value, and a value given to --help: the same
+        # three-line form as every other usage error
+        ["member", "--cone", "total", "--n"],
+        ["member", "--help=1"],
     ]
     return out
 

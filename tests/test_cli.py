@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import betticone
 from betticone import cli, hyper_fixed, hyper_total, pure, regular, verification
 from betticone.cli import MAX_N, MAX_PLOT_LEN, main
+from betticone.errors import quoted
 from betticone.hyper_total import phi
 from betticone.sequences import (BettiVector, embed, rational_str, sequence_from_json,
                                  sequence_to_json)
@@ -337,6 +338,65 @@ class TestVerify:
                            f"got mult_max={shown}\n")
 
 
+class TestStartUp:
+    def test_the_cli_loads_neither_click_nor_the_dataclass_machinery(self):
+        src = str(Path(betticone.__file__).parents[1])
+        regular_member = ["member", "--cone", "regular", "--n", "3", "--inline",
+                          finite_json([1, 3, 3, 1])]
+        script = "\n".join([
+            "import sys",
+            "import betticone.cli",
+            "print(sorted(m for m in ('click', 'dataclasses', 'inspect', 'difflib')"
+            " if m in sys.modules))",
+            f"code = betticone.cli.main({regular_member!r})",
+            "print(code, sorted(m for m in ('betticone.hyper_fixed', 'betticone.pure', 'difflib')"
+            " if m in sys.modules))",
+            "import betticone.hyper_fixed, betticone.pure",
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"])
+        out = subprocess.run([sys.executable, "-c", script],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                             text=True, check=True).stdout.splitlines()
+        assert out[0] == "[]"
+        assert json.loads(out[1])["member"] is True
+        assert out[2] == "0 []"
+        assert out[3] == "[]"  # no module on the CLI path builds a dataclass
+
+
+class TestHelp:
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_each_command_lists_every_option_of_its_table(self, capsys, name):
+        code, out, err = run(capsys, name, "--help")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == f"Usage: betticone {name} [OPTIONS]"
+        listed = [line.split()[0] for line in lines[lines.index("Options:") + 1:]]
+        assert listed == [option[0] for option in cli.COMMANDS[name][1]] + ["--help"]
+
+    def test_help_wins_over_a_bad_value_but_not_over_an_unknown_option(self, capsys):
+        code, out, _ = run(capsys, "member", "--n", "x", "extra", "--help")
+        assert code == 0 and out.startswith("Usage: betticone member [OPTIONS]\n")
+        code, out, err = run(capsys, "member", "--help", "--bogus")
+        assert (code, out) == (1, "") and err.endswith("Error: No such option '--bogus'.\n")
+
+    def test_the_top_level_lists_every_command(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "Usage: betticone [OPTIONS] COMMAND [ARGS]..."
+        listed = [line.split()[0] for line in lines[lines.index("Commands:") + 1:]]
+        assert listed == sorted(cli.COMMANDS)
+
+    def test_a_bare_call_prints_the_top_level_help_on_stderr(self, capsys):
+        code, out, err = run(capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("Usage: betticone [OPTIONS] COMMAND [ARGS]...\n")
+        assert err == run(capsys, "--help")[1]
+
+    def test_limits_help_names_its_cap(self, capsys):
+        _, out, _ = run(capsys, "limit", "--help")
+        assert f"(at most {pure.LIMIT_MAX_N})" in out
+
+
 class TestSizeCap:
     @pytest.mark.parametrize("command", [
         ["member", "--cone", "regular"], ["member", "--cone", "total"],
@@ -474,6 +534,37 @@ class TestInputHandling:
             assert code == 1 and out == ""
             assert err.startswith("error: cannot read '") and err.count("\n") == 1
             assert len(err) < 200
+
+    def test_a_file_past_the_byte_cap_exits_2_on_one_line(self, tmp_path, capsys):
+        text = finite_json([1, 2, 1])
+        path = tmp_path / "seq.json"
+        path.write_text(text + " " * (cli.MAX_INPUT_BYTES - len(text)))
+        code, out, err = run(capsys, "member", "--cone", "regular", "--n", "2",
+                             "--input", str(path))
+        assert code == 0 and err == "" and json.loads(out)["member"] is True
+        with path.open("a") as file:
+            file.write(" ")
+        for source in (str(path), "/dev/zero"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "member", "--cone", "regular", "--n", "2",
+                                 "--input", source)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert err == (f"error: --input must be at most {cli.MAX_INPUT_BYTES} bytes, "
+                           f"got more in {quoted(source)}\n")
+
+    def test_the_largest_input_the_other_caps_accept_reads(self, tmp_path, capsys):
+        # a constant tail sequence at n = MAX_N, every one of its 503
+        # entries written out as two 4,300-digit parts (the digit limit)
+        entry = f"{'7' * 4300}/{'7' * 4299}8"
+        path = tmp_path / "seq.json"
+        head = [entry] * (MAX_N + 1)
+        path.write_text(json.dumps({"kind": "tail", "stab": len(head), "head": head,
+                                    "tail_even": entry, "tail_odd": entry}))
+        assert path.stat().st_size > 4_300_000
+        code, out, err = run(capsys, "member", "--cone", "total", "--n", str(MAX_N),
+                             "--input", str(path))
+        assert code == 0 and err == "" and json.loads(out)["member"] is True
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "seq.json"

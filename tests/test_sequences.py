@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,55 @@ class TestJsonSchema:
             sequence_from_json(bad)
         message = str(info.value)
         assert "\n" not in message and len(message) < 200
+
+
+def _values():
+    """A value of each immutable type, and a rebuilt equal one."""
+    from betticone.cones import Decomposition, MembershipReport, Triangulation
+    from betticone.pure import DegreeSequence
+    from betticone.regular import RegularDecomposition, ShapeClass
+    third = (Fraction(1), Fraction(1, 3), Fraction(0))
+    build = [
+        lambda: BettiVector(2, ["1", "1/3", "0"]),
+        lambda: tail_seq([1, 2, 5], 5, 0),
+        lambda: MembershipReport(False, (("chi[0,1]", Fraction(-1)),)),
+        lambda: Triangulation("omit_odd", ((0, 1), (0, 2)), (2, 1)),
+        lambda: Decomposition(("rho[-1]", "rho[0]"), third[:2], (0, 1), "simplicial"),
+        lambda: RegularDecomposition(2, third),
+        lambda: ShapeClass(True, True, 1, False, RegularDecomposition(2, third)),
+        lambda: FixedConeParams(3, 4),
+        lambda: DegreeSequence((0, 1, 3)),
+    ]
+    return [(make(), make()) for make in build]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("value, twin", _values(), ids=lambda v: type(v).__name__)
+    def test_immutable_with_structural_equality_and_hashing(self, value, twin):
+        assert value is not twin and value == twin and hash(value) == hash(twin)
+        assert not value != twin
+        assert repr(value) == repr(twin) and repr(value).startswith(type(value).__name__ + "(")
+        for name in value.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == twin and pickle.loads(pickle.dumps(value)) == value
+
+    def test_equal_fields_of_another_type_are_not_equal(self):
+        from betticone.regular import RegularDecomposition
+        v = BettiVector.of([1, 2, 1])
+        assert v != RegularDecomposition(v.n, v.entries) and v != (v.n, v.entries)
+        assert len({v, BettiVector.of([1, 2, 1]), embed(v)}) == 2
+
+    def test_a_cone_is_immutable_and_equal_only_to_itself(self):
+        cone, twin = hyper_total.cone(3), hyper_total.cone(3)
+        assert cone != twin and cone == cone and len({cone, twin}) == 2
+        with pytest.raises(AttributeError):
+            cone.n = 4
+        assert cone.names == twin.names and "names" in cone.__dict__  # cached once
 
 
 def test_public_surface():
