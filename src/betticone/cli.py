@@ -13,11 +13,11 @@ functional named), 3 internal verification failure or any other error.
 
 The arguments are parsed by `main` from one option table per command (see
 `command`), by the rules and with the usage messages of the `click`
-library, which the CLI used before: ``--opt value`` or ``--opt=value``,
-the next argument is the value even when it starts with "-", the last of
-a repeated option wins, and errors come in command-line order, missing
-options last.  Modules that only some commands need are imported by
-those commands.
+library, as the golden corpus pins them: ``--opt value`` or
+``--opt=value``, the next argument is the value even when it starts with
+"-", the last of a repeated option wins, and errors come in command-line
+order, missing options last.  Modules that only some commands need are
+imported by those commands.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .sequences import (BettiVector, TailPeriodicSequence, embed, rational_str,
                         sequence_from_json, sequence_to_json)
 
 PROG = "betticone"
-SUMMARY = "Exact cone computations for shapes of minimal free resolutions."
 
 
 class UsageError(Exception):
@@ -427,8 +426,9 @@ def _help(name: str | None) -> str:
     help_row = ("--help", "Show this message and exit.")
     if name is None:
         listed = [(cmd, " ".join(COMMANDS[cmd][0].__doc__.split())) for cmd in sorted(COMMANDS)]
-        return "\n".join([_usage(None), "", f"  {SUMMARY}", "", "Options:", *_rows([help_row]),
-                          "", "Commands:", *_rows(listed)])
+        return "\n".join([_usage(None), "",
+                          "  Exact cone computations for shapes of minimal free resolutions.", "",
+                          "Options:", *_rows([help_row]), "", "Commands:", *_rows(listed)])
     function, options = COMMANDS[name]
     rows = []
     for option, kind, required, default, text in options:
@@ -506,7 +506,7 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 3
-    except (EOFError, KeyboardInterrupt):  # an interrupted run ends as click ended it
+    except (EOFError, KeyboardInterrupt):  # an interrupted run: a blank line, exit 1
         print(file=sys.stderr)
         return 1
     except Exception as exc:

@@ -392,7 +392,7 @@ class TestHelp:
         assert err.startswith("Usage: betticone [OPTIONS] COMMAND [ARGS]...\n")
         assert err == run(capsys, "--help")[1]
 
-    def test_limits_help_names_its_cap(self, capsys):
+    def test_limit_help_names_its_n_cap(self, capsys):
         _, out, _ = run(capsys, "limit", "--help")
         assert f"(at most {pure.LIMIT_MAX_N})" in out
 
