@@ -114,11 +114,16 @@ def _capped(n: int) -> int:
 
 def _load_capped(input_path: str | None, inline: str | None, n: int):
     """`_load_sequence` for the cone commands: --n and a finite input's "n"
-    are checked against MAX_N before the cone is built."""
+    are checked against MAX_N, and a tail input's canonical "stab" against
+    MAX_N + 1 (a finite input's once embedded), before the cone is built:
+    membership scans flatness up to the stab."""
     _capped(n)
     seq = _load_sequence(input_path, inline)
     if isinstance(seq, BettiVector) and seq.n > MAX_N:
         raise ConeInputError(f"n must be at most {MAX_N}, got a sequence with n={seq.n}")
+    if isinstance(seq, TailPeriodicSequence) and seq.stab > MAX_N + 1:
+        raise ConeInputError(
+            f"stab must be at most {MAX_N + 1}, got a sequence with stab={seq.stab}")
     return seq
 
 

