@@ -1,8 +1,9 @@
 """Record the golden CLI corpus: argv, exit code, stdout and stderr for a
 fixed list of cases covering every command and cone at n = 2..6, plus
 members and crossed non-members of the total and multiplicity-3 cones
-at n = 48, the command line's usage errors and parsing rules, and a tail
-input refused for its head length.
+at n = 48, the command line's usage errors and parsing rules, a tail
+input refused for its head length, and `split` and multiplicity-3
+certificates on rational and tie-heavy members at n = 8 and 48.
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
 fixed combinations of each cone's rays through ``Cone.combine``, the named
@@ -45,6 +46,16 @@ def _json(seq) -> str:
 def _coeffs(n: int, count: int, salt: int) -> list[Fraction]:
     # small, tie-heavy integer and rational coefficients, fixed per (n, salt)
     return [Fraction((3 * k + n + salt) % 4, 1 + (k + salt) % 2) for k in range(count)]
+
+
+def _rational(n: int, count: int) -> list[Fraction]:
+    # positive coefficients over the denominators 1 to 7, fixed per n
+    return [Fraction(1 + (5 * k + n) % 9, 1 + (k + n) % 7) for k in range(count)]
+
+
+def _ties(count: int) -> list[int]:
+    # coefficients 0 and 1 only, so the ratio test meets many equal ratios
+    return [int(k % 3 != 1) for k in range(count)]
 
 
 def _total(n, salt):
@@ -216,6 +227,16 @@ def cases() -> list[list[str]]:
         ["member", "--cone", "total", "--n", "3", "--inline",
          _json(TailPeriodicSequence(MAX_N + 2, [0] * (MAX_N + 1) + [1], 0, 0))],
     ]
+    # split's parts over a certificate denominator past 1, and on ties;
+    # a rational multiplicity-3 certificate past the small cases
+    for n in (8, LARGE_N):
+        out.append(["split", "--n", str(n), "--inline",
+                    _json(hyper_total.cone(n).combine(_rational(n, n + 2)))])
+    out.append(["split", "--n", str(LARGE_N), "--inline",
+                _json(hyper_total.cone(LARGE_N).combine(_ties(LARGE_N + 2)))])
+    fixed3 = hyper_fixed.cone(hyper_fixed.FixedConeParams(LARGE_N, 3))
+    out.append(["decompose", "--cone", "fixed", "--n", str(LARGE_N), "--mult", "3",
+                "--inline", _json(fixed3.combine(_rational(LARGE_N, LARGE_N + 2)))])
     return out
 
 
