@@ -10,7 +10,7 @@ machine's state, and which side runs first alternates from seed to
 seed. certify, membership-scan and verify-sweep then run once more per
 side and seed with --trace 1 for their per-layer rows (see TRACED), and
 one more child per side times direct calls by n (see DIRECT): the
-`verify` checks, and total-cone membership and certificates and
+`verify` checks, and total-cone membership, certificates and splits and
 multiplicity-3 certificates up to n = 500, past the workloads' n <= 48,
 best of DIRECT_CALLS each. Children run with
 PYTHONDONTWRITEBYTECODE=1, so no checkout gains `__pycache__` files.
@@ -57,6 +57,7 @@ DIRECT = {"verification.check_regular": [(6,), (8,), (11,)],
           "verification.check_triangulations": [(6,)],
           "hyper_total.facets_check": [(48,), (200,), (500,), (200, "coprime_negative")],
           "hyper_total.decompose": [(48,), (200,), (500, "coprime")],
+          "hyper_total.split": [(48,), (200,), (500, "coprime")],
           "hyper_fixed.decompose": [(48, 3), (500, 3)]}
 # Calls per DIRECT case, the best kept.  5 calls mostly timed warm-up: 7
 # back-to-back children on a shared 2-vCPU VM spread 5-31% (IQR over
@@ -111,6 +112,8 @@ def call(name, args):
         if name == "hyper_total.facets_check":
             ok = point != ["coprime_negative"]
             return lambda: hyper_total.facets_check(w, n).ok == ok
+        if name == "hyper_total.split":
+            return lambda: min(min(v.entries) for v in hyper_total.split(w, n)) >= 0
         return lambda: min(hyper_total.decompose(w, n).coefficients) >= 0
     if name == "hyper_fixed.decompose":
         p = hyper_fixed.FixedConeParams(*args)

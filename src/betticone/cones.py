@@ -60,6 +60,24 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (q // v.denominator) for v in values], q
 
 
+def _fractions(nums, q: int) -> tuple[Fraction, ...]:
+    """The integers ``nums`` over q > 0 as `Fraction`s; over q = 1 no gcd
+    is taken."""
+    return tuple(map(Fraction, nums)) if q == 1 else tuple(Fraction(c, q) for c in nums)
+
+
+def _rebuilds(w: Sequence, entries, sums: list[int], q: int, tails=None) -> bool:
+    """Whether the integers ``sums`` over q > 0 are entries 0..n of the
+    point w, whose entries 0..n are ``entries``, each compared with its
+    entry's own numerator and denominator by cross-multiplying.  A tail
+    point must also have no head entry past n and its even and odd tails
+    equal to ``tails`` over q."""
+    if any(v * e.denominator != e.numerator * q for v, e in zip(sums, entries)):
+        return False
+    return tails is None or (w.stab <= len(entries) and all(
+        v * t.denominator == t.numerator * q for v, t in zip(tails, (w.tail_even, w.tail_odd))))
+
+
 def _prefix_sums(entries) -> list:
     """sums[k], the sum of (-1)^m entries[m] over m < k, for k = 0..n+1."""
     sums = [0]
@@ -416,7 +434,16 @@ class Cone(Frozen):
         """Nonnegative ray certificate for a member, with exact
         reconstruction; ``which`` is 1, 2 or one of TRIANGULATION_LABELS.
         A simplicial cone has the one certificate, the banded solve,
-        labelled "simplicial"; ``which`` is still checked.
+        labelled "simplicial"; ``which`` is still checked.  The certificate
+        is `_certificate`'s, its coefficients the only `Fraction`s built."""
+        x, q, simplex, label, _ = self._certificate(w, which)
+        return Decomposition(self.names, _fractions(x, q), simplex, label)
+
+    def _certificate(self, w: Sequence, which: str | int
+                     ) -> tuple[list[int], int, tuple[int, ...], str, tuple]:
+        """`decompose`'s certificate on integers: the coefficients as
+        integer numerators x over one positive denominator q, the simplex
+        used, its label and the point's read (see `_read`).
 
         The certificate is the exact solution in the first simplex of the
         chosen triangulation (ascending omitted-ray position) whose
@@ -432,8 +459,7 @@ class Cone(Frozen):
         ratio test and the exact reconstruction check (see
         `_reconstructs`) run on integers: the relation is read over the
         corners' common denominator, and as the omitted rays share one
-        relation sign, two ratios compare by cross-multiplying.  Only the
-        returned coefficients become `Fraction`.
+        relation sign, two ratios compare by cross-multiplying.
         """
         which = _triangulation_label(which)
         point = self._read(w)
@@ -460,28 +486,22 @@ class Cone(Frozen):
                 "member vector admits no nonnegative simplex certificate")
         if not self._reconstructs(w, point[0], x, q):
             raise InternalInconsistencyError("decomposition failed exact reconstruction")
-        return Decomposition(self.names, tuple(Fraction(c, q) for c in x), simplex, label)
+        return x, q, simplex, label, point
 
     def _reconstructs(self, w: Sequence, entries, x: list[int], q: int) -> bool:
         """Whether the coefficients x / q sum to the point w, whose entries
         0..n are ``entries`` (see `_entries`): `combine`'s sum on the
         layout, in integers over q times the corners' common denominator
-        s (a tail ray adds its corner at n-2), each sum compared with its
-        entry's own numerator and denominator by cross-multiplying.  The
-        sum covers entries 0..n, so a tail point must also be flat from n
-        on at entry n's value: no head entry past n, and both tails equal
-        to that value."""
+        s (a tail ray adds its corner at n-2), compared by `_rebuilds`.
+        The sum covers entries 0..n, so a tail point must also be flat
+        from n on at entry n's value."""
         corners, s = self._scaled_corners
         rho = [c * s for c in x[:self._rho]]
         sums = [a + b for a, b in zip(rho, rho[1:])] + [rho[-1]]
-        if self.tail is not None:
-            tails = x[self._rho:]
-            top = sum(tails) * s
-            sums[-2] += sum(c * t for c, t in zip(corners, tails))
-            sums[-1] += top
-            sums.append(top)
-        q *= s
-        if any(v * e.denominator != e.numerator * q for v, e in zip(sums, entries)):
-            return False
-        return self.tail is None or (w.stab <= self.n + 1 and all(
-            top * t.denominator == t.numerator * q for t in (w.tail_even, w.tail_odd)))
+        if self.tail is None:
+            return _rebuilds(w, entries, sums, q * s)
+        tails = x[self._rho:]
+        top = sum(tails) * s
+        sums[-2] += sum(c * t for c, t in zip(corners, tails))
+        sums[-1] += top
+        return _rebuilds(w, entries, sums + [top], q * s, (top, top))

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import regular
-from .cones import Cone, Decomposition, MembershipReport, Triangulation
+from .cones import Cone, Decomposition, MembershipReport, Triangulation, _fractions, _rebuilds
 from .errors import ConeInputError, InternalInconsistencyError
-from .sequences import BettiVector, TailPeriodicSequence, embed
+from .sequences import BettiVector, TailPeriodicSequence
 
 
 def phi(v: BettiVector) -> TailPeriodicSequence:
@@ -82,16 +81,34 @@ def split(w: TailPeriodicSequence, n: int) -> tuple[BettiVector, BettiVector]:
     """Write a member as (transform of a finite alternating-sum-zero
     vector) + (embedded member of the one-smaller finite cone).
 
-    The tau coefficients of the ray certificate pull back through the
-    transform to the last two rays of the n-dimensional regular cone (the
-    transform sends rho_i to tau_inf[i]); the finite coefficients combine
-    the rays of the (n-1)-dimensional one into the second part.
-    Returns (v1 of length n+1, v2 of length n); the reconstruction
-    phi(v1) + embed(v2) = w is verified exactly.
+    The tau coefficients t0, t1 of the ray certificate (omit_odd) pull back
+    through the transform to the last two rays of the n-dimensional
+    regular cone (the transform sends rho_i to tau_inf[i]), so v1 is n-2
+    zeros, then t0, t0 + t1 and t1; the finite coefficients combine the
+    rays of the (n-1)-dimensional one into v2, the adjacent sums of the
+    rho coefficients and then the last of them.  Returns (v1 of length
+    n+1, v2 of length n).
+
+    Both parts are written as the certificate's integers over its
+    denominator q, and `_pulls_back` checks phi(v1) + embed(v2) = w on
+    them; only the returned parts become `Fraction`s.
     """
-    c = decompose(w, n, "omit_odd").coefficients
-    v1 = regular.cone(n).combine((0,) * (n - 1) + c[n:])
-    v2 = regular.cone(n - 1).combine(c[:n])
-    if phi(v1) + embed(v2) != w:
+    x, q, _, _, (entries, _, _) = cone(n)._certificate(w, "omit_odd")
+    t0, t1 = x[n], x[n + 1]
+    v1 = [0] * (n - 2) + [t0, t0 + t1, t1]
+    v2 = [a + b for a, b in zip(x, x[1:n])] + [x[n - 1]]
+    if not _pulls_back(w, entries, v1, v2, q):
         raise InternalInconsistencyError("split failed exact reconstruction")
-    return v1, v2
+    return BettiVector(n, _fractions(v1, q)), BettiVector(n - 1, _fractions(v2, q))
+
+
+def _pulls_back(w: TailPeriodicSequence, entries, v1: list[int], v2: list[int], q: int) -> bool:
+    """Whether phi(v1) + embed(v2) = w for the integers v1 (n+1 of them)
+    and v2 (n) over q > 0, w's entries 0..n being ``entries``: the running
+    even and odd sums of v1 plus v2 are entries 0..n of w, and the two
+    whole sums, phi(v1)'s tails, are w's (see `_rebuilds`)."""
+    sums, acc = [], [0, 0]
+    for i, (a, b) in enumerate(zip(v1, v2 + [0])):
+        acc[i % 2] += a
+        sums.append(acc[i % 2] + b)
+    return _rebuilds(w, entries, sums, q, acc)

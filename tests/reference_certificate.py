@@ -8,12 +8,17 @@ least (positive side) or greatest (negative side) taken, and a tie
 broken by `ratios.index`, so the first omitted position wins.
 `fraction_reconstructs` is the exact reconstruction check it ran after
 them: the ray sum written out by `Cone.combine` and compared with the
-point as a sequence.
+point as a sequence.  `fraction_split_reconstructs` is the check that
+`hyper_total.split` ran before its integer pullback check: the transform
+of the first part plus the embedded second part, as sequences.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from betticone.hyper_total import phi
+from betticone.sequences import embed
 
 
 def fraction_solve(cone, w) -> list[Fraction]:
@@ -50,3 +55,9 @@ def fraction_reconstructs(cone, w, x, q) -> bool:
     """Whether the coefficients x / q (integer numerators over q) rebuild
     w, as `Cone.decompose` checked before its integer reconstruction."""
     return cone.combine([Fraction(c, q) for c in x]) == w
+
+
+def fraction_split_reconstructs(w, v1, v2) -> bool:
+    """Whether phi(v1) + embed(v2) is w, as `hyper_total.split` checked
+    before its integer pullback check."""
+    return phi(v1) + embed(v2) == w

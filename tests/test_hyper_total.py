@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betticone import hyper_total, oracle, verification
+from betticone import cones, hyper_total, oracle, sequences, verification
 from betticone.cones import Cone, Triangulation
-from betticone.errors import ConeInputError, NotInConeError
+from betticone.errors import ConeInputError, InternalInconsistencyError, NotInConeError
 from betticone.hyper_total import (decompose, facets_check, phi, ray_basis, split,
                                    triangulations)
 from betticone.oracle import ConeDescription
 from betticone.pure import DegreeSequence, herzog_kuhl
-from betticone.sequences import BettiVector, embed
+from betticone.sequences import BettiVector, TailPeriodicSequence, embed
 
+from reference_certificate import fraction_split_reconstructs
 from reference_linalg import linear_relation, nullspace
 from reference_oracle import reference_validate_triangulation
 from reference_sequences import constant_tail, evaluate, ray, rho_vector
@@ -294,6 +295,79 @@ class TestSplit:
         assert phi(v1s) + embed(v2s) == INTRO_W_SHORT
         with pytest.raises(NotInConeError):
             split(INTRO_W, 14)
+
+    def test_split_checks_on_integers(self, monkeypatch):
+        # neither the parts nor the pullback check go through a Fraction
+        # sequence: no combine, transform, embedding or tail sum
+        points = [(n, ray_basis(n).combine([1 + k % 3 for k in range(n + 2)]))
+                  for n in (2, 3, 6, 48)] + [(15, INTRO_W)]
+        expected = [split(w, n) for n, w in points]
+
+        def refuse(*args):
+            raise AssertionError("a Fraction sequence operation on split's path")
+        monkeypatch.setattr(hyper_total, "phi", refuse)
+        monkeypatch.setattr(sequences, "embed", refuse)
+        monkeypatch.setattr(Cone, "combine", refuse)
+        monkeypatch.setattr(TailPeriodicSequence, "__add__", refuse)
+        assert [split(w, n) for n, w in points] == expected
+
+    @pytest.mark.parametrize("position", [0, 3, 4, 5])
+    def test_a_wrong_certificate_fails_the_pullback_check(self, monkeypatch, position):
+        # a coefficient off by one after the certificate's own check: a
+        # rho coefficient moves v2, a tau coefficient v1
+        w = ray_basis(4).combine([1] * 6)
+        certificate = Cone._certificate
+
+        def bumped(self, w, which):
+            x, *rest = certificate(self, w, which)
+            return [c + (k == position) for k, c in enumerate(x)], *rest
+        monkeypatch.setattr(Cone, "_certificate", bumped)
+        with pytest.raises(InternalInconsistencyError, match="^split failed exact reconstruction$"):
+            split(w, 4)
+
+
+def split_members(n):
+    """Integer, tie-heavy and rational members of the total cone at n."""
+    rng, basis = random.Random(f"split-{n}"), ray_basis(n)
+    size = len(basis.names)
+    return [basis.combine(coeffs) for coeffs in (
+        [rng.randint(0, 9) for _ in range(size)],
+        [rng.choice((0, 0, 1, 1, 3)) for _ in range(size)],
+        [Fraction(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(size)])]
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 20, 33, 48])
+def test_the_integer_pullback_check_agrees_with_the_fraction_one(n):
+    for w in split_members(n):
+        v1, v2 = split(w, n)
+        nums, q = cones._over_common_denominator(v1.entries + v2.entries)
+        x1, x2 = nums[:n + 1], nums[n + 1:]
+
+        def agree(point, y1, y2, over, holds):
+            parts = (BettiVector(n, [Fraction(c, over) for c in y1]),
+                     BettiVector(n - 1, [Fraction(c, over) for c in y2]))
+            got = hyper_total._pulls_back(point, point.prefix(n + 1), y1, y2, over)
+            assert got == fraction_split_reconstructs(point, *parts) == holds, (n, point)
+
+        agree(w, x1, x2, q, True)
+        for k in range(n + 1):  # one numerator off by one, in either part
+            for step in (1, -1):
+                agree(w, [c + step * (m == k) for m, c in enumerate(x1)], x2, q, False)
+                if k < n:
+                    agree(w, x1, [c + step * (m == k) for m, c in enumerate(x2)], q, False)
+        agree(w, x1, x2, q + 1, not any(nums))
+        head, top = w.prefix(n + 1), w.entry(n)
+        # a bent tail: entry n+1 leaves the tail, so stab = n+2, tails kept
+        bent = TailPeriodicSequence(n + 2, head + (top + 1,), w.tail_even, w.tail_odd)
+        # unequal tails: the one of n's parity (entry n is still in the
+        # head, stab = n+1), then the other one
+        other = [(top + 1, top), (top, top + 1)][n % 2]
+        changed = [TailPeriodicSequence(n + 1, head, *other),
+                   TailPeriodicSequence(n + 1, head, *other[::-1])]
+        assert bent.stab == n + 2 and changed[0].stab == n + 1
+        for point in [bent, *changed]:
+            assert point.prefix(n + 1) == head
+            agree(point, x1, x2, q, False)
 
 
 class TestSweepIntegration:
