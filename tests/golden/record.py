@@ -3,7 +3,9 @@ fixed list of cases covering every command and cone at n = 2..6, plus
 members and crossed non-members of the total and multiplicity-3 cones
 at n = 48, the command line's usage errors and parsing rules, a tail
 input refused for its head length, and `split` and multiplicity-3
-certificates on rational and tie-heavy members at n = 8 and 48.
+certificates on rational and tie-heavy members at n = 8 and 48, and
+`classify` at n = 48 on a rational non-member and on the coprime point
+that `bench/record.py` times.
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
 fixed combinations of each cone's rays through ``Cone.combine``, the named
@@ -22,13 +24,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from betticone import hyper_fixed, hyper_total, regular
 from betticone.cli import MAX_N, main
-from betticone.sequences import TailPeriodicSequence, embed, sequence_to_json
+from betticone.sequences import BettiVector, TailPeriodicSequence, embed, sequence_to_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the tests' references
 from reference_sequences import ray, rho_vector  # noqa: E402
@@ -56,6 +59,23 @@ def _rational(n: int, count: int) -> list[Fraction]:
 def _ties(count: int) -> list[int]:
     # coefficients 0 and 1 only, so the ratio test meets many equal ratios
     return [int(k % 3 != 1) for k in range(count)]
+
+
+def _primes(count: int) -> list[int]:
+    out, k = [], 2
+    while len(out) < count:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+
+def _coprime(n: int) -> list[Fraction]:
+    # entries 0..n of bench/record.py's "coprime" member: level at 2(n+1)
+    # and moved off the integers by a fraction of the k-th prime at k < n
+    rng = random.Random(n)
+    return ([2 * (n + 1) + Fraction(rng.randrange(p), p) for p in _primes(n)]
+            + [Fraction(2 * (n + 1))])
 
 
 def _total(n, salt):
@@ -237,6 +257,14 @@ def cases() -> list[list[str]]:
     fixed3 = hyper_fixed.cone(hyper_fixed.FixedConeParams(LARGE_N, 3))
     out.append(["decompose", "--cone", "fixed", "--n", str(LARGE_N), "--mult", "3",
                 "--inline", _json(fixed3.combine(_rational(LARGE_N, LARGE_N + 2)))])
+    # classify past the small cases: a rational non-member whose ray
+    # coefficients are negative at four positions, and the coprime point
+    negated = [-c if k in (3, 17, 30, 44) else c
+               for k, c in enumerate(_rational(LARGE_N, LARGE_N + 1))]
+    out.append(["classify", "--n", str(LARGE_N), "--inline",
+                _json(regular.cone(LARGE_N).combine(negated))])
+    out.append(["classify", "--n", str(LARGE_N), "--inline",
+                _json(BettiVector.of(_coprime(LARGE_N)))])
     return out
 
 
