@@ -11,8 +11,8 @@ seed. certify, membership-scan and verify-sweep then run once more per
 side and seed with --trace 1 for their per-layer rows (see TRACED), and
 one more child per side times direct calls by n (see DIRECT): the
 `verify` checks, and total-cone membership, certificates and splits and
-multiplicity-3 certificates up to n = 500, past the workloads' n <= 48,
-best of DIRECT_CALLS each. Children run with
+multiplicity-3 certificates and regular classifications up to n = 500,
+past the workloads' n <= 48, best of DIRECT_CALLS each. Children run with
 PYTHONDONTWRITEBYTECODE=1, so no checkout gains `__pycache__` files.
 
 The output JSON holds, per side, the checkout's commit (when it is a git
@@ -58,7 +58,8 @@ DIRECT = {"verification.check_regular": [(6,), (8,), (11,)],
           "hyper_total.facets_check": [(48,), (200,), (500,), (200, "coprime_negative")],
           "hyper_total.decompose": [(48,), (200,), (500, "coprime")],
           "hyper_total.split": [(48,), (200,), (500, "coprime")],
-          "hyper_fixed.decompose": [(48, 3), (500, 3)]}
+          "hyper_fixed.decompose": [(48, 3), (500, 3)],
+          "regular.classify": [(48,), (200,), (500, "coprime")]}
 # Calls per DIRECT case, the best kept.  5 calls mostly timed warm-up: 7
 # back-to-back children on a shared 2-vCPU VM spread 5-31% (IQR over
 # median) with 5 and 1-7% with 30, at about 1.2 s a child.  Children
@@ -74,11 +75,14 @@ DIRECT_CALLS = 30
 # point, -1 - 1/p^2 at entry k for the k-th prime p, on which every
 # total-cone window is negative.  Their denominators are pairwise coprime,
 # so their common denominator has thousands of bits at n = 500.
+# `regular.classify` runs on a seeded member of the regular cone or on
+# the point's entries 0..n as a finite vector, and checks its answer
+# against the regular cone's own membership test.
 DIRECT_SCRIPT = """
 import json, random, sys, time
 from fractions import Fraction
-from betticone import hyper_fixed, hyper_total, verification
-from betticone.sequences import TailPeriodicSequence
+from betticone import hyper_fixed, hyper_total, regular, verification
+from betticone.sequences import BettiVector, TailPeriodicSequence
 
 def member(cone):
     rng = random.Random(cone.n)
@@ -115,6 +119,11 @@ def call(name, args):
         if name == "hyper_total.split":
             return lambda: min(min(v.entries) for v in hyper_total.split(w, n)) >= 0
         return lambda: min(hyper_total.decompose(w, n).coefficients) >= 0
+    if name == "regular.classify":
+        n, *point = args
+        v = BettiVector.of(POINTS[point[0]](n).prefix(n + 1)) if point else member(regular.cone(n))
+        ok = regular.cone(n).member(v).ok
+        return lambda: regular.classify(v).member_of_closure == ok
     if name == "hyper_fixed.decompose":
         p = hyper_fixed.FixedConeParams(*args)
         w = member(hyper_fixed.cone(p))

@@ -142,10 +142,6 @@ class MembershipReport(Frozen):
     ok: bool
     violations: tuple[tuple[str, Fraction], ...]
 
-    def __init__(self, ok: bool, violations: tuple[tuple[str, Fraction], ...]):
-        _set(self, "ok", ok)
-        _set(self, "violations", violations)
-
     def __bool__(self) -> bool:
         return self.ok
 
@@ -162,12 +158,6 @@ class Triangulation(Frozen):
     simplices: tuple[tuple[int, ...], ...]
     omitted: tuple[int, ...]
 
-    def __init__(self, label: str, simplices: tuple[tuple[int, ...], ...],
-                 omitted: tuple[int, ...]):
-        _set(self, "label", label)
-        _set(self, "simplices", simplices)
-        _set(self, "omitted", omitted)
-
 
 class Decomposition(Frozen):
     """Nonnegative ray coefficients supported on one simplex, plus which
@@ -178,13 +168,6 @@ class Decomposition(Frozen):
     coefficients: tuple[Fraction, ...]
     simplex_used: tuple[int, ...]
     label: str
-
-    def __init__(self, names: tuple[str, ...], coefficients: tuple[Fraction, ...],
-                 simplex_used: tuple[int, ...], label: str):
-        _set(self, "names", names)
-        _set(self, "coefficients", coefficients)
-        _set(self, "simplex_used", simplex_used)
-        _set(self, "label", label)
 
 
 def _triangulation_label(which: str | int) -> str:

@@ -47,9 +47,6 @@ class DegreeSequence(Frozen):
     def s(self) -> int:
         return len(self.degrees) - 1
 
-    def __iter__(self):
-        return iter(self.degrees)
-
 
 def herzog_kuhl(d: DegreeSequence, n: int) -> BettiVector:
     """Shape of the pure resolution with degree sequence d, zero-padded to

@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .cones import Cone, Window
+from .cones import Cone, Window, _fractions
 from .errors import ConeInputError
-from .sequences import BettiVector, Frozen, _set, described
+from .sequences import BettiVector, Frozen, described
 
 
 def cone(n: int) -> Cone:
@@ -65,10 +65,6 @@ class RegularDecomposition(Frozen):
     n: int
     a: tuple[Fraction, ...]
 
-    def __init__(self, n: int, a: tuple[Fraction, ...]):
-        _set(self, "n", n)
-        _set(self, "a", a)
-
     def coefficient(self, i: int) -> Fraction:
         if not -1 <= i <= self.n - 1:
             raise IndexError(f"ray index {i} out of range for n={self.n}")
@@ -109,29 +105,24 @@ class ShapeClass(Frozen):
     cm_choice_exists: bool
     decomposition: RegularDecomposition
 
-    def __init__(self, member_of_closure: bool, realizable: bool, depth: Optional[int],
-                 cm_choice_exists: bool, decomposition: RegularDecomposition):
-        _set(self, "member_of_closure", member_of_closure)
-        _set(self, "realizable", realizable)
-        _set(self, "depth", depth)
-        _set(self, "cm_choice_exists", cm_choice_exists)
-        _set(self, "decomposition", decomposition)
-
 
 def classify(v: BettiVector) -> ShapeClass:
+    """The shape's classification from its ray coefficients, solved on the
+    point's integer read: position k of `Cone._solve` is chi[k,n] in the
+    regular cone, member or not, and the coefficients over q > 0 have the
+    signs of their integer numerators."""
     shapes = _cone_of(v)
     n = shapes.n
-    coeffs = tuple(shapes.values(shapes._entries(v)))
-    dec = RegularDecomposition(n, coeffs)
-    is_member = all(c >= 0 for c in coeffs)
-    cm = coeffs[0] == 0
+    x, q = shapes._solve(*shapes._read(v)[1:])
+    dec = RegularDecomposition(n, _fractions(x, q))
+    cm = x[0] == 0
 
-    if not is_member:
+    if any(c < 0 for c in x):
         return ShapeClass(False, False, None, cm, dec)
-    if not any(coeffs):  # the rays are a basis: v is 0 when its coefficients are
+    if not any(x):  # the rays are a basis: v is 0 when its coefficients are
         return ShapeClass(True, True, None, cm, dec)
 
-    positive = [i for i in range(0, n) if dec.coefficient(i) > 0]
+    positive = [i for i in range(0, n) if x[i + 1] > 0]
     m = positive[-1] if positive else -1
     contiguous = positive == list(range(0, m + 1))
     if not contiguous:

@@ -72,19 +72,31 @@ _set = object.__setattr__  # how a constructor writes a field of a `Frozen` valu
 
 class Frozen:
     """Base of the package's immutable value types.  The fields are the
-    names in ``__slots__`` (but ``__dict__``), in constructor order; a
-    constructor writes each once through ``_set``, and any later
-    assignment or deletion is an `AttributeError`.  Values of one type
-    are equal when their fields are, and hash as the tuple of their
-    fields."""
+    names in ``__slots__`` (but ``__dict__``), in constructor order.  A
+    type whose constructor only stores its fields inherits this one,
+    which takes them positionally; a type that checks, normalises or
+    defaults its arguments writes each field once through ``_set`` in its
+    own constructor.  Any later assignment or deletion is an
+    `AttributeError`.  Values of one type are equal when their fields
+    are, and hash as the tuple of their fields."""
 
     __slots__ = ()
+    _field_names: tuple[str, ...] = ()
 
-    def _names(self) -> list[str]:
-        return [name for name in self.__slots__ if name != "__dict__"]
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field_names = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *fields):
+        names = self._field_names
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields "
+                            f"({', '.join(names)}), got {len(fields)}")
+        for name, value in zip(names, fields):
+            _set(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._names())
+        return tuple(getattr(self, name) for name in self._field_names)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -101,7 +113,7 @@ class Frozen:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names())
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
@@ -182,13 +194,6 @@ class TailPeriodicSequence(Frozen):
 
     def prefix(self, length: int) -> tuple[Fraction, ...]:
         return tuple(self.entry(i) for i in range(length))
-
-    def __add__(self, other: "TailPeriodicSequence") -> "TailPeriodicSequence":
-        stab = max(self.stab, other.stab)
-        head = tuple(self.entry(i) + other.entry(i) for i in range(stab))
-        return TailPeriodicSequence(stab, head,
-                                    self.tail_even + other.tail_even,
-                                    self.tail_odd + other.tail_odd)
 
 
 Sequence = Union[BettiVector, TailPeriodicSequence]

@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +33,7 @@ from betticone.cli import MAX_N, main
 from betticone.sequences import BettiVector, TailPeriodicSequence, embed, sequence_to_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the tests' references
-from reference_sequences import ray, rho_vector  # noqa: E402
+from reference_sequences import coprime_entries, ray, rho_vector, tail_sum  # noqa: E402
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 NS = range(2, 7)
@@ -61,23 +60,6 @@ def _ties(count: int) -> list[int]:
     return [int(k % 3 != 1) for k in range(count)]
 
 
-def _primes(count: int) -> list[int]:
-    out, k = [], 2
-    while len(out) < count:
-        if all(k % p for p in out if p * p <= k):
-            out.append(k)
-        k += 1
-    return out
-
-
-def _coprime(n: int) -> list[Fraction]:
-    # entries 0..n of bench/record.py's "coprime" member: level at 2(n+1)
-    # and moved off the integers by a fraction of the k-th prime at k < n
-    rng = random.Random(n)
-    return ([2 * (n + 1) + Fraction(rng.randrange(p), p) for p in _primes(n)]
-            + [Fraction(2 * (n + 1))])
-
-
 def _total(n, salt):
     return hyper_total.cone(n).combine(_coeffs(n, n + 2, salt))
 
@@ -101,15 +83,15 @@ def _finite_nonmember(n):
 def _tail_nonmember(n):
     # a member with 3 added at index n-1, which breaks windows ending at n
     w = _total(n, 1)
-    return w + TailPeriodicSequence(n, (Fraction(0),) * (n - 1) + (Fraction(3),),
-                                    Fraction(0), Fraction(0))
+    return tail_sum(w, TailPeriodicSequence(n, (Fraction(0),) * (n - 1) + (Fraction(3),),
+                                            Fraction(0), Fraction(0)))
 
 
 def _crossed(w, n, bumps):
     # ``w`` with bumps[k] added at entry k < n: windows from starts of both
     # parities turn negative, chi[n-1,n] among them when k = n-1 is bumped
-    return w + TailPeriodicSequence(n, tuple(Fraction(bumps.get(k, 0)) for k in range(n)),
-                                    Fraction(0), Fraction(0))
+    return tail_sum(w, TailPeriodicSequence(n, tuple(Fraction(bumps.get(k, 0)) for k in range(n)),
+                                            Fraction(0), Fraction(0)))
 
 
 def cases() -> list[list[str]]:
@@ -264,7 +246,7 @@ def cases() -> list[list[str]]:
     out.append(["classify", "--n", str(LARGE_N), "--inline",
                 _json(regular.cone(LARGE_N).combine(negated))])
     out.append(["classify", "--n", str(LARGE_N), "--inline",
-                _json(BettiVector.of(_coprime(LARGE_N)))])
+                _json(BettiVector.of(coprime_entries(LARGE_N)))])
     return out
 
 

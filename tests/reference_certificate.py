@@ -11,14 +11,19 @@ them: the ray sum written out by `Cone.combine` and compared with the
 point as a sequence.  `fraction_split_reconstructs` is the check that
 `hyper_total.split` ran before its integer pullback check: the transform
 of the first part plus the embedded second part, as sequences.
+`fraction_classify_coefficients` is how `regular.classify` listed its
+ray coefficients before it solved on the integer read: the regular
+cone's window values on the point's `Fraction` entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from betticone import regular
 from betticone.hyper_total import phi
 from betticone.sequences import embed
+from reference_sequences import tail_sum
 
 
 def fraction_solve(cone, w) -> list[Fraction]:
@@ -60,4 +65,12 @@ def fraction_reconstructs(cone, w, x, q) -> bool:
 def fraction_split_reconstructs(w, v1, v2) -> bool:
     """Whether phi(v1) + embed(v2) is w, as `hyper_total.split` checked
     before its integer pullback check."""
-    return phi(v1) + embed(v2) == w
+    return tail_sum(phi(v1), embed(v2)) == w
+
+
+def fraction_classify_coefficients(v) -> tuple[Fraction, ...]:
+    """The ray coefficients a[-1..n-1] of the finite v, member or not, as
+    `regular.classify` listed them before its integer solve: chi[j,n]
+    for j = 0..n on the `Fraction` entries."""
+    shapes = regular.cone(v.n)
+    return tuple(shapes.values(shapes._entries(v)))

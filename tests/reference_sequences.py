@@ -2,8 +2,11 @@
 
 `ray` builds each named extremal ray one by one from `rho_vector` and
 `constant_tail`, the reference that the layout's two writers,
-`Cone.projected` and `Cone.combine`, are checked against; `unit_rays`
-reads a cone's rays through `Cone.combine` for the tests.  `row`
+`Cone.projected` and `Cone.combine`, are checked against; `tail_sum`
+adds two tail-periodic sequences, which the package never needs;
+`coprime_entries` writes out a point whose common denominator grows
+fast with n; `unit_rays` reads a cone's rays through `Cone.combine` for
+the tests.  `row`
 writes a facet window's coefficients out one by one, and `evaluate` pairs
 a row with a sequence by a plain dot product, so neither shares the
 alternating prefix sums that `Cone.values` runs.  `hk_residual` evaluates
@@ -12,6 +15,7 @@ the defining equations of a pure shape.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from betticone.errors import ConeInputError, quoted
@@ -64,6 +68,27 @@ def ray(kind: str, i: int, n: int, d: int | None = None) -> TailPeriodicSequence
         head = (Fraction(0),) * (n - 2) + (at_corner,)
         return TailPeriodicSequence(n - 1, head, Fraction(1), Fraction(1))
     raise ConeInputError(f"unknown ray kind: {quoted(kind)}")
+
+
+def tail_sum(u: TailPeriodicSequence, w: TailPeriodicSequence) -> TailPeriodicSequence:
+    """The entrywise sum of two tail-periodic sequences: the head runs to
+    the later stab, and the tails add by parity."""
+    stab = max(u.stab, w.stab)
+    head = tuple(u.entry(i) + w.entry(i) for i in range(stab))
+    return TailPeriodicSequence(stab, head, u.tail_even + w.tail_even, u.tail_odd + w.tail_odd)
+
+
+def coprime_entries(n: int) -> list[Fraction]:
+    """Entries 0..n of bench/record.py's "coprime" point: level at
+    2(n+1), moved off the integers by a seeded fraction of the k-th prime
+    at each entry k < n, so the denominators are pairwise coprime."""
+    primes, k = [], 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    rng = random.Random(n)
+    return [2 * (n + 1) + Fraction(rng.randrange(p), p) for p in primes] + [Fraction(2 * (n + 1))]
 
 
 def unit_rays(cone) -> list:

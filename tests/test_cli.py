@@ -21,7 +21,7 @@ from betticone.hyper_total import phi
 from betticone.sequences import (BettiVector, TailPeriodicSequence, embed, rational_str,
                                  sequence_from_json, sequence_to_json)
 
-from reference_sequences import ray, rho_vector
+from reference_sequences import ray, rho_vector, tail_sum
 
 
 def run(capsys, *argv):
@@ -178,8 +178,8 @@ class TestDecompose:
             "rho[-1]": "0", "rho[0]": "1", "rho[1]": "2", "rho[2]": "1"}
 
     def test_total_certificate(self, capsys):
-        w = json.dumps(sequence_to_json(ray("tau_inf", 1, 3) + embed(rho_vector(0, 3))
-                                        + embed(rho_vector(0, 3))))
+        w = tail_sum(tail_sum(ray("tau_inf", 1, 3), embed(rho_vector(0, 3))), embed(rho_vector(0, 3)))
+        w = json.dumps(sequence_to_json(w))
         code, out, _ = run(capsys, "decompose", "--cone", "total", "--n", "3",
                            "--inline", w, "--triangulation", "2")
         assert code == 0
@@ -237,7 +237,7 @@ class TestClassify:
 
 class TestSplit:
     def test_round_trip(self, capsys):
-        w = ray("tau_inf", 2, 3) + embed(rho_vector(-1, 3))
+        w = tail_sum(ray("tau_inf", 2, 3), embed(rho_vector(-1, 3)))
         code, out, _ = run(capsys, "split", "--n", "3",
                            "--inline", json.dumps(sequence_to_json(w)))
         assert code == 0
@@ -245,7 +245,7 @@ class TestSplit:
         v1 = sequence_from_json(payload["v1"])
         v2 = sequence_from_json(payload["v2"])
         assert v1.n == 3 and v2.n == 2
-        assert phi(v1) + embed(v2) == w
+        assert tail_sum(phi(v1), embed(v2)) == w
 
 
 class TestVerify:
@@ -633,8 +633,8 @@ class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         args = ("decompose", "--cone", "total", "--n", "4", "--inline",
                 json.dumps(sequence_to_json(
-                    ray("tau_inf", 2, 4) + ray("tau_inf", 3, 4)
-                    + embed(BettiVector.of([Fraction(5, 3), 0, 0, 0, 0])))))
+                    tail_sum(tail_sum(ray("tau_inf", 2, 4), ray("tau_inf", 3, 4)),
+                             embed(BettiVector.of([Fraction(5, 3), 0, 0, 0, 0]))))))
         first = run(capsys, *args)
         second = run(capsys, *args)
         assert first == second

@@ -12,7 +12,8 @@ from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import BettiVector, TailPeriodicSequence, as_fraction, embed, rational_str
 
 from reference_certificate import fraction_reconstructs
-from reference_sequences import constant_tail, evaluate, ray, rho_vector, row, unit_rays
+from reference_sequences import (constant_tail, evaluate, ray, rho_vector, row, tail_sum,
+                                 unit_rays)
 
 
 def reference_rays(family, n):
@@ -220,7 +221,7 @@ def test_members_round_trip_and_a_pushed_window_is_rejected(family):
             if isinstance(w, BettiVector):
                 pushed = BettiVector(n, tuple(e + step * (k == i) for k, e in enumerate(w.entries)))
             else:
-                pushed = w + TailPeriodicSequence(i + 1, (0,) * i + (step,), 0, 0)
+                pushed = tail_sum(w, TailPeriodicSequence(i + 1, (0,) * i + (step,), 0, 0))
             assert evaluate(window, pushed) == -delta
             with pytest.raises(NotInConeError) as caught:
                 cone.decompose(pushed)
@@ -362,7 +363,7 @@ def test_membership_and_certificates_build_no_window_list(monkeypatch):
     points = []
     for cone in (hyper_total.cone(n), hyper_fixed.cone(p)):
         member = cone.combine([1 + k % 3 for k in range(n + 2)])
-        points += [member, member + bump]
+        points += [member, tail_sum(member, bump)]
 
     def answers():
         out = []

@@ -10,7 +10,7 @@ from betticone.oracle import ConeDescription
 from betticone.sequences import TailPeriodicSequence, embed
 
 from reference_oracle import reference_validate_triangulation
-from reference_sequences import constant_tail, evaluate, ray, rho_vector, unit_rays
+from reference_sequences import constant_tail, evaluate, ray, rho_vector, tail_sum, unit_rays
 
 
 def tail_const(head, value):
@@ -84,7 +84,7 @@ class TestDecompose:
 
     def test_two_ray_combination(self):
         p = FixedConeParams(2, 3)
-        w = embed(rho_vector(-1, 2)) + ray("tau_d", 0, 2, 3)
+        w = tail_sum(embed(rho_vector(-1, 2)), ray("tau_d", 0, 2, 3))
         dec = decompose(w, p)
         assert hyper_fixed.cone(p).combine(dec.coefficients) == w
 

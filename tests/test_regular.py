@@ -9,7 +9,8 @@ from betticone.errors import NotInConeError
 from betticone.oracle import ConeDescription
 from betticone.sequences import BettiVector
 
-from reference_sequences import evaluate, rho_vector, row
+from reference_certificate import fraction_classify_coefficients
+from reference_sequences import coprime_entries, evaluate, rho_vector, row
 
 DELTA = Fraction(1, 10)
 
@@ -201,3 +202,48 @@ class TestClassify:
                 continue
             assert sc.realizable
             assert sc.depth == n - 1 - m
+
+
+def _classify_points(n: int) -> list[BettiVector]:
+    """Integer, tie-heavy and rational members of the regular cone at n,
+    and each with two coefficients negated (one when n = 0)."""
+    rng = random.Random(n)
+    size = n + 1
+    members = [[rng.randint(0, 9) for _ in range(size)],
+               [int(k % 3 != 1) for k in range(size)],
+               [Fraction(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(size)]]
+    points = []
+    for coeffs in members:
+        flipped = list(coeffs)
+        for k in {0, size // 2}:
+            flipped[k] = -1 - flipped[k]
+        points += [regular.cone(n).combine(coeffs), regular.cone(n).combine(flipped)]
+    return points
+
+
+@pytest.mark.parametrize("n", [*range(13), 20, 33, 48])
+def test_classify_coefficients_agree_with_the_fraction_listing(n):
+    # classify solves on the integer read; the former listing evaluated
+    # every chi[j,n] on the Fraction entries
+    for v in _classify_points(n):
+        sc = regular.classify(v)
+        expected = fraction_classify_coefficients(v)
+        assert sc.decomposition.a == expected
+        assert sc.member_of_closure == all(c >= 0 for c in expected)
+        assert sc.member_of_closure == regular.cone(n).member(v).ok
+
+
+@pytest.mark.parametrize("n", [48, 200])
+def test_classify_coefficients_on_the_coprime_point(n):
+    v = BettiVector.of(coprime_entries(n))
+    assert regular.classify(v).decomposition.a == fraction_classify_coefficients(v)
+
+
+def test_classify_reads_no_window_values(monkeypatch):
+    points = [v for n in (0, 1, 6, 48) for v in _classify_points(n)] + [SPIKE_14]
+    expected = [regular.classify(v) for v in points]
+
+    def refuse(*args):
+        raise AssertionError("classify evaluated the windows on Fraction entries")
+    monkeypatch.setattr(Cone, "values", refuse)
+    assert [regular.classify(v) for v in points] == expected

@@ -12,7 +12,7 @@ from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, embed,
                                  rational_str, sequence_from_json, sequence_to_json)
 
-from reference_sequences import constant_tail, evaluate, ray, rho_vector, row
+from reference_sequences import constant_tail, evaluate, ray, rho_vector, row, tail_sum
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -86,7 +86,7 @@ class TestTailPeriodicSequence:
     def test_addition_is_entrywise(self):
         a = tail_seq([1], 2, 3)
         b = tail_seq([0, 1, 5], 0, 1)
-        total = a + b
+        total = tail_sum(a, b)
         assert total.prefix(6) == tuple(
             a.entry(i) + b.entry(i) for i in range(6))
 
@@ -321,6 +321,39 @@ class TestValueTypes:
         with pytest.raises(AttributeError):
             cone.n = 4
         assert cone.names == twin.names and "names" in cone.__dict__  # cached once
+
+
+def _field_only_types():
+    from betticone.cones import Decomposition, MembershipReport, Triangulation
+    from betticone.regular import RegularDecomposition, ShapeClass
+    return [MembershipReport, Triangulation, Decomposition, RegularDecomposition, ShapeClass]
+
+
+@pytest.mark.parametrize("cls", _field_only_types(), ids=lambda cls: cls.__name__)
+def test_a_field_only_type_takes_exactly_its_fields(cls):
+    # the type inherits Frozen's constructor, which stores its fields by
+    # position and refuses a wrong count naming the type
+    assert "__init__" not in vars(cls)
+    names = cls._field_names
+    assert names == cls.__slots__ and "__dict__" not in names
+    value = cls(*range(len(names)))
+    assert [getattr(value, name) for name in names] == list(range(len(names)))
+    for count in (0, len(names) - 1, len(names) + 1):
+        with pytest.raises(TypeError) as caught:
+            cls(*range(count))
+        assert str(caught.value) == (f"{cls.__name__} takes {len(names)} fields "
+                                     f"({', '.join(names)}), got {count}")
+
+
+def test_a_cone_pickles_and_prints_without_its_dict():
+    # a cone's cached properties live in its __dict__, which is no field
+    cone = hyper_fixed.cone(FixedConeParams(4, 3))
+    assert cone.names and "names" in cone.__dict__
+    rebuilt = pickle.loads(pickle.dumps(cone))
+    assert (rebuilt.title, rebuilt.n, rebuilt.spans, rebuilt.tail, rebuilt.corners) == (
+        cone.title, cone.n, cone.spans, cone.tail, cone.corners)
+    assert rebuilt.within.spans == cone.within.spans and rebuilt.names == cone.names
+    assert "__dict__" not in repr(cone)
 
 
 def test_public_surface():
