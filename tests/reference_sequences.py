@@ -6,11 +6,10 @@
 adds two tail-periodic sequences, which the package never needs;
 `coprime_entries` writes out a point whose common denominator grows
 fast with n; `unit_rays` reads a cone's rays through `Cone.combine` for
-the tests.  `row`
-writes a facet window's coefficients out one by one, and `evaluate` pairs
-a row with a sequence by a plain dot product, so neither shares the
-alternating prefix sums that `Cone.values` runs.  `hk_residual` evaluates
-the defining equations of a pure shape.
+the tests.  `row` writes a facet window's coefficients out one by one,
+and `evaluate` pairs a row with a sequence by a plain dot product, so
+neither shares the alternating prefix sums that `Cone.values` runs.
+`hk_residual` evaluates the defining equations of a pure shape.
 """
 
 from __future__ import annotations

@@ -206,7 +206,8 @@ class TestClassify:
 
 def _classify_points(n: int) -> list[BettiVector]:
     """Integer, tie-heavy and rational members of the regular cone at n,
-    and each with two coefficients negated (one when n = 0)."""
+    and each again with its coefficients at 0 and (n+1)//2 made negative:
+    a non-member with one or two negative ray coefficients."""
     rng = random.Random(n)
     size = n + 1
     members = [[rng.randint(0, 9) for _ in range(size)],
