@@ -12,8 +12,10 @@ side and seed with --trace 1 for their per-layer rows (see TRACED), and
 one more child per side times direct calls by n (see DIRECT): the
 `verify` checks, and total-cone membership, certificates and splits and
 multiplicity-3 certificates and regular classifications up to n = 500,
-past the workloads' n <= 48, best of DIRECT_CALLS each. Children run with
-PYTHONDONTWRITEBYTECODE=1, so no checkout gains `__pycache__` files.
+past the workloads' n <= 48, best of DIRECT_CALLS each, and each also
+scaled by the machine-speed reference that perfbench scales end-to-end
+latencies by. Children run with PYTHONDONTWRITEBYTECODE=1, so no
+checkout gains `__pycache__` files.
 
 The output JSON holds, per side, the checkout's commit (when it is a git
 checkout, with a flag for uncommitted changes), every run's end-to-end
@@ -22,7 +24,8 @@ rows; then, per workload and metric, each side's median and quartiles
 and, with two sides, in how many pairs the second side was better (the
 direction is the metric's `better` entry in BENCHMARK.json), and the
 same medians and quartiles of every traced row (`summary.traced`) and
-direct row (`summary.direct`). Every run and child records whether all
+direct row (`summary.direct`, and its scaled times in
+`summary.direct_scaled`). Every run and child records whether all
 its answers were correct. Only the standard library is used.
 """
 
@@ -56,14 +59,15 @@ DIRECT = {"verification.check_regular": [(6,), (8,), (11,)],
           "verification.check_fixed": [(6, 3), (6, 6)],
           "verification.check_triangulations": [(6,)],
           "hyper_total.facets_check": [(48,), (200,), (500,), (200, "coprime_negative")],
-          "hyper_total.decompose": [(48,), (200,), (500, "coprime")],
+          "hyper_total.decompose": [(4,), (8,), (48,), (200,), (500, "coprime")],
           "hyper_total.split": [(48,), (200,), (500, "coprime")],
-          "hyper_fixed.decompose": [(48, 3), (500, 3)],
+          "hyper_fixed.decompose": [(4, 3), (8, 3), (48, 3), (500, 3)],
           "regular.classify": [(48,), (200,), (500, "coprime")]}
 # Calls per DIRECT case, the best kept.  5 calls mostly timed warm-up: 7
 # back-to-back children on a shared 2-vCPU VM spread 5-31% (IQR over
 # median) with 5 and 1-7% with 30, at about 1.2 s a child.  Children
-# minutes apart drift further (34-65% over the 10 seeds of BENCH_9.json).
+# minutes apart drift further (34-65% over the 10 seeds of BENCH_9.json),
+# so each row also has a scaled time (see DIRECT_SCRIPT).
 DIRECT_CALLS = 30
 # Run in a child with the checkout's src/ on the path: best of
 # DIRECT_CALLS calls of each case, in ms, under a row name like
@@ -77,12 +81,24 @@ DIRECT_CALLS = 30
 # so their common denominator has thousands of bits at n = 500.
 # `regular.classify` runs on a seeded member of the regular cone or on
 # the point's entries 0..n as a finite vector, and checks its answer
-# against the regular cone's own membership test.
+# against the regular cone's own membership test.  Each row's "scaled"
+# time is its best time divided by the mean of the machine-speed reference
+# (the checkout's `perfbench.speed.fraction_sum`, best of REFERENCE_CALLS)
+# timed just before and just after the case, times the reference's nominal
+# time, as perfbench scales its latencies: the time on a machine where the
+# reference takes its nominal time.
 DIRECT_SCRIPT = """
 import json, random, sys, time
 from fractions import Fraction
 from betticone import hyper_fixed, hyper_total, regular, verification
 from betticone.sequences import BettiVector, TailPeriodicSequence
+from perfbench.speed import REFERENCES, fraction_sum
+
+NOMINAL = REFERENCES["fraction_sum"][1]
+REFERENCE_CALLS = 5
+
+def reference():
+    return min(fraction_sum() for _ in range(REFERENCE_CALLS))
 
 def member(cone):
     rng = random.Random(cone.n)
@@ -135,13 +151,15 @@ rows, correct = {}, True
 for name, cases in json.loads(sys.argv[1]).items():
     for args in cases:
         once, times = call(name, args), []
+        before = reference()
         for _ in range(int(sys.argv[2])):
             start = time.perf_counter()
             correct = once() and correct
             times.append(time.perf_counter() - start)
+        speed = NOMINAL / ((before + reference()) / 2)
         row = f"{name}_ms.n{args[0]}" + "".join(f".d{a}" if isinstance(a, int) else f".{a}"
                                                 for a in args[1:])
-        rows[row] = {"value": 1000 * min(times), "unit": "ms"}
+        rows[row] = {"value": 1000 * min(times), "scaled": 1000 * min(times) * speed, "unit": "ms"}
 print(json.dumps({"correct": correct, "rows": rows}))
 """
 
@@ -223,9 +241,10 @@ def summarize(sides: dict, better: dict) -> dict:
             row: {name: spread([rows[row]["value"] for rows in side_runs])
                   for name, side_runs in runs.items()}
             for row in runs[names[0]][0]}
-    out["direct"] = {row: {name: spread([run["rows"][row]["value"] for run in side["direct"]])
-                           for name, side in sides.items()}
-                     for row in sides[names[0]]["direct"][0]["rows"]}
+    for key, field in (("direct", "value"), ("direct_scaled", "scaled")):
+        out[key] = {row: {name: spread([run["rows"][row][field] for run in side["direct"]])
+                          for name, side in sides.items()}
+                    for row in sides[names[0]]["direct"][0]["rows"]}
     return out
 
 

@@ -30,13 +30,18 @@ on the layout and cross-multiplies each sum with its entry's own
 numerator and denominator.  A `Fraction` is built only for a value a
 report names and for a certificate's coefficients.  `values`, and so
 `normals()` and `verify`, keep the entries' own type.
+
+Memory: a `Cone` is immutable all the way down and holds O(n): its
+fields, and the names, scaled corners and scaled relation its
+constructor derives once, as tuples.  No window list is kept, so the
+family builders (`regular.cone`, `hyper_total.cone`, `hyper_fixed.cone`)
+can each share one cone per key from a bounded cache.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
@@ -44,6 +49,14 @@ from .sequences import (BettiVector, Frozen, Sequence, TailPeriodicSequence, _se
                         described)
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
+
+# Cones each family builder keeps (`functools.lru_cache`), by its key: n,
+# or the parameters (n, d).  A certify round asks 20 keys, membership-scan
+# 15 and the default `verify` grid about 45, so a run builds each cone
+# once.  A cone holds about 7.5 KB at n = 48 and 80 KB at n = 500; the
+# three caches hold at most 3 * 64 cones, plus the enclosing total cones
+# of cached multiplicity-d cones (at most 64 more).
+CONES_KEPT = 64
 
 Window = tuple[int, Optional[int], Optional[int]]
 """A facet by its window (i, j, d): chi[i,j], the alternating sum of the
@@ -194,10 +207,13 @@ class Cone(Frozen):
     ``tail[n-2+k]`` per value in ``corners``: 1 from index n-1 on, 0
     below n-2 and corners[k] at n-2.
 
-    A cone is equal only to itself; its ``__dict__`` holds the cached
-    properties."""
+    A cone is equal only to itself.  The constructor derives the ray
+    names, the scaled corners and the scaled relation once, as tuples in
+    private slots, which are not fields: equality, ``repr`` and pickling
+    see the six fields only, and no slot can be written afterwards."""
 
-    __slots__ = ("title", "n", "spans", "tail", "corners", "within", "__dict__")
+    __slots__ = ("title", "n", "spans", "tail", "corners", "within",
+                 "_names", "_scaled_corners", "_scaled_relation")
     title: str
     n: int
     spans: tuple[Window, ...]
@@ -213,6 +229,19 @@ class Cone(Frozen):
         _set(self, "tail", tail)
         _set(self, "corners", corners)
         _set(self, "within", within)
+        _set(self, "_names", tuple(f"rho[{i}]" for i in range(-1, self._rho - 1))
+             + tuple(f"{tail}[{n - 2 + k}]" for k in range(len(corners))))
+        # the corners as integer numerators over their common denominator s
+        # (1 when there are none)
+        nums, s = _over_common_denominator(corners)
+        _set(self, "_scaled_corners", (tuple(nums), s))
+        # `relation` over s, written once in closed form; None without one
+        if len(corners) == 2:
+            g = nums[0] - nums[1]
+            relation = tuple(g if (n - k) % 2 == 0 else -g for k in range(n - 1)) + (0, -s, s)
+        else:
+            relation = None
+        _set(self, "_scaled_relation", relation)
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -224,17 +253,17 @@ class Cone(Frozen):
         rays are independent; at n = 2 the ray at position 2, tail[0],
         is a combination of the others and is set aside."""
         if len(self.corners) < 2:
-            return tuple(range(len(self.names)))
+            return tuple(range(len(self._names)))
         return (0, 1, 3) if self.n == 2 else None
 
     @property
     def _rho(self) -> int:  # how many rho rays lead the layout
         return self.n + 1 if self.tail is None else self.n
 
-    @cached_property
+    @property
     def names(self) -> tuple[str, ...]:
-        return (tuple(f"rho[{i}]" for i in range(-1, self._rho - 1))
-                + tuple(f"{self.tail}[{self.n - 2 + k}]" for k in range(len(self.corners))))
+        """The rays' names in layout order, like "rho[-1]" or "tau_inf[2]"."""
+        return self._names
 
     def projected(self) -> list[tuple[Fraction, ...]]:
         """The rays as coordinate rows on indices 0..n, written out from
@@ -270,8 +299,8 @@ class Cone(Frozen):
         position k adds its coefficient to entries k-1 and k (rho[-1] to
         entry 0 only), and a tail ray adds its corner times its
         coefficient at n-2 and its coefficient from n-1 on."""
-        if len(coeffs) != len(self.names):
-            raise ConeInputError(f"{len(coeffs)} coefficients for {len(self.names)} rays")
+        if len(coeffs) != len(self._names):
+            raise ConeInputError(f"{len(coeffs)} coefficients for {len(self._names)} rays")
         coeffs = [as_fraction(c) for c in coeffs]
         rho = coeffs[:self._rho]
         entries = [a + b for a, b in zip(rho, rho[1:])] + [rho[-1]]
@@ -283,11 +312,11 @@ class Cone(Frozen):
         entries[-1] += top
         return TailPeriodicSequence(self.n, tuple(entries), top, top)
 
-    @cached_property
+    @property
     def windows(self) -> tuple[Window, ...]:
         """Every facet's window in report order, the open spans written
-        out: about n^2/4 in the total cone, so membership and certificates
-        never build it."""
+        out anew on each read: about n^2/4 in the total cone, so no cone
+        keeps it, and membership and certificates never build it."""
         return tuple(window for span in self.spans for window in _written_out(span, self.n))
 
     def values(self, entries) -> list:
@@ -299,7 +328,8 @@ class Cone(Frozen):
     def normals(self) -> list[tuple[int, ...]]:
         """Every facet's integer normal on coordinates 0..n, the enclosing
         cone's first: a window's value is linear in the entries, so its
-        normal is its values on the n+1 unit tuples."""
+        normal is its values on the n+1 unit tuples, each through
+        `values`, the evaluator this proves."""
         inherited = self.within.normals() if self.within is not None else []
         dim = self.n + 1
         columns = [self.values(tuple(int(k == m) for k in range(dim))) for m in range(dim)]
@@ -342,25 +372,7 @@ class Cone(Frozen):
         violations = self.violations(w)
         return MembershipReport(not violations, tuple(violations))
 
-    @cached_property
-    def _scaled_corners(self) -> tuple[list[int], int]:
-        """The corners as integer numerators over their common denominator
-        s (1 when there are none)."""
-        return _over_common_denominator(self.corners)
-
-    @cached_property
-    def _scaled_relation(self) -> list[int]:
-        """`relation` as integers over the corners' common denominator s:
-        the closed form is written here once, and `relation` is read off
-        it."""
-        n = self.n
-        if len(self.corners) != 2:
-            raise ConeInputError(f"{self.title} has no relation among {len(self.names)} rays")
-        (first, second), s = self._scaled_corners
-        g = first - second
-        return [g if (n - k) % 2 == 0 else -g for k in range(n - 1)] + [0, -s, s]
-
-    @cached_property
+    @property
     def relation(self) -> tuple[Fraction, ...]:
         """The one linear relation among the n+2 rays of a hyperplane-family
         cone, scaled so the last ray has coefficient +1.
@@ -371,14 +383,21 @@ class Cone(Frozen):
         ..., rho[-1].  So the ray at position k <= n-2 carries
         (-1)^(n-k) g, rho[n-2] carries 0 and the tails -1 and +1.
         """
-        relation, (_, s) = self._scaled_relation, self._scaled_corners
-        return tuple(Fraction(r, s) for r in relation)
+        s = self._scaled_corners[1]
+        return tuple(Fraction(r, s) for r in self._relation_numerators())
+
+    def _relation_numerators(self) -> tuple[int, ...]:
+        """`relation` over the corners' common denominator; a cone without
+        two corners has none, a `ConeInputError`."""
+        if self._scaled_relation is None:
+            raise ConeInputError(f"{self.title} has no relation among {len(self._names)} rays")
+        return self._scaled_relation
 
     def _omitted(self, label: str) -> tuple[int, ...]:
         """The positions on the label's side of the relation, ascending:
         rho[-1]'s side for "omit_odd", the other side (rho[0]'s from n = 3
         on) for "omit_even"."""
-        relation = self._scaled_relation
+        relation = self._relation_numerators()
         positive = (relation[0] > 0) == (label == "omit_odd")
         return tuple(p for p, k in enumerate(relation) if k and (k > 0) == positive)
 
@@ -387,7 +406,7 @@ class Cone(Frozen):
         its simplices omit, in turn, each ray on one side of the relation."""
         label = _triangulation_label(which)
         omitted = self._omitted(label)
-        return Triangulation(label, tuple(tuple(q for q in range(len(self.names)) if q != p)
+        return Triangulation(label, tuple(tuple(q for q in range(len(self._names)) if q != p)
                                           for p in omitted), omitted)
 
     def _solve(self, nums: list[int], q: int) -> tuple[list[int], int]:
@@ -403,7 +422,7 @@ class Cone(Frozen):
         this gives chi[k,n] on the ray at position k."""
         corners, scale = self._scaled_corners
         y = [v * scale for v in nums]
-        x = [0] * len(self.names)
+        x = [0] * len(self._names)
         if self.tail is not None:
             x[-1] = t = y.pop()
             y[-1] -= t
@@ -420,7 +439,7 @@ class Cone(Frozen):
         labelled "simplicial"; ``which`` is still checked.  The certificate
         is `_certificate`'s, its coefficients the only `Fraction`s built."""
         x, q, simplex, label, _ = self._certificate(w, which)
-        return Decomposition(self.names, _fractions(x, q), simplex, label)
+        return Decomposition(self._names, _fractions(x, q), simplex, label)
 
     def _certificate(self, w: Sequence, which: str | int
                      ) -> tuple[list[int], int, tuple[int, ...], str, tuple]:

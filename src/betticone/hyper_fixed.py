@@ -11,9 +11,10 @@ these cones is the total hypersurface cone, coordinatewise on rays.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import hyper_total
-from .cones import Cone, Decomposition, MembershipReport
+from .cones import CONES_KEPT, Cone, Decomposition, MembershipReport
 from .errors import ConeInputError
 from .sequences import Frozen, TailPeriodicSequence, _set
 
@@ -37,9 +38,11 @@ class FixedConeParams(Frozen):
         _set(self, "d", d)
 
 
+@lru_cache(maxsize=CONES_KEPT)
 def cone(p: FixedConeParams) -> Cone:
     """The conjectured multiplicity-d cone: the total cone cut by
-    xi[i,n] >= 0 for 0 <= i <= n.
+    xi[i,n] >= 0 for 0 <= i <= n, built once per (n, d) and shared (see
+    `cones.CONES_KEPT`); it holds the shared total cone as ``within``.
 
     Its tail rays tau_d[n-2] and tau_d[n-1] hold (d-1)/d and 1/d at n-2.
     d = 2 collapses them, leaving an outright simplicial cone; n = 2

@@ -13,8 +13,10 @@ structure of the cone.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .cones import Cone, Decomposition, MembershipReport, Triangulation, _fractions, _rebuilds
+from .cones import (CONES_KEPT, Cone, Decomposition, MembershipReport, Triangulation, _fractions,
+                    _rebuilds)
 from .errors import ConeInputError, InternalInconsistencyError
 from .sequences import BettiVector, TailPeriodicSequence
 
@@ -38,10 +40,11 @@ def phi(v: BettiVector) -> TailPeriodicSequence:
     return TailPeriodicSequence(v.n + 1, tuple(head), acc[0], acc[1])
 
 
+@lru_cache(maxsize=CONES_KEPT)
 def cone(n: int) -> Cone:
     """The total hypersurface cone: nonnegative chi[i,j] for j - i even
     and j <= n (one open span per start i) and chi[n-1,n], flat from
-    index n on.
+    index n on.  Built once per n and shared (see `cones.CONES_KEPT`).
 
     The n+2 generating rays come in the fixed order rho[-1], rho[0], ...,
     rho[n-2], tau_inf[n-2], tau_inf[n-1].  They satisfy exactly one linear

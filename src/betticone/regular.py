@@ -11,17 +11,20 @@ the ray coefficients that the shared certificate driver solves for.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
-from .cones import Cone, Window, _fractions
+from .cones import CONES_KEPT, Cone, Window, _fractions
 from .errors import ConeInputError
 from .sequences import BettiVector, Frozen, described
 
 
+@lru_cache(maxsize=CONES_KEPT)
 def cone(n: int) -> Cone:
     """The regular cone: facets chi[j,n], j = 0..n, and rays rho[-1..n-1].
     It is simplicial and rho[i] is dual to chi[i+1,n], so the facet values
-    of a vector are its ray coefficients."""
+    of a vector are its ray coefficients.  Built once per n and shared
+    (see `cones.CONES_KEPT`)."""
     return Cone("the regular cone", n, tuple((j, n, None) for j in range(n + 1)))
 
 

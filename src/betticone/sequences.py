@@ -72,7 +72,8 @@ _set = object.__setattr__  # how a constructor writes a field of a `Frozen` valu
 
 class Frozen:
     """Base of the package's immutable value types.  The fields are the
-    names in ``__slots__`` (but ``__dict__``), in constructor order.  A
+    names in ``__slots__`` that do not start with "_", in constructor
+    order; a private slot holds what a constructor derives from them.  A
     type whose constructor only stores its fields inherits this one,
     which takes them positionally; a type that checks, normalises or
     defaults its arguments writes each field once through ``_set`` in its
@@ -85,7 +86,7 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._field_names = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._field_names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
     def __init__(self, *fields):
         names = self._field_names

@@ -14,6 +14,8 @@ of the first part plus the embedded second part, as sequences.
 `fraction_classify_coefficients` is how `regular.classify` listed its
 ray coefficients before it solved on the integer read: the regular
 cone's window values on the point's `Fraction` entries.
+`misrelate` writes a wrong relation into a private cone for the tests
+that check `verify` catches one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from betticone import regular
 from betticone.hyper_total import phi
-from betticone.sequences import embed
+from betticone.sequences import _set, embed
 from reference_sequences import tail_sum
 
 
@@ -74,3 +76,14 @@ def fraction_classify_coefficients(v) -> tuple[Fraction, ...]:
     for j = 0..n on the `Fraction` entries."""
     shapes = regular.cone(v.n)
     return tuple(shapes.values(shapes._entries(v)))
+
+
+def misrelate(cone, relation) -> None:
+    """Make ``relation`` the closed form that ``cone.relation`` reads, by
+    writing it over the corners' common denominator into the cone's
+    derived slot.  Only for a private cone, built by a builder's
+    ``__wrapped__``: the builders share theirs."""
+    s = cone._scaled_corners[1]
+    scaled = [c * s for c in relation]
+    assert all(c.denominator == 1 for c in scaled)
+    _set(cone, "_scaled_relation", tuple(c.numerator for c in scaled))

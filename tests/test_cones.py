@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -487,3 +489,101 @@ def test_bounded_counts_digits_per_part():
     assert bounded(integer) == integer[:40] + "... (4000 digits)"
     fraction = "-" + "7" * 50 + "/" + "3" * 45
     assert bounded(fraction) == fraction[:40] + "... (50/45 digits)"
+
+
+BUILDERS = (regular.cone, hyper_total.cone, hyper_fixed.cone)
+
+
+def clear_cone_caches():
+    for builder in BUILDERS:
+        builder.cache_clear()
+
+
+def test_each_builder_keeps_a_bounded_cache_and_shares_the_enclosing_cone():
+    assert [builder.cache_info().maxsize for builder in BUILDERS] == [64] * 3
+    for n, d in ((2, 2), (5, 3), (48, 7)):
+        p = FixedConeParams(n, d)
+        clear_cone_caches()
+        assert hyper_fixed.cone(p).within is hyper_total.cone(n)  # fixed first
+        clear_cone_caches()
+        total = hyper_total.cone(n)
+        assert hyper_fixed.cone(FixedConeParams(n, d)) is hyper_fixed.cone(p)
+        assert hyper_fixed.cone(p).within is total
+        assert regular.cone(n) is regular.cone(n) and regular.cone(n) is not total
+    # 65 keys evict the least recently used one, which is then built anew
+    clear_cone_caches()
+    first = regular.cone(0)
+    for n in range(1, 65):
+        regular.cone(n)
+    assert regular.cone.cache_info().currsize == 64 and regular.cone(0) is not first
+
+
+def test_a_cached_cone_keeps_no_window_list():
+    # the n = 500 total cone's 63,002 windows take about 5.9 MB as a list;
+    # `values` writes them out and lets them go
+    n = 500
+    cone = hyper_total.cone(n)
+    entries = tuple(range(n + 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(cone.values(entries)) == 63002
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000, kept
+    assert hyper_total.cone(n) is cone and not hasattr(cone, "__dict__")
+    assert all(len(getattr(cone, name)) <= n + 2 for name in ("spans", "_names"))
+
+
+def cache_answers(family, n, clear):
+    """The module functions' answers at (family, n) on seeded, tie-heavy
+    and rational members and on a point with negative coefficients (a
+    refusal is its message and violations), clearing every cone cache
+    before each call when ``clear``."""
+    rng = random.Random(f"cache-{family}-{n}")
+    size = len(build(family, n).names)
+    points = [build(family, n).combine(coeffs) for coeffs in (
+        [rng.randint(0, 9) for _ in range(size)],
+        [rng.choice((0, 0, 1, 1, 3)) for _ in range(size)],
+        [Fraction(rng.randint(0, 9), rng.randint(1, 7)) for _ in range(size)],
+        [rng.choice((0, 1, -1)) for _ in range(size)])]
+    if family == "regular":
+        calls = [regular.facet_violations, regular.decompose, regular.classify]
+    elif family == "total":
+        calls = [lambda w: hyper_total.cone(n).violations(w), lambda w: hyper_total.split(w, n)]
+        calls += [lambda w, which=which: hyper_total.decompose(w, n, which) for which in (1, 2)]
+    else:
+        p = FixedConeParams(n, family)
+        calls = [lambda w: hyper_fixed.cone(p).violations(w)]
+        calls += [lambda w, which=which: hyper_fixed.decompose(w, p, which) for which in (1, 2)]
+    out = []
+    for w in points:
+        for call in calls:
+            if clear:
+                clear_cone_caches()
+            try:
+                out.append(call(w))
+            except NotInConeError as exc:
+                out.append((str(exc), exc.violations))
+    return out
+
+
+@pytest.mark.parametrize("family", ["regular", "total", *range(2, 8)])
+def test_a_warm_cache_answers_as_a_cleared_one(family):
+    builder = {"regular": regular.cone, "total": hyper_total.cone}.get(family, hyper_fixed.cone)
+    for n in range(2, 49):
+        cleared = cache_answers(family, n, clear=True)
+        misses = builder.cache_info().misses
+        assert cache_answers(family, n, clear=False) == cleared, (family, n)
+        assert builder.cache_info().misses == misses  # every warm call hit
+    assert any(isinstance(answer, tuple) for answer in cleared)  # refusals were asked
+
+
+def test_verify_answers_alike_from_a_warm_and_a_cleared_cache():
+    clear_cone_caches()
+    cleared = verification.run_sweep(8, 7)
+    misses = [builder.cache_info().misses for builder in BUILDERS]
+    assert verification.run_sweep(8, 7) == cleared and all(result.ok for result in cleared)
+    assert [builder.cache_info().misses for builder in BUILDERS] == misses

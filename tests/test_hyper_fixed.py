@@ -9,6 +9,7 @@ from betticone.hyper_fixed import FixedConeParams, decompose, member, rays
 from betticone.oracle import ConeDescription
 from betticone.sequences import TailPeriodicSequence, embed
 
+from reference_certificate import misrelate
 from reference_oracle import reference_validate_triangulation
 from reference_sequences import constant_tail, evaluate, ray, rho_vector, tail_sum, unit_rays
 
@@ -165,11 +166,11 @@ class TestSweepIntegration:
     @pytest.mark.parametrize("wrong, detail", [
         ("flipped", "coefficient -1"), ("scaled", "coefficient 2")])
     def test_a_wrong_closed_form_relation_fails(self, monkeypatch, n, d, wrong, detail):
-        cone = hyper_fixed.cone(FixedConeParams(n, d))
+        cone = hyper_fixed.cone.__wrapped__(FixedConeParams(n, d))  # not the shared one
         relation = cone.relation
-        cone.__dict__["relation"] = {  # the cached property's slot
+        misrelate(cone, {
             "flipped": tuple(-c for c in relation),
-            "scaled": tuple(2 * c for c in relation)}[wrong]
+            "scaled": tuple(2 * c for c in relation)}[wrong])
         monkeypatch.setattr(hyper_fixed, "cone", lambda p: cone)
         result = verification.check_fixed(n, d)
         assert not result.ok and result.name == f"fixed n={n} d={d}: ray relation"

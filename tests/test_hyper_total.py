@@ -14,7 +14,7 @@ from betticone.oracle import ConeDescription
 from betticone.pure import DegreeSequence, herzog_kuhl
 from betticone.sequences import BettiVector, TailPeriodicSequence, embed
 
-from reference_certificate import fraction_split_reconstructs
+from reference_certificate import fraction_split_reconstructs, misrelate
 from reference_linalg import linear_relation, nullspace
 from reference_oracle import reference_validate_triangulation
 from reference_sequences import constant_tail, evaluate, ray, rho_vector, tail_sum
@@ -382,13 +382,13 @@ class TestSweepIntegration:
         ("flipped", "coefficient -1"), ("scaled", "coefficient 2"),
         ("partly_zeroed", "does not sum the rays to zero")])
     def test_a_wrong_closed_form_relation_fails(self, monkeypatch, n, wrong, detail):
-        cone = ray_basis(n)
+        cone = hyper_total.cone.__wrapped__(n)  # a private cone, not the shared one
         relation = cone.relation
-        cone.__dict__["relation"] = {  # the cached property's slot
+        misrelate(cone, {
             "flipped": tuple(-c for c in relation),
             "scaled": tuple(2 * c for c in relation),
             "partly_zeroed": tuple(Fraction(0) if k < 2 else c
-                                   for k, c in enumerate(relation))}[wrong]
+                                   for k, c in enumerate(relation))}[wrong])
         monkeypatch.setattr(hyper_total, "cone", lambda n: cone)
         result = verification.check_total(n)
         assert not result.ok and result.name == f"total n={n}: ray relation"
@@ -425,11 +425,11 @@ class TestSweepIntegration:
     @pytest.mark.parametrize("wrong, detail", [
         ("flipped", "coefficient -1"), ("one_sign_flipped", "does not sum the rays to zero")])
     def test_triangulations_fail_on_a_wrong_relation(self, monkeypatch, n, wrong, detail):
-        cone = ray_basis(n)
+        cone = hyper_total.cone.__wrapped__(n)  # a private cone, not the shared one
         relation = cone.relation
-        cone.__dict__["relation"] = {  # the cached property's slot
+        misrelate(cone, {
             "flipped": tuple(-c for c in relation),
-            "one_sign_flipped": (-relation[0],) + relation[1:]}[wrong]
+            "one_sign_flipped": (-relation[0],) + relation[1:]}[wrong])
         monkeypatch.setattr(hyper_total, "cone", lambda n: cone)
         result = verification.check_triangulations(n)
         assert not result.ok and result.name == f"total n={n}: triangulations"
@@ -449,11 +449,11 @@ class TestSweepIntegration:
         # rho[-1] and rho[n-2], which is outside the relation, trade places
         # in the rays and the relation: still the one relation, but rho[-1]'s
         # side, which "omit_odd" names, is empty
-        cone = ray_basis(n)
+        cone = hyper_total.cone.__wrapped__(n)  # a private cone, not the shared one
         rays, relation = cone.projected(), list(cone.relation)
         for vectors in (rays, relation):
             vectors[0], vectors[n - 1] = vectors[n - 1], vectors[0]
-        cone.__dict__["relation"] = tuple(relation)
+        misrelate(cone, relation)
         monkeypatch.setattr(Cone, "projected", lambda self: list(rays))
         monkeypatch.setattr(hyper_total, "cone", lambda n: cone)
         result = verification.check_triangulations(n)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betticone
-from betticone import hyper_fixed, hyper_total
+from betticone import hyper_fixed, hyper_total, regular
+from betticone.cones import Cone
 from betticone.errors import ConeInputError, MalformedInputError
 from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, embed,
@@ -316,11 +317,28 @@ class TestValueTypes:
         assert len({v, BettiVector.of([1, 2, 1]), embed(v)}) == 2
 
     def test_a_cone_is_immutable_and_equal_only_to_itself(self):
-        cone, twin = hyper_total.cone(3), hyper_total.cone(3)
-        assert cone != twin and cone == cone and len({cone, twin}) == 2
-        with pytest.raises(AttributeError):
-            cone.n = 4
-        assert cone.names == twin.names and "names" in cone.__dict__  # cached once
+        # two cones built directly with equal fields are still two cones
+        built = [Cone(*hyper_total.cone(3)._fields()) for _ in range(2)]
+        assert built[0]._fields() == built[1]._fields() and built[0].names == built[1].names
+        assert built[0] != built[1] and built[0] == built[0] and len(set(built)) == 2
+        # a builder shares one cone per key, and no field or derived slot
+        # of it can be written, so no caller can change it for the others
+        for builder, key in ((regular.cone, 3), (hyper_total.cone, 3),
+                             (hyper_fixed.cone, FixedConeParams(3, 3))):
+            cone = builder(key)
+            assert builder(key) is cone and not hasattr(cone, "__dict__")
+            derived = [name for name in Cone.__slots__ if name.startswith("_")]
+            assert derived and set(derived) | set(cone._field_names) == set(Cone.__slots__)
+            for name in Cone.__slots__:
+                before = getattr(cone, name)
+                with pytest.raises(AttributeError):
+                    setattr(cone, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(cone, name)
+                assert getattr(cone, name) is before
+            for name in ("names", "relation", "windows", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(cone, name, ())
 
 
 def _field_only_types():
@@ -345,15 +363,17 @@ def test_a_field_only_type_takes_exactly_its_fields(cls):
                                      f"({', '.join(names)}), got {count}")
 
 
-def test_a_cone_pickles_and_prints_without_its_dict():
-    # a cone's cached properties live in its __dict__, which is no field
+def test_a_cone_pickles_and_prints_without_its_derived_slots():
+    # the names, scaled corners and relation a cone derives are private
+    # slots, which are no fields: pickling rebuilds them in the constructor
     cone = hyper_fixed.cone(FixedConeParams(4, 3))
-    assert cone.names and "names" in cone.__dict__
     rebuilt = pickle.loads(pickle.dumps(cone))
+    assert rebuilt is not cone and rebuilt.within is not cone.within
     assert (rebuilt.title, rebuilt.n, rebuilt.spans, rebuilt.tail, rebuilt.corners) == (
         cone.title, cone.n, cone.spans, cone.tail, cone.corners)
     assert rebuilt.within.spans == cone.within.spans and rebuilt.names == cone.names
-    assert "__dict__" not in repr(cone)
+    assert rebuilt._scaled_relation == cone._scaled_relation and rebuilt.relation == cone.relation
+    assert "_names" not in repr(cone) and "_scaled" not in repr(cone)
 
 
 def test_public_surface():
