@@ -319,20 +319,23 @@ class Cone(Frozen):
         keeps it, and membership and certificates never build it."""
         return tuple(window for span in self.spans for window in _written_out(span, self.n))
 
-    def values(self, entries) -> list:
+    def values(self, entries, windows: Optional[tuple[Window, ...]] = None) -> list:
         """This cone's own window values on entries 0..n, in `windows`
         order and in the entries' own type; the enclosing cone's are not
-        included."""
-        return _evaluate(self.windows, _prefix_sums(entries), entries)
+        included.  A caller that evaluates several points may pass the
+        `windows` it wrote out once."""
+        windows = self.windows if windows is None else windows
+        return _evaluate(windows, _prefix_sums(entries), entries)
 
     def normals(self) -> list[tuple[int, ...]]:
         """Every facet's integer normal on coordinates 0..n, the enclosing
         cone's first: a window's value is linear in the entries, so its
-        normal is its values on the n+1 unit tuples, each through
-        `values`, the evaluator this proves."""
+        normal is its `values` on the n+1 unit tuples, with the windows
+        written out once."""
         inherited = self.within.normals() if self.within is not None else []
-        dim = self.n + 1
-        columns = [self.values(tuple(int(k == m) for k in range(dim))) for m in range(dim)]
+        dim, windows = self.n + 1, self.windows
+        columns = [self.values(tuple(int(k == m) for k in range(dim)), windows)
+                   for m in range(dim)]
         return inherited + list(zip(*columns))
 
     def violations(self, w: Sequence) -> list[tuple[str, Fraction]]:

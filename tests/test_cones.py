@@ -429,8 +429,8 @@ def misstate(monkeypatch, window_of, slip_of):
     cone has it, reads ``slip_of(cone)`` times entry n more than it is."""
     values = Cone.values
 
-    def misstated(self, entries):
-        out = values(self, entries)
+    def misstated(self, entries, windows=None):
+        out = values(self, entries, windows)
         window = window_of(self)
         if window in self.windows:
             out[self.windows.index(window)] += slip_of(self) * entries[self.n]
@@ -534,7 +534,8 @@ def test_a_cached_cone_keeps_no_window_list():
         tracemalloc.stop()
     assert kept < 100_000, kept
     assert hyper_total.cone(n) is cone and not hasattr(cone, "__dict__")
-    assert all(len(getattr(cone, name)) <= n + 2 for name in ("spans", "_names"))
+    slots = [getattr(cone, name) for name in Cone.__slots__]
+    assert all(len(value) <= n + 2 for value in slots if isinstance(value, tuple))
 
 
 def cache_answers(family, n, clear):

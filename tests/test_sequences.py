@@ -329,6 +329,9 @@ class TestValueTypes:
             assert builder(key) is cone and not hasattr(cone, "__dict__")
             derived = [name for name in Cone.__slots__ if name.startswith("_")]
             assert derived and set(derived) | set(cone._field_names) == set(Cone.__slots__)
+            # every slot holds tuples, numbers, strings or None (and the
+            # enclosing cone), so nothing in it can be changed in place
+            hash(tuple(getattr(cone, name) for name in Cone.__slots__))
             for name in Cone.__slots__:
                 before = getattr(cone, name)
                 with pytest.raises(AttributeError):
