@@ -5,7 +5,7 @@ at n = 48, the command line's usage errors and parsing rules, a tail
 input refused for its head length, and `split` and multiplicity-3
 certificates on rational and tie-heavy members at n = 8 and 48, and
 `classify` at n = 48 on a rational non-member and on the coprime point
-that `bench/record.py` times.
+that `bench/record.py` times, and `verify` at its defaults.
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
 fixed combinations of each cone's rays through ``Cone.combine``, the named
@@ -247,6 +247,8 @@ def cases() -> list[list[str]]:
                 _json(regular.cone(LARGE_N).combine(negated))])
     out.append(["classify", "--n", str(LARGE_N), "--inline",
                 _json(BettiVector.of(coprime_entries(LARGE_N)))])
+    # the default verify grid: every relation detail the 45 checks print
+    out.append(["verify"])
     return out
 
 
