@@ -295,22 +295,29 @@ class Cone(Frozen):
 
     def combine(self, coeffs) -> Sequence:
         """The exact sum of ``coeffs[k]`` times the k-th ray, in the rays'
-        own sequence type, read off the layout in O(n): the rho ray at
-        position k adds its coefficient to entries k-1 and k (rho[-1] to
-        entry 0 only), and a tail ray adds its corner times its
-        coefficient at n-2 and its coefficient from n-1 on."""
+        own sequence type, read off the layout in O(n) (`_layout_sum`)."""
         if len(coeffs) != len(self._names):
             raise ConeInputError(f"{len(coeffs)} coefficients for {len(self._names)} rays")
-        coeffs = [as_fraction(c) for c in coeffs]
-        rho = coeffs[:self._rho]
-        entries = [a + b for a, b in zip(rho, rho[1:])] + [rho[-1]]
+        sums = self._layout_sum([as_fraction(c) for c in coeffs], self.corners, 1)
         if self.tail is None:
-            return BettiVector(self.n, tuple(entries))
-        tails = coeffs[self._rho:]
-        top = sum(tails, Fraction(0))
-        entries[-2] += sum((c * t for c, t in zip(self.corners, tails)), Fraction(0))
-        entries[-1] += top
-        return TailPeriodicSequence(self.n, tuple(entries), top, top)
+            return BettiVector(self.n, tuple(sums))
+        return TailPeriodicSequence(self.n + 1, tuple(sums), sums[-1], sums[-1])
+
+    def _layout_sum(self, coeffs, corners, s) -> list:
+        """Entries 0..n of s times the sum of coeffs[k] times the k-th ray,
+        in the coefficients' own type.  The rho ray at position k adds its
+        coefficient to entries k-1 and k (rho[-1] to entry 0 only); a tail
+        ray adds ``corners[k]`` (its corner times s) times its coefficient
+        at n-2, and its coefficient from n-1 on."""
+        rho = [c * s for c in coeffs[:self._rho]]
+        sums = [a + b for a, b in zip(rho, rho[1:])] + [rho[-1]]
+        if self.tail is not None:
+            tails = coeffs[self._rho:]
+            top = sum(tails) * s
+            sums[-2] += sum(c * t for c, t in zip(corners, tails))
+            sums[-1] += top
+            sums.append(top)
+        return sums
 
     @property
     def windows(self) -> tuple[Window, ...]:
@@ -495,18 +502,10 @@ class Cone(Frozen):
 
     def _reconstructs(self, w: Sequence, entries, x: list[int], q: int) -> bool:
         """Whether the coefficients x / q sum to the point w, whose entries
-        0..n are ``entries`` (see `_entries`): `combine`'s sum on the
-        layout, in integers over q times the corners' common denominator
-        s (a tail ray adds its corner at n-2), compared by `_rebuilds`.
-        The sum covers entries 0..n, so a tail point must also be flat
-        from n on at entry n's value."""
+        0..n are ``entries`` (see `_entries`): `_layout_sum` in integers
+        over q times the corners' common denominator s, compared by
+        `_rebuilds`.  The sum covers entries 0..n, so a tail point must
+        also be flat from n on at entry n's value."""
         corners, s = self._scaled_corners
-        rho = [c * s for c in x[:self._rho]]
-        sums = [a + b for a, b in zip(rho, rho[1:])] + [rho[-1]]
-        if self.tail is None:
-            return _rebuilds(w, entries, sums, q * s)
-        tails = x[self._rho:]
-        top = sum(tails) * s
-        sums[-2] += sum(c * t for c, t in zip(corners, tails))
-        sums[-1] += top
-        return _rebuilds(w, entries, sums + [top], q * s, (top, top))
+        sums = self._layout_sum(x, corners, s)
+        return _rebuilds(w, entries, sums, q * s, None if self.tail is None else (sums[-1],) * 2)

@@ -2,11 +2,9 @@
 
 `dot` is the inner product and `primitive` scales a rational vector to
 its primitive integer form.  Their callers are `oracle` (on its
-primitive integer rays and facets) and `verification` (`primitive`, to
-compare facet lists), at desk scale (dims around a dozen).  The
-package's exact eliminations are the oracle's two fraction-free ones
-(`oracle.rank` and the double description's starting rays);
-membership and certificates never call this module: they use prefix
+primitive integer rays and facets) and `verification` (the relation's
+sum, and facet lists compared), at desk scale (dims around a dozen).
+Membership and certificates never call this module: they use prefix
 sums and a banded solve (see `cones`).
 
 Arithmetic is exact.  `dot` keeps the type of its inputs: integer

@@ -2,78 +2,77 @@
 
 Everything else in the package describes specific cones through closed
 formulas; this module re-derives ray/facet presentations from scratch so
-those formulas can be cross-checked.  The only dependencies are `dot` and
-`primitive` from the tiny `linalg` module, so a bug elsewhere cannot leak
-in here.  It holds the package's two exact eliminations, both
-fraction-free: `_independent` serves `rank` (which `verification` proves
-the ray relation with), the double description's starting basis and its
-full-dimension check; `_primitive_inverse_rows` gives the starting
-rays.  They stay apart: the first reduces forward only and stops at the
-dimension, the second needs the full reduction of [M | I]; one pass for
-both needs a flag and was no faster on the `verify` sweep.  No search
-here checks triangulations: `verification` proves both of the total
-cone's from the sides of its ray relation.
+those formulas can be cross-checked.  Its arithmetic still comes only
+from `dot` and `primitive` in the tiny `linalg` module, so a bug
+elsewhere cannot leak in here; `ConeDescription` is a `sequences.Frozen`
+value, which stores fields and brings no arithmetic.  It holds the
+package's two exact eliminations, both fraction-free: `_independent`
+serves `rank` (which `verification` proves the ray relation with), the
+double description's starting basis and its full-dimension check;
+`_primitive_inverse_rows` gives the starting rays (one pass for both
+needs a flag and was no faster on the `verify` sweep).  No search here
+checks triangulations: `verification` proves both of the total cone's
+from the sides of its ray relation.
 
 The core primitive is extreme-ray enumeration for a pointed cone given by
-halfspaces, via the classical double description method with the
-combinatorial adjacency test.  Facet enumeration is the same computation
-run on the dual cone.  All of it runs on primitive integer vectors: every
-input ray or facet is scaled once, by a positive rational, which keeps
-the sign of every inner product.  Desk scale only: ambient dimension is
-capped.
+halfspaces, by the classical double description method with the
+combinatorial adjacency test; facet enumeration runs it on the dual
+cone.  Each public function scales every input ray or facet once
+(`_canonical`) to its primitive integer form, by a positive rational,
+which keeps the sign of every inner product; the steps below take those
+integer lists as they are.  Desk scale only: ambient dimension is capped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
 from .errors import ConeInputError
 from .linalg import dot, primitive
+from .sequences import Frozen, _set
 
 MAX_DIM = 12
 
 IntVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConeDescription:
+class ConeDescription(Frozen):
     """A pointed polyhedral cone, by generators and/or inequalities.
 
     ``rays`` generate the cone; ``facets`` are inward normals (the cone is
     where all of them are nonnegative).  At least one presentation must be
-    given.  Both are stored exactly as supplied; the conversion functions
-    return canonical primitive-integer, lexicographically sorted lists.
+    given.  Each is stored as the tuples it was given, integers or
+    `Fraction`s, with no coercion: the functions below scale each vector
+    once per call, and the conversions return canonical primitive-integer,
+    lexicographically sorted lists.
     """
 
+    __slots__ = ("dim", "rays", "facets")
     dim: int
-    rays: Optional[tuple[tuple[Fraction, ...], ...]] = None
-    facets: Optional[tuple[tuple[Fraction, ...], ...]] = None
+    rays: Optional[tuple[tuple[Fraction, ...], ...]]
+    facets: Optional[tuple[tuple[Fraction, ...], ...]]
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, rays=None, facets=None):
+        if dim < 1:
             raise ConeInputError("ambient dimension must be positive")
-        if self.dim > MAX_DIM:
-            raise ConeInputError(
-                f"ambient dimension {self.dim} exceeds the desk-scale cap {MAX_DIM}")
-        if self.rays is None and self.facets is None:
+        if dim > MAX_DIM:
+            raise ConeInputError(f"ambient dimension {dim} exceeds the desk-scale cap {MAX_DIM}")
+        if rays is None and facets is None:
             raise ConeInputError("a cone needs rays or facets")
-        for name in ("rays", "facets"):
-            vecs = getattr(self, name)
-            if vecs is None:
-                continue
-            vecs = tuple(tuple(Fraction(x) for x in v) for v in vecs)
-            if any(len(v) != self.dim for v in vecs):
-                raise ConeInputError(f"every {name[:-1]} must have length {self.dim}")
-            object.__setattr__(self, name, vecs)
+        _set(self, "dim", dim)
+        for name, vecs in (("rays", rays), ("facets", facets)):
+            if vecs is not None:
+                vecs = tuple(map(tuple, vecs))
+                if any(len(v) != dim for v in vecs):
+                    raise ConeInputError(f"every {name[:-1]} must have length {dim}")
+            _set(self, name, vecs)
 
 
 def _canonical(vectors) -> list[IntVector]:
     """The primitive integer forms of the nonzero vectors, each once, in
-    first-seen order.  Scaling by a positive rational keeps the sign of
-    every inner product, so all checks below run on these."""
+    first-seen order: what every step below a public function runs on."""
     return list(dict.fromkeys(primitive(v) for v in vectors if any(v)))
 
 
@@ -130,13 +129,13 @@ def _primitive_inverse_rows(matrix: Sequence[Sequence[int]]) -> list[IntVector]:
             for i, row in enumerate(m)]
 
 
-def _extreme_rays_from_halfspaces(halfspaces, dim: int) -> list[IntVector]:
-    """Extreme rays of {x : h.x >= 0 for all h}; the cone must be pointed,
-    i.e. the halfspace normals have full rank.
+def _extreme_rays_from_halfspaces(hs: list[IntVector], dim: int) -> list[IntVector]:
+    """Extreme rays of {x : h.x >= 0 for all h in hs}, a canonical list
+    (see `_canonical`); the cone must be pointed, i.e. the halfspace
+    normals have full rank.
 
     Each ray carries the set of processed halfspaces tight on it as a
-    bitmask over positions in the canonical halfspace list."""
-    hs = _canonical(halfspaces)
+    bitmask over positions in hs."""
     # Initial simplicial cone from a maximal independent subset: its rays
     # are the columns of the inverse of the chosen rows, and ray c is tight
     # on every chosen halfspace but the c-th.
@@ -178,8 +177,8 @@ def _extreme_rays_from_halfspaces(halfspaces, dim: int) -> list[IntVector]:
     return sorted(rays)
 
 
-def _facets_from_rays(rays, dim: int) -> list[IntVector]:
-    gens = _canonical(rays)
+def _facets_from_rays(gens: list[IntVector], dim: int) -> list[IntVector]:
+    """The facets of the cone the canonical generators gens span."""
     if len(_independent(gens, dim)) < dim:
         raise ConeInputError(
             "cone is not full-dimensional; facet conversion is unsupported")
@@ -194,28 +193,24 @@ def rays_to_facets(cone: ConeDescription) -> ConeDescription:
     """
     if cone.rays is None:
         raise ConeInputError("rays_to_facets needs a ray presentation")
-    return ConeDescription(cone.dim, rays=cone.rays,
-                           facets=tuple(_facets_from_rays(cone.rays, cone.dim)))
+    return ConeDescription(cone.dim, cone.rays, _facets_from_rays(_canonical(cone.rays), cone.dim))
 
 
 def facets_to_rays(cone: ConeDescription) -> ConeDescription:
     """Irredundant extreme rays of a pointed cone given by facet normals."""
     if cone.facets is None:
         raise ConeInputError("facets_to_rays needs a facet presentation")
-    return ConeDescription(cone.dim, facets=cone.facets,
-                           rays=tuple(_extreme_rays_from_halfspaces(cone.facets, cone.dim)))
+    rays = _extreme_rays_from_halfspaces(_canonical(cone.facets), cone.dim)
+    return ConeDescription(cone.dim, rays, cone.facets)
 
 
 def _rays_and_facets(cone: ConeDescription) -> tuple[list[IntVector], list[IntVector]]:
-    """Both presentations in primitive integer form, converting the
-    missing one."""
-    rays = None if cone.rays is None else _canonical(cone.rays)
-    facets = None if cone.facets is None else _canonical(cone.facets)
+    """Both presentations in primitive integer form: each given one
+    canonicalized once, the missing one converted from it."""
+    rays, facets = (None if v is None else _canonical(v) for v in (cone.rays, cone.facets))
     if rays is None:
-        rays = _extreme_rays_from_halfspaces(facets, cone.dim)
-    if facets is None:
-        facets = _facets_from_rays(rays, cone.dim)
-    return rays, facets
+        return _extreme_rays_from_halfspaces(facets, cone.dim), facets
+    return rays, (_facets_from_rays(rays, cone.dim) if facets is None else facets)
 
 
 def cone_equal(a: ConeDescription, b: ConeDescription) -> bool:

@@ -7,8 +7,8 @@ infinite sequences whose entries are eventually 2-periodic
 (`TailPeriodicSequence`, resolutions over a hypersurface ring, and every
 image of the prefix-sum transform).  All entries are exact rationals; no
 floating point enters anywhere.  Both are `Frozen`, the small base that
-every value type of the package builds on in place of `dataclasses`,
-which costs the command line several milliseconds to import.
+every value type of the package builds on in place of the standard
+library's dataclass module, which costs several milliseconds to import.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import ConeInputError, MalformedInputError, quoted
@@ -79,14 +80,17 @@ class Frozen:
     defaults its arguments writes each field once through ``_set`` in its
     own constructor.  Any later assignment or deletion is an
     `AttributeError`.  Values of one type are equal when their fields
-    are, and hash as the tuple of their fields."""
+    are, and hash as the tuple of their fields, read in one `attrgetter`
+    call: a cached cone's key is hashed and compared on every hit."""
 
     __slots__ = ()
     _field_names: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._field_names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        names = cls._field_names = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        get = attrgetter(*names)  # which returns a lone field bare
+        cls._read_fields = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
 
     def __init__(self, *fields):
         names = self._field_names
@@ -97,7 +101,7 @@ class Frozen:
             _set(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._field_names)
+        return self._read_fields(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -108,10 +112,10 @@ class Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._read_fields(self) == other._read_fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._read_fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._field_names)

@@ -7,7 +7,6 @@ can print the whole table and exit nonzero at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import hyper_fixed, hyper_total, oracle, regular
@@ -16,6 +15,7 @@ from .errors import ConeInputError, MalformedInputError, bounded
 from .hyper_fixed import FixedConeParams
 from .linalg import dot, primitive
 from .oracle import ConeDescription
+from .sequences import Frozen
 
 # The sweep runs 5(mult_max - 1) fixed-cone checks: the worst accepted one,
 # n_max = 11 and mult_max = MAX_MULT, takes 0.65-0.8 s end to end on a
@@ -23,28 +23,31 @@ from .oracle import ConeDescription
 MAX_MULT = 100
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Frozen):
+    """One row of the sweep: a check's name, whether it passed, a detail."""
+
+    __slots__ = ("name", "ok", "detail")
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        super().__init__(name, ok, detail)
 
 
-def _description_pair(cone: Cone) -> tuple[ConeDescription, ConeDescription]:
-    """The cone from its rays and from the normals of the windows that
-    membership evaluates, both projected to coordinates 0..n (flatness
-    vanishes there)."""
+def _description_pair(cone: Cone, rays) -> tuple[ConeDescription, ConeDescription]:
+    """The cone from its rays (``cone.projected()``, read once by the
+    caller) and from the normals of the windows that membership
+    evaluates, both on coordinates 0..n (flatness vanishes there)."""
     dim = cone.n + 1
-    return (ConeDescription(dim, rays=tuple(cone.projected())),
-            ConeDescription(dim, facets=tuple(cone.normals())))
+    return ConeDescription(dim, rays=rays), ConeDescription(dim, facets=cone.normals())
 
 
-def _relation_failure(cone: Cone) -> Optional[str]:
-    """Why the closed-form relation that certificates walk is not the one
-    relation among the cone's n+2 rays, or None.  Rank n+1 leaves a
-    one-dimensional relation space, so a zero sum with last coefficient
+def _relation_failure(cone: Cone, rays, relation) -> Optional[str]:
+    """Why the closed-form ``relation`` that certificates walk is not the
+    one relation among the cone's n+2 ``rays``, or None.  Rank n+1 leaves
+    a one-dimensional relation space, so a zero sum with last coefficient
     1 pins the closed form."""
-    rays, relation = cone.projected(), cone.relation
     if (found := oracle.rank(rays)) != cone.n + 1:
         return f"rays have rank {found}, expected {cone.n + 1}"
     if any(dot(relation, column) for column in zip(*rays)):
@@ -55,7 +58,8 @@ def _relation_failure(cone: Cone) -> Optional[str]:
 
 
 def check_regular(n: int) -> SweepResult:
-    a, b = _description_pair(regular.cone(n))
+    cone = regular.cone(n)
+    a, b = _description_pair(cone, cone.projected())
     a = oracle.rays_to_facets(a)  # one conversion serves both checks
     ok = oracle.cone_equal(a, b)
     ok = ok and sorted(map(primitive, a.facets)) == sorted(map(primitive, b.facets))
@@ -64,22 +68,24 @@ def check_regular(n: int) -> SweepResult:
 
 def check_total(n: int) -> SweepResult:
     cone = hyper_total.cone(n)
-    if not oracle.cone_equal(*_description_pair(cone)):
+    rays, relation = cone.projected(), cone.relation
+    if not oracle.cone_equal(*_description_pair(cone, rays)):
         return SweepResult(f"total n={n}: rays <-> facets", False, "cones differ")
-    if (failure := _relation_failure(cone)) is not None:
+    if (failure := _relation_failure(cone, rays, relation)) is not None:
         return SweepResult(f"total n={n}: ray relation", False, failure)
     return SweepResult(
         f"total n={n}: rays <-> facets, relation space 1-dim", True,
         "relation " + "+".join(f"({c})*{name}" for c, name
-                               in zip(cone.relation, cone.names) if c != 0))
+                               in zip(relation, cone.names) if c != 0))
 
 
 def check_fixed(n: int, d: int) -> SweepResult:
     """For d >= 3 also the relation that certificates walk; at d = 2 the
     n+1 rays are independent."""
     cone = hyper_fixed.cone(FixedConeParams(n, d))
-    ok = oracle.cone_equal(*_description_pair(cone))
-    if ok and d >= 3 and (failure := _relation_failure(cone)) is not None:
+    rays = cone.projected()
+    ok = oracle.cone_equal(*_description_pair(cone, rays))
+    if ok and d >= 3 and (failure := _relation_failure(cone, rays, cone.relation)) is not None:
         return SweepResult(f"fixed n={n} d={d}: ray relation", False, failure)
     return SweepResult(f"fixed n={n} d={d}: rays <-> facets", ok)
 
@@ -93,23 +99,20 @@ def check_triangulations(n: int) -> SweepResult:
     proved; "omit_odd" is rho[-1]'s."""
     name = f"total n={n}: triangulations"
     cone = hyper_total.cone(n)
-    if (failure := _relation_failure(cone)) is not None:
-        return SweepResult(name, False, failure)
     relation = cone.relation
+    if (failure := _relation_failure(cone, cone.projected(), relation)) is not None:
+        return SweepResult(name, False, failure)
     sides = {"omit_odd": [p for p, k in enumerate(relation) if k * relation[0] > 0],
              "omit_even": [p for p, k in enumerate(relation) if k * relation[0] < 0]}
     if not all(sides.values()):
         return SweepResult(name, False, "rho[-1]'s side of the relation or the other is empty")
-    details = []
-    ok = True
-    for tri in hyper_total.triangulations(n):
-        valid = (sorted(map(sorted, tri.simplices))
-                 == sorted([q for q in range(len(relation)) if q != p]
-                           for p in sides[tri.label]))
-        ok = ok and valid
-        details.append(f"{tri.label}: {len(tri.simplices)} simplices "
-                       f"{'valid' if valid else 'INVALID'}")
-    return SweepResult(name, ok, "; ".join(details))
+    tris = hyper_total.triangulations(n)
+    valid = [sorted(map(sorted, tri.simplices))
+             == sorted([q for q in range(len(relation)) if q != p] for p in sides[tri.label])
+             for tri in tris]
+    return SweepResult(name, all(valid), "; ".join(
+        f"{tri.label}: {len(tri.simplices)} simplices {'valid' if ok else 'INVALID'}"
+        for tri, ok in zip(tris, valid)))
 
 
 def run_sweep(n_max: int = 8, mult_max: int = 6) -> list[SweepResult]:

@@ -352,6 +352,9 @@ class TestStartUp:
             "print(code, sorted(m for m in ('betticone.hyper_fixed', 'betticone.pure', 'difflib')"
             " if m in sys.modules))",
             "import betticone.hyper_fixed, betticone.pure",
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))",
+            "import betticone.verification",
+            "betticone.verification.run_sweep(3, 3)",
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"])
         out = subprocess.run([sys.executable, "-c", script],
                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
@@ -360,6 +363,7 @@ class TestStartUp:
         assert json.loads(out[1])["member"] is True
         assert out[2] == "0 []"
         assert out[3] == "[]"  # no module on the CLI path builds a dataclass
+        assert out[4] == "[]"  # nor does verify's: the oracle and its sweep
 
 
 class TestHelp:

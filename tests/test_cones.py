@@ -109,6 +109,22 @@ def test_layout_combine_matches_the_ray_object_sum(family):
             assert type(got) is type(want) and got == want, (family, n, coeffs)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_one_layout_sum_serves_combine_and_the_reconstruction_check(family):
+    # _reconstructs sums integer coefficients over the corners' common
+    # denominator s; combine sums Fractions: both are s times the same sum
+    rng = random.Random(f"layout-sum-{family}")
+    for n in list(range(0 if family == "regular" else 2, 9)) + [48]:
+        cone = build(family, n)
+        corners, s = cone._scaled_corners
+        for _ in range(4):
+            x = [rng.randint(-9, 9) for _ in cone.names]
+            w = cone.combine(x)
+            entries = w.entries if family == "regular" else w.prefix(n + 1)
+            assert cone._layout_sum(x, corners, s) == [s * e for e in entries], (family, n, x)
+            assert cone._reconstructs(w, entries, x, 1)
+
+
 @pytest.mark.parametrize("family", ["regular", "total", 2, 3])
 def test_a_wrong_solve_fails_the_reconstruction_check(monkeypatch, family):
     cone = build(family, 6)

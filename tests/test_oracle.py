@@ -1,9 +1,10 @@
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from betticone import linalg, oracle
+from betticone import hyper_fixed, hyper_total, linalg, oracle, regular, verification
 from betticone.errors import ConeInputError
 from betticone.oracle import ConeDescription, cone_equal, facets_to_rays, rays_to_facets
 
@@ -63,6 +64,83 @@ class TestOrthant:
         a = ConeDescription(4, rays=basis_rays(4))
         b = ConeDescription(4, facets=basis_rays(4))
         assert cone_equal(a, b)
+
+
+class TestValue:
+    RAYS = ((1, 0, 0), (Fraction(1, 2), 1, 0), (0, 0, 3))
+
+    def test_a_description_keeps_the_tuples_it_is_given(self):
+        cone = ConeDescription(3, self.RAYS)
+        assert (cone.dim, cone.rays, cone.facets) == (3, self.RAYS, None)
+        assert all(got is given for got, given in zip(cone.rays, self.RAYS))
+        # no coercion: integers stay integers, the one Fraction stays one
+        assert [type(x) for r in cone.rays for x in r] == [int] * 3 + [Fraction] + [int] * 5
+        by_facets = ConeDescription(3, facets=self.RAYS)
+        assert by_facets.rays is None and by_facets.facets == self.RAYS
+
+    def test_equality_hash_repr_and_pickle(self):
+        cone = ConeDescription(3, rays=self.RAYS)
+        twin = ConeDescription(3, [list(r) for r in self.RAYS])  # rows become tuples
+        assert cone == twin and hash(cone) == hash(twin) and twin.rays == self.RAYS
+        # equal numbers are equal coordinates, as in the tuples themselves
+        assert cone == ConeDescription(3, tuple(tuple(map(Fraction, r)) for r in self.RAYS))
+        assert cone != ConeDescription(3, facets=self.RAYS)
+        assert cone != ConeDescription(3, self.RAYS[:2]) and cone != (3, self.RAYS, None)
+        assert repr(cone) == f"ConeDescription(dim=3, rays={self.RAYS!r}, facets=None)"
+        back = pickle.loads(pickle.dumps(cone))
+        assert back == cone and back.rays == self.RAYS and type(back.rays[0][0]) is int
+        with pytest.raises(AttributeError):
+            cone.dim = 4
+
+    @pytest.mark.parametrize("args, kwargs, text", [
+        ((0,), {"rays": ((1,),)}, "ambient dimension must be positive"),
+        ((13,), {"rays": ((1,) * 13,)}, "ambient dimension 13 exceeds the desk-scale cap 12"),
+        ((3,), {}, "a cone needs rays or facets"),
+        ((3, None, None), {}, "a cone needs rays or facets"),
+        ((3,), {"rays": ((1, 0, 0), (1,))}, "every ray must have length 3"),
+        ((3, ((1, 0, 0),)), {"facets": ((1, 0),)}, "every facet must have length 3")])
+    def test_refusals_keep_their_texts(self, args, kwargs, text):
+        with pytest.raises(ConeInputError) as caught:
+            ConeDescription(*args, **kwargs)
+        assert str(caught.value) == text
+
+
+def scaled_tuples(monkeypatch) -> list:
+    """Record every tuple the oracle passes to `linalg.primitive`: the
+    vectors it canonicalizes (its own steps pass lists)."""
+    seen = []
+
+    def primitive(vec):
+        if type(vec) is tuple:
+            seen.append(vec)
+        return linalg.primitive(vec)
+    monkeypatch.setattr(oracle, "primitive", primitive)
+    return seen
+
+
+class TestCanonicalOnce:
+    @pytest.mark.parametrize("cone", [regular.cone(5), hyper_total.cone(6),
+                                      hyper_fixed.cone(hyper_fixed.FixedConeParams(5, 3))],
+                             ids=lambda c: c.title)
+    def test_each_call_scales_each_supplied_vector_once(self, monkeypatch, cone):
+        by_rays, by_facets = verification._description_pair(cone, cone.projected())
+        seen = scaled_tuples(monkeypatch)
+        for call, supplied in ((lambda: oracle.cone_equal(by_rays, by_facets),
+                                by_rays.rays + by_facets.facets),
+                               (lambda: rays_to_facets(by_rays), by_rays.rays),
+                               (lambda: facets_to_rays(by_facets), by_facets.facets),
+                               (lambda: oracle.rank(by_rays.rays), by_rays.rays)):
+            seen.clear()
+            call()
+            assert sorted(map(id, seen)) == sorted(map(id, supplied))
+
+    def test_a_total_check_scales_each_ray_and_normal_once(self, monkeypatch):
+        cone = hyper_total.cone(8)
+        rays, normals = cone.projected(), cone.normals()
+        seen = scaled_tuples(monkeypatch)
+        assert verification.check_total(8).ok
+        # cone_equal's rays and normals, then rank's rays
+        assert (len(rays), len(normals)) == (10, 26) and len(seen) == 46
 
 
 class TestGuards:

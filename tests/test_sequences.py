@@ -310,6 +310,14 @@ class TestValueTypes:
             value.extra = 1
         assert value == twin and pickle.loads(pickle.dumps(value)) == value
 
+    @pytest.mark.parametrize("value, twin", _values(), ids=lambda v: type(v).__name__)
+    def test_fields_are_read_as_one_tuple_even_when_there_is_one(self, value, twin):
+        # equality and hashing read the fields in one attrgetter call, which
+        # gives a lone field bare; the read still gives the field tuple
+        fields = tuple(getattr(value, name) for name in value._field_names)
+        assert value._fields() == fields and hash(value) == hash(fields)
+        assert type(value)(*twin._fields()) == value
+
     def test_equal_fields_of_another_type_are_not_equal(self):
         from betticone.regular import RegularDecomposition
         v = BettiVector.of([1, 2, 1])
