@@ -5,7 +5,8 @@ at n = 48, the command line's usage errors and parsing rules, a tail
 input refused for its head length, and `split` and multiplicity-3
 certificates on rational and tie-heavy members at n = 8 and 48, and
 `classify` at n = 48 on a rational non-member and on the coprime point
-that `bench/record.py` times, and `verify` at its defaults.
+that `bench/record.py` times, `verify` at its defaults, and the entry
+forms the parser accepts and refuses.
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
 fixed combinations of each cone's rays through ``Cone.combine``, the named
@@ -249,6 +250,20 @@ def cases() -> list[list[str]]:
                 _json(BettiVector.of(coprime_entries(LARGE_N)))])
     # the default verify grid: every relation detail the 45 checks print
     out.append(["verify"])
+    # entries as the parser reads them: signs, a negative zero, unreduced
+    # and padded rationals, JSON numbers, then the refusals (a digit
+    # separator, a non-ASCII digit, a zero denominator, an integer past the
+    # interpreter's 4,300-digit limit), and a tail whose head the tail
+    # reproduces in full, so it trims to stab 0
+    regular2 = ["--cone", "regular", "--n", "2", "--inline"]
+    for entries in (["+3", "-0", "0/5"], [" 7 ", "06/04", "-6/4"], [5, "2", 0],
+                    ["1_000", "0", "0"], ["\u0663", "0", "0"], ["1/0", "0", "0"],
+                    ["1" * 4301, "0", "0"], [True, "0", "0"], [0.5, "1", "1"]):
+        inline = json.dumps({"kind": "finite", "n": 2, "entries": entries})
+        out.append(["decompose", *regular2, inline])
+    out.append(["member", "--cone", "total", "--n", "2", "--inline", json.dumps(
+        {"kind": "tail", "stab": 3, "head": ["1", "2/2", " +1"],
+         "tail_even": "1", "tail_odd": "01"})])
     return out
 
 
