@@ -21,15 +21,16 @@ relation (the cone is a pyramid over a circuit), so a certificate is
 one banded solve, one ratio test along the relation and an exact
 reconstruction check that sums the layout: O(n) after membership.
 
-Arithmetic: a call reads the point once, as the integer numerators of
-entries 0..n over their least common denominator (`Cone._read`).
-Membership and the certificate decide, solve and check on ints: the ray
-relation and the corners are written once over the corners' common
-denominator, and the reconstruction check sums the integer coefficients
-on the layout and cross-multiplies each sum with its entry's own
-numerator and denominator.  A `Fraction` is built only for a value a
-report names and for a certificate's coefficients.  `values`, and so
-`normals()` and `verify`, keep the entries' own type.
+Arithmetic: a point is read once, when it is built: `sequences` keeps
+its entries' integer numerators over their least common denominator,
+and `Cone._read` cuts entries 0..n from that read.  Membership and the
+certificate decide, solve and check on ints: the ray relation and the
+corners are written once over the corners' common denominator, and the
+reconstruction check sums the integer coefficients on the layout and
+cross-multiplies each sum with the read.  A `Fraction` is built only
+for a value a report names and for a certificate's coefficients, from
+its coprime pair.  `values`, and so `normals()` and `verify`, keep the
+entries' own type.
 
 Memory: a `Cone` is immutable all the way down and holds O(n): its
 fields, and the names, scaled corners and scaled relation its
@@ -45,8 +46,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
-from .sequences import (BettiVector, Frozen, Sequence, TailPeriodicSequence, _set, as_fraction,
-                        described)
+from .sequences import (BettiVector, Frozen, Sequence, TailPeriodicSequence, _coprime, _prefix,
+                        _set, as_fraction, described)
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
 
@@ -74,21 +75,21 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
 
 
 def _fractions(nums, q: int) -> tuple[Fraction, ...]:
-    """The integers ``nums`` over q > 0 as `Fraction`s; over q = 1 no gcd
-    is taken."""
-    return tuple(map(Fraction, nums)) if q == 1 else tuple(Fraction(c, q) for c in nums)
+    """The integers ``nums`` over q > 0 as `Fraction`s, each reduced by one
+    gcd and built from its coprime pair."""
+    return tuple(_coprime(c // g, q // g) for c in nums for g in (math.gcd(c, q),))
 
 
-def _rebuilds(w: Sequence, entries, sums: list[int], q: int, tails=None) -> bool:
+def _rebuilds(w: Sequence, read, sums: list[int], q: int, tails=None) -> bool:
     """Whether the integers ``sums`` over q > 0 are entries 0..n of the
-    point w, whose entries 0..n are ``entries``, each compared with its
-    entry's own numerator and denominator by cross-multiplying.  A tail
-    point must also have no head entry past n and its even and odd tails
-    equal to ``tails`` over q."""
-    if any(v * e.denominator != e.numerator * q for v, e in zip(sums, entries)):
+    point w, whose read (see `Cone._read`) is numerators e over p: v * p
+    == e * q.  A tail point must also have no head entry past n and its
+    even and odd tails equal to ``tails`` over q, on its own read."""
+    nums, p = read
+    if any(v * p != e * q for v, e in zip(sums, nums)):
         return False
-    return tails is None or (w.stab <= len(entries) and all(
-        v * t.denominator == t.numerator * q for v, t in zip(tails, (w.tail_even, w.tail_odd))))
+    return tails is None or (w.stab <= len(nums) and all(
+        v * w._ints[1] == t * q for v, t in zip(tails, w._ints[0][-2:])))
 
 
 def _prefix_sums(entries) -> list:
@@ -265,33 +266,30 @@ class Cone(Frozen):
         """The rays' names in layout order, like "rho[-1]" or "tau_inf[2]"."""
         return self._names
 
-    def projected(self) -> list[tuple[Fraction, ...]]:
+    def projected(self) -> list[tuple]:
         """The rays as coordinate rows on indices 0..n, written out from
         the layout: the rho ray at position p is e_{p-1} + e_p (e_0 at
-        p = 0), and a tail ray holds its corner at n-2 and 1 from n-1 on."""
-        zero, one = Fraction(0), Fraction(1)
-        return ([tuple(one if p - 1 <= k <= p else zero for k in range(self.n + 1))
-                 for p in range(self._rho)]
-                + [(zero,) * (self.n - 2) + (c, one, one) for c in self.corners])
+        p = 0), and a tail ray holds its corner (an `int` if it is one) at
+        n-2 and 1 from n-1 on."""
+        nums, s = self._scaled_corners
+        return ([tuple(int(p - 1 <= k <= p) for k in range(self.n + 1)) for p in range(self._rho)]
+                + [(0,) * (self.n - 2) + (c, 1, 1) for c in (nums if s == 1 else self.corners)])
 
-    def _entries(self, w: Sequence) -> tuple[Fraction, ...]:
-        """Coordinates 0..n of a point of this cone's space, the one check
-        of an input point: a finite cone takes a `BettiVector` of its own
-        n, a tail cone a `TailPeriodicSequence`.  Any other point is a
-        `ConeInputError` naming this cone."""
+    def _read(self, w: Sequence) -> tuple[tuple[int, ...], int]:
+        """The one check (a finite cone takes a `BettiVector` of its own n, a
+        tail cone a `TailPeriodicSequence`) and read of a point per call:
+        entries 0..n as numerators over their least common denominator q,
+        and q, cut from the point's read (q reduced where that covers more)."""
         if self.tail is None and isinstance(w, BettiVector) and w.n == self.n:
-            return w.entries
+            return w._ints
         if self.tail is not None and isinstance(w, TailPeriodicSequence):
-            return w.prefix(self.n + 1)
+            nums, q = w._ints
+            kept = _prefix(nums[:-2], *nums[-2:], self.n + 1)
+            if w.stab < self.n or (g := math.gcd(q, *kept)) == 1:
+                return kept, q
+            return tuple(v // g for v in kept), q // g
         space = "a tail-periodic sequence" if self.tail else f"a finite sequence with n={self.n}"
         raise ConeInputError(f"{self.title} for n={self.n} needs {space}, got {described(w)}")
-
-    def _read(self, w: Sequence) -> tuple[tuple[Fraction, ...], list[int], int]:
-        """The one read of a point per call, shared by membership and the
-        certificate: entries 0..n (see `_entries`), then their integer
-        numerators over their least common denominator q, then q."""
-        entries = self._entries(w)
-        return (entries, *_over_common_denominator(entries))
 
     def combine(self, coeffs) -> Sequence:
         """The exact sum of ``coeffs[k]`` times the k-th ray, in the rays'
@@ -358,7 +356,7 @@ class Cone(Frozen):
         The negative ones are evaluated again on the `Fraction` entries:
         on pairwise-coprime denominators that is cheaper than reducing
         each numerator over the common denominator."""
-        entries, nums, _ = point
+        nums, _ = point
         out = self.within._violations(w, point) if self.within is not None else []
         sums = _prefix_sums(nums)
         crossed = _crossed_starts(sums) if any(j is None for _, j, _ in self.spans) else ()
@@ -366,16 +364,17 @@ class Cone(Frozen):
                    for window in _written_out(span, self.n)]
         negative = [window for window, v in zip(scanned, _evaluate(scanned, sums, nums)) if v < 0]
         if negative:
+            entries = w.entries if self.tail is None else w.prefix(self.n + 1)
             values = _evaluate(negative, _prefix_sums(entries), entries)
             out += [(window_name(window), v) for window, v in zip(negative, values)]
         if self.tail is not None and self.within is None:
-            # entry(i) = entry(i+1) for i >= n; scanning up to two indices
-            # past the stabilization point decides the whole infinite
-            # family because the tail is 2-periodic.
-            for i in range(self.n, max(self.n, w.stab) + 2):
-                gap = w.entry(i) - w.entry(i + 1)
-                if gap != 0:
-                    out.append((window_name((i, i + 1, None)), gap))
+            # entry(i) = entry(i+1) for i >= n, on the point's read; up to
+            # two indices past the stabilization point decide the whole
+            # infinite family because the tail is 2-periodic.
+            own = w._ints[0]
+            at = _prefix(own[:-2], *own[-2:], max(self.n, w.stab) + 3)[self.n:]
+            out += [(window_name((i, i + 1, None)), w.entry(i) - w.entry(i + 1))
+                    for i, (a, b) in enumerate(zip(at, at[1:]), self.n) if a != b]
         return out
 
     def member(self, w: Sequence) -> MembershipReport:
@@ -478,7 +477,7 @@ class Cone(Frozen):
         violations = self._violations(w, point)
         if violations:
             raise NotInConeError.naming_first(self.title, violations)
-        x, q = self._solve(*point[1:])
+        x, q = self._solve(*point)
         if (core := self.core) is not None:
             label, simplex = "simplicial", core
         else:
@@ -496,16 +495,16 @@ class Cone(Frozen):
         if any(c < 0 for c in x):
             raise InternalInconsistencyError(
                 "member vector admits no nonnegative simplex certificate")
-        if not self._reconstructs(w, point[0], x, q):
+        if not self._reconstructs(w, point, x, q):
             raise InternalInconsistencyError("decomposition failed exact reconstruction")
         return x, q, simplex, label, point
 
-    def _reconstructs(self, w: Sequence, entries, x: list[int], q: int) -> bool:
-        """Whether the coefficients x / q sum to the point w, whose entries
-        0..n are ``entries`` (see `_entries`): `_layout_sum` in integers
-        over q times the corners' common denominator s, compared by
-        `_rebuilds`.  The sum covers entries 0..n, so a tail point must
-        also be flat from n on at entry n's value."""
+    def _reconstructs(self, w: Sequence, read, x: list[int], q: int) -> bool:
+        """Whether the coefficients x / q sum to the point w, whose read is
+        ``read`` (see `_read`): `_layout_sum` in integers over q times the
+        corners' common denominator s, compared by `_rebuilds`.  The sum
+        covers entries 0..n, so a tail point must also be flat from n on
+        at entry n's value."""
         corners, s = self._scaled_corners
         sums = self._layout_sum(x, corners, s)
-        return _rebuilds(w, entries, sums, q * s, None if self.tail is None else (sums[-1],) * 2)
+        return _rebuilds(w, read, sums, q * s, None if self.tail is None else (sums[-1],) * 2)

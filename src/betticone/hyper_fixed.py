@@ -57,8 +57,8 @@ def cone(p: FixedConeParams) -> Cone:
                 tail="tau_d", corners=corners, within=hyper_total.cone(n))
 
 
-def rays(p: FixedConeParams) -> list[tuple[Fraction, ...]]:
-    """The extremal rays as coordinate rows on indices 0..n."""
+def rays(p: FixedConeParams) -> list[tuple]:
+    """The extremal rays as coordinate rows on 0..n: `int`s, but a corner is a `Fraction`."""
     return cone(p).projected()
 
 

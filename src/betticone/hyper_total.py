@@ -96,22 +96,22 @@ def split(w: TailPeriodicSequence, n: int) -> tuple[BettiVector, BettiVector]:
     denominator q, and `_pulls_back` checks phi(v1) + embed(v2) = w on
     them; only the returned parts become `Fraction`s.
     """
-    x, q, _, _, (entries, _, _) = cone(n)._certificate(w, "omit_odd")
+    x, q, _, _, read = cone(n)._certificate(w, "omit_odd")
     t0, t1 = x[n], x[n + 1]
     v1 = [0] * (n - 2) + [t0, t0 + t1, t1]
     v2 = [a + b for a, b in zip(x, x[1:n])] + [x[n - 1]]
-    if not _pulls_back(w, entries, v1, v2, q):
+    if not _pulls_back(w, read, v1, v2, q):
         raise InternalInconsistencyError("split failed exact reconstruction")
     return BettiVector(n, _fractions(v1, q)), BettiVector(n - 1, _fractions(v2, q))
 
 
-def _pulls_back(w: TailPeriodicSequence, entries, v1: list[int], v2: list[int], q: int) -> bool:
+def _pulls_back(w: TailPeriodicSequence, read, v1: list[int], v2: list[int], q: int) -> bool:
     """Whether phi(v1) + embed(v2) = w for the integers v1 (n+1 of them)
-    and v2 (n) over q > 0, w's entries 0..n being ``entries``: the running
-    even and odd sums of v1 plus v2 are entries 0..n of w, and the two
-    whole sums, phi(v1)'s tails, are w's (see `_rebuilds`)."""
+    and v2 (n) over q > 0, w's read being ``read`` (see `Cone._read`):
+    the running even and odd sums of v1 plus v2 are entries 0..n of w,
+    and the two whole sums, phi(v1)'s tails, are w's (see `_rebuilds`)."""
     sums, acc = [], [0, 0]
     for i, (a, b) in enumerate(zip(v1, v2 + [0])):
         acc[i % 2] += a
         sums.append(acc[i % 2] + b)
-    return _rebuilds(w, entries, sums, q, acc)
+    return _rebuilds(w, read, sums, q, acc)

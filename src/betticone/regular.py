@@ -33,9 +33,9 @@ def facets(n: int) -> list[Window]:
     return list(cone(n).windows)
 
 
-def rays(n: int) -> list[tuple[Fraction, ...]]:
-    """The n+1 extremal rays as coordinate rows: the free shape, then the
-    two-term shapes."""
+def rays(n: int) -> list[tuple[int, ...]]:
+    """The n+1 extremal rays as coordinate rows of `int`s: the free shape,
+    then the two-term shapes."""
     return cone(n).projected()
 
 
@@ -116,7 +116,7 @@ def classify(v: BettiVector) -> ShapeClass:
     signs of their integer numerators."""
     shapes = _cone_of(v)
     n = shapes.n
-    x, q = shapes._solve(*shapes._read(v)[1:])
+    x, q = shapes._solve(*shapes._read(v))
     dec = RegularDecomposition(n, _fractions(x, q))
     cm = x[0] == 0
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import starmap
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -27,27 +29,61 @@ RationalLike = Union[Fraction, int, str]
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
-def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, and "p/q" strings; floats are rejected."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+def _coprime(numerator: int, denominator: int) -> Fraction:
+    """The `Fraction` of a coprime pair, denominator positive, without the
+    constructor's gcd: 3.12's `_from_coprime_ints`, or its two slots."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = numerator, denominator
+    return value
+
+
+_coprime = getattr(Fraction, "_from_coprime_ints", _coprime)
+
+
+def _pair(value: RationalLike) -> tuple[int, int]:
+    """The one entry reader: an int, `Fraction` or "p/q" string (ASCII digits
+    straight to `int`, one gcd for "p/q") as its coprime pair (p, q > 0)."""
     if isinstance(value, str):
         text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        if not (text.isascii() and text.isdigit()) and not _RATIONAL_RE.match(text):
             raise MalformedInputError(f"not a rational string: {quoted(value)}")
         num, _, den = text.partition("/")
         try:
-            # an integer needs no gcd, so it is built without a denominator
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except ZeroDivisionError:
-            raise MalformedInputError(f"zero denominator in {quoted(value)}") from None
+            if not den:
+                return int(num), 1
+            num, den = int(num), int(den)
         except ValueError:
             # int() refuses strings longer than sys.get_int_max_str_digits()
             raise MalformedInputError(
                 f"rational string of {len(text)} characters has too many digits") from None
+        if not den:
+            raise MalformedInputError(f"zero denominator in {quoted(value)}")
+        g = gcd(num, den)
+        return num // g, den // g
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value.as_integer_ratio()
     raise MalformedInputError(f"not a rational: {quoted(value)}")
+
+
+def as_fraction(value: RationalLike) -> Fraction:
+    """Coerce ints, Fractions, and "p/q" strings; floats are rejected."""
+    return value if isinstance(value, Fraction) else _coprime(*_pair(value))
+
+
+def _coerced(pairs: list[tuple[int, int]]) -> tuple[tuple[Fraction, ...], tuple]:
+    """Coprime pairs as `Fraction`s, and the read a value keeps as ``_ints`` (a tail's: its
+    head, then its two tails): numerators over the pairs' least common denominator q, and q."""
+    nums, dens = zip(*pairs)
+    if (q := lcm(*dens)) > 1:
+        nums = tuple([a * (q // b) for a, b in pairs])
+    return tuple(starmap(_coprime, pairs)), (nums, q)
+
+
+def _prefix(head: tuple, even, odd, length: int) -> tuple:
+    """The first ``length`` entries of ``head`` then ``even`` and ``odd`` by parity."""
+    rest = max(length - len(head), 0)
+    pair = (even, odd) if len(head) % 2 == 0 else (odd, even)
+    return head[:max(length, 0)] + (pair * rest)[:rest]
 
 
 def rational_str(value: Fraction) -> str:
@@ -128,18 +164,19 @@ class Frozen:
 class BettiVector(Frozen):
     """A finite shape vector (v_0, ..., v_n) in Q^{n+1}."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "_ints")
     n: int
     entries: tuple[Fraction, ...]
 
     def __init__(self, n: int, entries: Iterable[RationalLike]):
         if n < 0:
             raise ConeInputError(f"ambient length must be nonnegative, got n={n}")
-        entries = tuple(as_fraction(e) for e in entries)
-        if len(entries) != n + 1:
-            raise ConeInputError(f"expected {n + 1} entries for n={n}, got {len(entries)}")
-        _set(self, "n", n)
-        _set(self, "entries", entries)
+        pairs = list(map(_pair, entries))
+        if len(pairs) != n + 1:
+            raise ConeInputError(f"expected {n + 1} entries for n={n}, got {len(pairs)}")
+        entries, ints = _coerced(pairs)
+        super().__init__(n, entries)
+        _set(self, "_ints", ints)
 
     @classmethod
     def of(cls, entries: Iterable[RationalLike]) -> "BettiVector":
@@ -164,7 +201,7 @@ class TailPeriodicSequence(Frozen):
     makes equality structural and the type hashable.
     """
 
-    __slots__ = ("stab", "head", "tail_even", "tail_odd")
+    __slots__ = ("stab", "head", "tail_even", "tail_odd", "_ints")
     stab: int
     head: tuple[Fraction, ...]
     tail_even: Fraction
@@ -174,21 +211,17 @@ class TailPeriodicSequence(Frozen):
                  tail_odd: RationalLike):
         if stab < 0:
             raise ConeInputError("stabilization index must be nonnegative")
-        head = tuple(as_fraction(e) for e in head)
-        if len(head) != stab:
-            raise ConeInputError(f"head length {len(head)} does not match stab={stab}")
-        te = as_fraction(tail_even)
-        to = as_fraction(tail_odd)
+        pairs = list(map(_pair, head))
+        if len(pairs) != stab:
+            raise ConeInputError(f"head length {len(pairs)} does not match stab={stab}")
+        pairs += (_pair(tail_even), _pair(tail_odd))
         # Trim head entries that the periodic tail already reproduces.
-        while stab > 0:
-            tail_value = te if (stab - 1) % 2 == 0 else to
-            if head[stab - 1] != tail_value:
-                break
+        while stab > 0 and pairs[stab - 1] == pairs[(stab - 1) % 2 - 2]:
             stab -= 1
-        _set(self, "stab", stab)
-        _set(self, "head", head[:stab])
-        _set(self, "tail_even", te)
-        _set(self, "tail_odd", to)
+        del pairs[stab:-2]
+        values, ints = _coerced(pairs)
+        super().__init__(stab, values[:-2], *values[-2:])
+        _set(self, "_ints", ints)
 
     def entry(self, i: int) -> Fraction:
         if i < 0:
@@ -198,7 +231,7 @@ class TailPeriodicSequence(Frozen):
         return self.tail_even if i % 2 == 0 else self.tail_odd
 
     def prefix(self, length: int) -> tuple[Fraction, ...]:
-        return tuple(self.entry(i) for i in range(length))
+        return _prefix(self.head, self.tail_even, self.tail_odd, length)
 
 
 Sequence = Union[BettiVector, TailPeriodicSequence]
@@ -257,7 +290,6 @@ def sequence_from_json(data) -> Sequence:
             head = data["head"]
             if not isinstance(head, list):
                 raise MalformedInputError('"head" must be a list of rational strings')
-            # the constructor coerces every entry through as_fraction
             seq = TailPeriodicSequence(len(head), tuple(head), data["tail_even"],
                                        data["tail_odd"])
             if "stab" in data and data["stab"] != len(head):

@@ -58,11 +58,10 @@ def _relation_failure(cone: Cone, rays, relation) -> Optional[str]:
 
 
 def check_regular(n: int) -> SweepResult:
+    # the rays' irredundant facets are the normals, each vector scaled once
     cone = regular.cone(n)
     a, b = _description_pair(cone, cone.projected())
-    a = oracle.rays_to_facets(a)  # one conversion serves both checks
-    ok = oracle.cone_equal(a, b)
-    ok = ok and sorted(map(primitive, a.facets)) == sorted(map(primitive, b.facets))
+    ok = list(oracle.rays_to_facets(a).facets) == sorted(map(primitive, b.facets))
     return SweepResult(f"regular n={n}: rays <-> facets", ok)
 
 

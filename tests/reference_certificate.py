@@ -75,7 +75,7 @@ def fraction_classify_coefficients(v) -> tuple[Fraction, ...]:
     `regular.classify` listed them before its integer solve: chi[j,n]
     for j = 0..n on the `Fraction` entries."""
     shapes = regular.cone(v.n)
-    return tuple(shapes.values(shapes._entries(v)))
+    return tuple(shapes.values(v.entries))
 
 
 def misrelate(cone, relation) -> None:

@@ -187,7 +187,7 @@ def test_the_integer_reconstruction_check_matches_the_fraction_check(name):
             perturbed = list(x)
             perturbed[rng.randrange(len(x))] += rng.choice((-1, 1))
             for numerators, denominator in ((x, q), (perturbed, q), (x, q + 1)):
-                got = cone._reconstructs(w, cone._entries(w), numerators, denominator)
+                got = cone._reconstructs(w, cone._read(w), numerators, denominator)
                 assert got == fraction_reconstructs(cone, w, numerators, denominator), \
                     (name, n, kind, numerators, denominator)
                 verdicts.append(got)

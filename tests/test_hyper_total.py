@@ -348,7 +348,7 @@ def test_the_integer_pullback_check_agrees_with_the_fraction_one(n):
         def agree(point, y1, y2, over, holds):
             parts = (BettiVector(n, [Fraction(c, over) for c in y1]),
                      BettiVector(n - 1, [Fraction(c, over) for c in y2]))
-            got = hyper_total._pulls_back(point, point.prefix(n + 1), y1, y2, over)
+            got = hyper_total._pulls_back(point, ray_basis(n)._read(point), y1, y2, over)
             assert got == fraction_split_reconstructs(point, *parts) == holds, (n, point)
 
         agree(w, x1, x2, q, True)

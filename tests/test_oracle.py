@@ -134,6 +134,12 @@ class TestCanonicalOnce:
             call()
             assert sorted(map(id, seen)) == sorted(map(id, supplied))
 
+    def test_a_regular_check_scales_each_ray_and_normal_once(self, monkeypatch):
+        seen = scaled_tuples(monkeypatch)
+        monkeypatch.setattr(verification, "primitive", oracle.primitive)  # counted too
+        assert verification.check_regular(8).ok
+        assert len(seen) == 18  # the 9 rays in the conversion, the 9 normals compared
+
     def test_a_total_check_scales_each_ray_and_normal_once(self, monkeypatch):
         cone = hyper_total.cone(8)
         rays, normals = cone.projected(), cone.normals()

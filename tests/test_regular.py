@@ -58,7 +58,7 @@ class TestFacetsAndRays:
         monkeypatch.setattr(oracle, "_extreme_rays_from_halfspaces",
                             lambda *args: calls.append(1) or convert(*args))
         assert verification.check_regular(8).ok
-        assert len(calls) == 2  # rays to facets, facets to rays
+        assert len(calls) == 1  # rays to facets; the facet lists are compared
 
         def cone_with(windows):
             return lambda n: Cone("the regular cone", n, tuple(windows(n)))

@@ -1,4 +1,6 @@
+import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import betticone
-from betticone import hyper_fixed, hyper_total, regular
+from betticone import hyper_fixed, hyper_total, regular, sequences
 from betticone.cones import Cone
 from betticone.errors import ConeInputError, MalformedInputError
 from betticone.hyper_fixed import FixedConeParams
@@ -393,3 +395,91 @@ def test_public_surface():
         "MalformedInputError", "NotInConeError", "as_fraction", "embed", "rational_str",
         "sequence_from_json", "sequence_to_json", "__version__"]
     assert all(hasattr(betticone, name) for name in betticone.__all__)
+
+
+def _entry_forms(rng, value: Fraction) -> list:
+    """``value`` in each form the reader takes: its canonical string, then
+    padded, signed, zero-led or unreduced strings, and an int or a
+    `Fraction` as they are."""
+    p, q = value.numerator, value.denominator
+    k = rng.randint(2, 5)
+    sign = "-" if p < 0 else rng.choice(["", "+"])
+    forms = [rational_str(value), f" {rational_str(value)}\t", f"{sign}0{abs(p) * k}/{q * k}",
+             f"{sign}{abs(p)}" if q == 1 else f"{sign}{abs(p) * k}/0{q * k}", value]
+    return forms + ([p] if q == 1 else []) + (["-0", "0/5", "+000"] if p == 0 else [])
+
+
+def _entries(rng, kind: str, count: int) -> list:
+    """Seeded, tie-heavy or hostile entries: canonical strings of random
+    rationals, a few values repeated, or each value in a random form."""
+    if kind == "tie":
+        return [rng.choice(["0", "1", "1/2", "2/4", 1, Fraction(1, 2)]) for _ in range(count)]
+    values = [Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 4, 6, 7, 12, 35]))
+              for _ in range(count)]
+    if kind == "seeded":
+        return [rational_str(v) for v in values]
+    return [rng.choice(_entry_forms(rng, v)) for v in values]
+
+
+class TestTheRead:
+    @pytest.mark.parametrize("kind", ["seeded", "tie", "hostile"])
+    def test_the_kept_read_is_the_common_denominator_form_of_what_it_covers(self, kind):
+        # what a value keeps when it is built, and what `Cone._read` cuts
+        # from it, must be `_over_common_denominator` of exactly the
+        # entries covered, however the entries were written
+        from betticone.cones import _over_common_denominator
+        rng = random.Random(f"read-{kind}")
+        for _ in range(120):
+            v = BettiVector.of(_entries(rng, kind, rng.randint(1, 9)))
+            assert v._ints[0] == tuple(_over_common_denominator(v.entries)[0])
+            assert v._ints[1] == _over_common_denominator(v.entries)[1]
+            assert regular.cone(v.n)._read(v) == v._ints
+            head, even, odd = _entries(rng, kind, rng.randint(0, 8)), *_entries(rng, kind, 2)
+            w = TailPeriodicSequence(len(head), head, even, odd)
+            nums, q = _over_common_denominator(w.head + (w.tail_even, w.tail_odd))
+            assert w._ints == (tuple(nums), q)
+            # n from 2 up to past the stab: a head past n, a tail that no
+            # entry 0..n takes, then both tails among entries 0..n
+            for n in range(2, w.stab + 4):
+                nums, q = _over_common_denominator(w.prefix(n + 1))
+                assert hyper_total.cone(n)._read(w) == (tuple(nums), q), (w, n)
+
+    def test_entries_read_as_the_fractions_their_forms_denote(self):
+        rng = random.Random("read-forms")
+        for _ in range(300):
+            value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            for form in _entry_forms(rng, value):
+                entry = BettiVector.of([form]).entries[0]
+                assert type(entry) is Fraction and entry == value, (form, value)
+                assert (entry.numerator, entry.denominator) == (value.numerator, value.denominator)
+
+    def test_the_coprime_build_is_the_reduced_fraction(self):
+        rng = random.Random("coprime")
+        pairs = [(0, 1), (1, 1), (-1, 1), (7, 12), (-7, 12), (10**80 + 1, 10**80)]
+        pairs += [(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) for _ in range(500)]
+        for a, b in pairs:
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            got, want = sequences._coprime(a, b), Fraction(a, b)
+            assert type(got) is Fraction and got == want
+            assert (got.numerator, got.denominator) == (a, b)
+            assert hash(got) == hash(want) and repr(got) == repr(want)
+            assert pickle.loads(pickle.dumps(got)) == want and got + 0 == want
+
+    def test_the_read_is_not_a_field(self):
+        w = TailPeriodicSequence(3, [" 1 ", "2/4", "06/04"], "1/3", 5)
+        assert w._ints == ((6, 3, 9, 2, 30), 6)
+        assert "_ints" not in repr(w) and w == tail_seq([1, Fraction(1, 2), Fraction(3, 2)],
+                                                        Fraction(1, 3), 5)
+        rebuilt = pickle.loads(pickle.dumps(w))
+        assert rebuilt == w and rebuilt._ints == w._ints and hash(rebuilt) == hash(w)
+        with pytest.raises(AttributeError):
+            w._ints = ((), 1)
+
+    def test_a_prefix_is_the_entries_one_by_one(self):
+        rng = random.Random("prefix")
+        for _ in range(100):
+            head = _entries(rng, "tie", rng.randint(0, 7))
+            w = TailPeriodicSequence(len(head), head, *_entries(rng, "seeded", 2))
+            for length in range(-2, w.stab + 5):
+                assert w.prefix(length) == tuple(w.entry(i) for i in range(length)), (w, length)
