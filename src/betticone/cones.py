@@ -21,16 +21,17 @@ relation (the cone is a pyramid over a circuit), so a certificate is
 one banded solve, one ratio test along the relation and an exact
 reconstruction check that sums the layout: O(n) after membership.
 
-Arithmetic: a point is read once, when it is built: `sequences` keeps
-its entries' integer numerators over their least common denominator,
-and `Cone._read` cuts entries 0..n from that read.  Membership and the
+Arithmetic: a point holds only its `Fraction`s, and a call reads it
+once: `Cone._read` puts entries 0..n over their least common
+denominator, reading each entry's pair once.  Membership and the
 certificate decide, solve and check on ints: the ray relation and the
 corners are written once over the corners' common denominator, and the
 reconstruction check sums the integer coefficients on the layout and
-cross-multiplies each sum with the read.  A `Fraction` is built only
-for a value a report names and for a certificate's coefficients, from
-its coprime pair.  `values`, and so `normals()` and `verify`, keep the
-entries' own type.
+cross-multiplies each sum with the read.  Flatness is read off the
+point's canonical form.  A `Fraction` is built only for a value a
+report names and for a certificate's coefficients, from its coprime
+pair.  `values`, and so `normals()` and `verify`, keep the entries' own
+type.
 
 Memory: a `Cone` is immutable all the way down and holds O(n): its
 fields, and the names, scaled corners and scaled relation its
@@ -46,8 +47,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConeInputError, InternalInconsistencyError, NotInConeError, quoted
-from .sequences import (BettiVector, Frozen, Sequence, TailPeriodicSequence, _coprime, _prefix,
-                        _set, as_fraction, described)
+from .sequences import (BettiVector, Frozen, Sequence, TailPeriodicSequence, _coprime, _set,
+                        as_fraction, described)
 
 TRIANGULATION_LABELS = ("omit_odd", "omit_even")
 
@@ -69,9 +70,11 @@ None) stands for every chi[i,j] with j - i even and j <= n."""
 
 def _over_common_denominator(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over one positive denominator q,
-    the least common multiple of their denominators."""
-    q = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (q // v.denominator) for v in values], q
+    the least common multiple of their denominators, each value's pair
+    read once."""
+    pairs = [v.as_integer_ratio() for v in values]
+    q = math.lcm(*(b for _, b in pairs))
+    return [a * (q // b) for a, b in pairs], q
 
 
 def _fractions(nums, q: int) -> tuple[Fraction, ...]:
@@ -84,12 +87,13 @@ def _rebuilds(w: Sequence, read, sums: list[int], q: int, tails=None) -> bool:
     """Whether the integers ``sums`` over q > 0 are entries 0..n of the
     point w, whose read (see `Cone._read`) is numerators e over p: v * p
     == e * q.  A tail point must also have no head entry past n and its
-    even and odd tails equal to ``tails`` over q, on its own read."""
+    even and odd tails equal to ``tails`` over q, each cross-multiplied
+    with the tail's own numerator and denominator."""
     nums, p = read
     if any(v * p != e * q for v, e in zip(sums, nums)):
         return False
     return tails is None or (w.stab <= len(nums) and all(
-        v * w._ints[1] == t * q for v, t in zip(tails, w._ints[0][-2:])))
+        v * t.denominator == t.numerator * q for v, t in zip(tails, (w.tail_even, w.tail_odd))))
 
 
 def _prefix_sums(entries) -> list:
@@ -224,12 +228,7 @@ class Cone(Frozen):
 
     def __init__(self, title: str, n: int, spans: tuple[Window, ...], tail: Optional[str] = None,
                  corners: tuple[Fraction, ...] = (), within: Optional["Cone"] = None):
-        _set(self, "title", title)
-        _set(self, "n", n)
-        _set(self, "spans", spans)
-        _set(self, "tail", tail)
-        _set(self, "corners", corners)
-        _set(self, "within", within)
+        super().__init__(title, n, spans, tail, corners, within)
         _set(self, "_names", tuple(f"rho[{i}]" for i in range(-1, self._rho - 1))
              + tuple(f"{tail}[{n - 2 + k}]" for k in range(len(corners))))
         # the corners as integer numerators over their common denominator s
@@ -275,19 +274,15 @@ class Cone(Frozen):
         return ([tuple(int(p - 1 <= k <= p) for k in range(self.n + 1)) for p in range(self._rho)]
                 + [(0,) * (self.n - 2) + (c, 1, 1) for c in (nums if s == 1 else self.corners)])
 
-    def _read(self, w: Sequence) -> tuple[tuple[int, ...], int]:
+    def _read(self, w: Sequence) -> tuple[list[int], int]:
         """The one check (a finite cone takes a `BettiVector` of its own n, a
         tail cone a `TailPeriodicSequence`) and read of a point per call:
-        entries 0..n as numerators over their least common denominator q,
-        and q, cut from the point's read (q reduced where that covers more)."""
+        entries 0..n as integer numerators over the least common
+        denominator q of exactly those entries, and q."""
         if self.tail is None and isinstance(w, BettiVector) and w.n == self.n:
-            return w._ints
+            return _over_common_denominator(w.entries)
         if self.tail is not None and isinstance(w, TailPeriodicSequence):
-            nums, q = w._ints
-            kept = _prefix(nums[:-2], *nums[-2:], self.n + 1)
-            if w.stab < self.n or (g := math.gcd(q, *kept)) == 1:
-                return kept, q
-            return tuple(v // g for v in kept), q // g
+            return _over_common_denominator(w.prefix(self.n + 1))
         space = "a tail-periodic sequence" if self.tail else f"a finite sequence with n={self.n}"
         raise ConeInputError(f"{self.title} for n={self.n} needs {space}, got {described(w)}")
 
@@ -367,13 +362,14 @@ class Cone(Frozen):
             entries = w.entries if self.tail is None else w.prefix(self.n + 1)
             values = _evaluate(negative, _prefix_sums(entries), entries)
             out += [(window_name(window), v) for window, v in zip(negative, values)]
-        if self.tail is not None and self.within is None:
-            # entry(i) = entry(i+1) for i >= n, on the point's read; up to
-            # two indices past the stabilization point decide the whole
-            # infinite family because the tail is 2-periodic.
-            own = w._ints[0]
-            at = _prefix(own[:-2], *own[-2:], max(self.n, w.stab) + 3)[self.n:]
-            out += [(window_name((i, i + 1, None)), w.entry(i) - w.entry(i + 1))
+        if self.tail is not None and self.within is None and (
+                w.stab > self.n or w.tail_even != w.tail_odd):
+            # entry(i) = entry(i+1) for all i >= n exactly when the canonical
+            # form (see `TailPeriodicSequence`) has no head past n and equal
+            # tails; otherwise the gaps up to two indices past the
+            # stabilization point are all of them, the tail being 2-periodic.
+            at = w.prefix(max(self.n, w.stab) + 3)[self.n:]
+            out += [(window_name((i, i + 1, None)), a - b)
                     for i, (a, b) in enumerate(zip(at, at[1:]), self.n) if a != b]
         return out
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import hyper_total
 from .cones import CONES_KEPT, Cone, Decomposition, MembershipReport
 from .errors import ConeInputError
-from .sequences import Frozen, TailPeriodicSequence, _set
+from .sequences import Frozen, TailPeriodicSequence
 
 MEMBERSHIP_CAVEAT = ("membership in the conjectured cone; does not certify "
                      "that the shape is realizable")
@@ -34,8 +34,7 @@ class FixedConeParams(Frozen):
             raise ConeInputError(f"embedding dimension must be >= 2, got n={n}")
         if d < 2:
             raise ConeInputError(f"multiplicity must be >= 2, got d={d}")
-        _set(self, "n", n)
-        _set(self, "d", d)
+        super().__init__(n, d)
 
 
 @lru_cache(maxsize=CONES_KEPT)

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .errors import ConeInputError
 from .linalg import dot, primitive
-from .sequences import Frozen, _set
+from .sequences import Frozen
 
 MAX_DIM = 12
 
@@ -61,13 +61,11 @@ class ConeDescription(Frozen):
             raise ConeInputError(f"ambient dimension {dim} exceeds the desk-scale cap {MAX_DIM}")
         if rays is None and facets is None:
             raise ConeInputError("a cone needs rays or facets")
-        _set(self, "dim", dim)
-        for name, vecs in (("rays", rays), ("facets", facets)):
-            if vecs is not None:
-                vecs = tuple(map(tuple, vecs))
-                if any(len(v) != dim for v in vecs):
-                    raise ConeInputError(f"every {name[:-1]} must have length {dim}")
-            _set(self, name, vecs)
+        given = [None if vecs is None else tuple(map(tuple, vecs)) for vecs in (rays, facets)]
+        for name, vecs in zip(("rays", "facets"), given):
+            if vecs is not None and any(len(v) != dim for v in vecs):
+                raise ConeInputError(f"every {name[:-1]} must have length {dim}")
+        super().__init__(dim, *given)
 
 
 def _canonical(vectors) -> list[IntVector]:

@@ -6,7 +6,10 @@ Two ambient spaces appear throughout: finite vectors of length n+1
 infinite sequences whose entries are eventually 2-periodic
 (`TailPeriodicSequence`, resolutions over a hypersurface ring, and every
 image of the prefix-sum transform).  All entries are exact rationals; no
-floating point enters anywhere.  Both are `Frozen`, the small base that
+floating point enters anywhere.  A value holds only its fields, its
+entries as `Fraction`s (a given `Fraction` kept as the object given):
+many values never reach a cone, and a cone reads a point into integers
+per call (`cones.Cone._read`).  Both are `Frozen`, the small base that
 every value type of the package builds on in place of the standard
 library's dataclass module, which costs several milliseconds to import.
 """
@@ -16,8 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import starmap
-from math import gcd, lcm
+from math import gcd
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -41,8 +43,8 @@ _coprime = getattr(Fraction, "_from_coprime_ints", _coprime)
 
 
 def _pair(value: RationalLike) -> tuple[int, int]:
-    """The one entry reader: an int, `Fraction` or "p/q" string (ASCII digits
-    straight to `int`, one gcd for "p/q") as its coprime pair (p, q > 0)."""
+    """An int or "p/q" string (ASCII digits straight to `int`, one gcd for
+    "p/q") as its coprime pair (p, q > 0)."""
     if isinstance(value, str):
         text = value.strip()
         if not (text.isascii() and text.isdigit()) and not _RATIONAL_RE.match(text):
@@ -60,30 +62,16 @@ def _pair(value: RationalLike) -> tuple[int, int]:
             raise MalformedInputError(f"zero denominator in {quoted(value)}")
         g = gcd(num, den)
         return num // g, den // g
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value.as_integer_ratio()
     raise MalformedInputError(f"not a rational: {quoted(value)}")
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, and "p/q" strings; floats are rejected."""
+    """Coerce ints, Fractions, and "p/q" strings; floats are rejected.  The
+    one entry reader of both sequence types: a `Fraction` is kept as the
+    object given, anything else is read by `_pair` and built by `_coprime`."""
     return value if isinstance(value, Fraction) else _coprime(*_pair(value))
-
-
-def _coerced(pairs: list[tuple[int, int]]) -> tuple[tuple[Fraction, ...], tuple]:
-    """Coprime pairs as `Fraction`s, and the read a value keeps as ``_ints`` (a tail's: its
-    head, then its two tails): numerators over the pairs' least common denominator q, and q."""
-    nums, dens = zip(*pairs)
-    if (q := lcm(*dens)) > 1:
-        nums = tuple([a * (q // b) for a, b in pairs])
-    return tuple(starmap(_coprime, pairs)), (nums, q)
-
-
-def _prefix(head: tuple, even, odd, length: int) -> tuple:
-    """The first ``length`` entries of ``head`` then ``even`` and ``odd`` by parity."""
-    rest = max(length - len(head), 0)
-    pair = (even, odd) if len(head) % 2 == 0 else (odd, even)
-    return head[:max(length, 0)] + (pair * rest)[:rest]
 
 
 def rational_str(value: Fraction) -> str:
@@ -104,20 +92,22 @@ def rational_str(value: Fraction) -> str:
             f"{sys.get_int_max_str_digits()}-digit limit for printing integers") from None
 
 
-_set = object.__setattr__  # how a constructor writes a field of a `Frozen` value
+_set = object.__setattr__  # how `Frozen` writes a field, and `Cone` a derived slot
 
 
 class Frozen:
     """Base of the package's immutable value types.  The fields are the
     names in ``__slots__`` that do not start with "_", in constructor
-    order; a private slot holds what a constructor derives from them.  A
-    type whose constructor only stores its fields inherits this one,
-    which takes them positionally; a type that checks, normalises or
-    defaults its arguments writes each field once through ``_set`` in its
-    own constructor.  Any later assignment or deletion is an
-    `AttributeError`.  Values of one type are equal when their fields
-    are, and hash as the tuple of their fields, read in one `attrgetter`
-    call: a cached cone's key is hashed and compared on every hit."""
+    order; a private slot holds what a constructor derives from them.
+    This constructor is the one writer of fields, taking them
+    positionally: a type whose constructor only stores its fields
+    inherits it, and a type that checks, normalises or defaults its
+    arguments passes them here once its checks pass.  Only a derived
+    private slot is written through ``_set`` (`cones.Cone` keeps three).
+    Any later assignment or deletion is an `AttributeError`.  Values of
+    one type are equal when their fields are, and hash as the tuple of
+    their fields, read in one `attrgetter` call: a cached cone's key is
+    hashed and compared on every hit."""
 
     __slots__ = ()
     _field_names: tuple[str, ...] = ()
@@ -164,19 +154,17 @@ class Frozen:
 class BettiVector(Frozen):
     """A finite shape vector (v_0, ..., v_n) in Q^{n+1}."""
 
-    __slots__ = ("n", "entries", "_ints")
+    __slots__ = ("n", "entries")
     n: int
     entries: tuple[Fraction, ...]
 
     def __init__(self, n: int, entries: Iterable[RationalLike]):
         if n < 0:
             raise ConeInputError(f"ambient length must be nonnegative, got n={n}")
-        pairs = list(map(_pair, entries))
-        if len(pairs) != n + 1:
-            raise ConeInputError(f"expected {n + 1} entries for n={n}, got {len(pairs)}")
-        entries, ints = _coerced(pairs)
+        entries = tuple(map(as_fraction, entries))
+        if len(entries) != n + 1:
+            raise ConeInputError(f"expected {n + 1} entries for n={n}, got {len(entries)}")
         super().__init__(n, entries)
-        _set(self, "_ints", ints)
 
     @classmethod
     def of(cls, entries: Iterable[RationalLike]) -> "BettiVector":
@@ -201,7 +189,7 @@ class TailPeriodicSequence(Frozen):
     makes equality structural and the type hashable.
     """
 
-    __slots__ = ("stab", "head", "tail_even", "tail_odd", "_ints")
+    __slots__ = ("stab", "head", "tail_even", "tail_odd")
     stab: int
     head: tuple[Fraction, ...]
     tail_even: Fraction
@@ -211,17 +199,14 @@ class TailPeriodicSequence(Frozen):
                  tail_odd: RationalLike):
         if stab < 0:
             raise ConeInputError("stabilization index must be nonnegative")
-        pairs = list(map(_pair, head))
-        if len(pairs) != stab:
-            raise ConeInputError(f"head length {len(pairs)} does not match stab={stab}")
-        pairs += (_pair(tail_even), _pair(tail_odd))
+        values = tuple(map(as_fraction, head))
+        if len(values) != stab:
+            raise ConeInputError(f"head length {len(values)} does not match stab={stab}")
+        values += (as_fraction(tail_even), as_fraction(tail_odd))
         # Trim head entries that the periodic tail already reproduces.
-        while stab > 0 and pairs[stab - 1] == pairs[(stab - 1) % 2 - 2]:
+        while stab > 0 and values[stab - 1] == values[(stab - 1) % 2 - 2]:
             stab -= 1
-        del pairs[stab:-2]
-        values, ints = _coerced(pairs)
-        super().__init__(stab, values[:-2], *values[-2:])
-        _set(self, "_ints", ints)
+        super().__init__(stab, values[:stab], *values[-2:])
 
     def entry(self, i: int) -> Fraction:
         if i < 0:
@@ -231,7 +216,10 @@ class TailPeriodicSequence(Frozen):
         return self.tail_even if i % 2 == 0 else self.tail_odd
 
     def prefix(self, length: int) -> tuple[Fraction, ...]:
-        return _prefix(self.head, self.tail_even, self.tail_odd, length)
+        """Entries 0..length-1: the head, then the tails by parity."""
+        rest = max(length - self.stab, 0)
+        pair = (self.tail_odd, self.tail_even) if self.stab % 2 else (self.tail_even, self.tail_odd)
+        return self.head[:max(length, 0)] + (pair * rest)[:rest]
 
 
 Sequence = Union[BettiVector, TailPeriodicSequence]

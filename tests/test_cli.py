@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -459,6 +460,19 @@ class TestHkCap:
         assert code == 0 and json.loads(out)["entries"] == ["1/2", "1", "1/2"]
 
 
+    def test_spread_degrees_at_the_cap_print_in_under_2_s(self, capsys):
+        # 201 degrees at random over +-HK_MAX_DEGREE: the entries'
+        # denominators share few factors, and the shape is printed as it is
+        # built, never put over one common denominator
+        cap = pure.HK_MAX_DEGREE
+        degrees = sorted(random.Random("hk-spread").sample(range(-cap, cap + 1), 201))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "hk", "--degrees", ",".join(map(str, degrees)),
+                           "--n", "200", "--normalize-at", "0")
+        assert time.perf_counter() - start < 2
+        assert code == 0 and json.loads(out)["entries"][0] == "1"
+
+
 class TestPlot:
     def test_csv_columns(self, capsys):
         code, out, _ = run(capsys, "plot", "--len", "4",
@@ -581,6 +595,27 @@ class TestInputHandling:
         code, out, err = run(capsys, "member", "--cone", "total", "--n", "3",
                              "--input", str(path))
         assert time.perf_counter() - start < 5  # parsing the entries is most of it
+        assert (code, out) == (2, "")
+        assert err == (f"error: stab must be at most {MAX_N + 1}, "
+                       f"got a sequence with stab={len(head)}\n")
+
+    def test_a_coprime_tail_head_past_the_cap_exits_2_before_the_scan(self, tmp_path, capsys):
+        # 32,000 head entries 1/p for distinct primes p in 373 KB: their
+        # least common denominator has about 190,000 digits, so nothing
+        # before the cap may put the entries over it
+        limit = 400_000
+        sieve = bytearray([1]) * limit
+        for i in range(2, int(limit ** 0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+        head = [f"1/{p}" for p in range(2, limit) if sieve[p]][:32_000]
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps({"kind": "tail", "stab": len(head), "head": head,
+                                    "tail_even": "1", "tail_odd": "1"}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "member", "--cone", "total", "--n", "3",
+                             "--input", str(path))
+        assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
         assert err == (f"error: stab must be at most {MAX_N + 1}, "
                        f"got a sequence with stab={len(head)}\n")

@@ -320,6 +320,12 @@ class TestValueTypes:
         assert value._fields() == fields and hash(value) == hash(fields)
         assert type(value)(*twin._fields()) == value
 
+    @pytest.mark.parametrize("value, twin", _values(), ids=lambda v: type(v).__name__)
+    def test_a_value_holds_only_its_fields(self, value, twin):
+        # no private slot: a value keeps nothing derived from its fields
+        assert type(value).__slots__ == type(value)._field_names
+        assert not hasattr(value, "__dict__")
+
     def test_equal_fields_of_another_type_are_not_equal(self):
         from betticone.regular import RegularDecomposition
         v = BettiVector.of([1, 2, 1])
@@ -409,6 +415,13 @@ def _entry_forms(rng, value: Fraction) -> list:
     return forms + ([p] if q == 1 else []) + (["-0", "0/5", "+000"] if p == 0 else [])
 
 
+def _assert_read(cone, w, entries):
+    nums, q = cone._read(w)
+    assert q == math.lcm(*(e.denominator for e in entries)), (w, cone.n)
+    assert len(nums) == len(entries), (w, cone.n)
+    assert all(type(c) is int and Fraction(c, q) == e for c, e in zip(nums, entries)), (w, cone.n)
+
+
 def _entries(rng, kind: str, count: int) -> list:
     """Seeded, tie-heavy or hostile entries: canonical strings of random
     rationals, a few values repeated, or each value in a random form."""
@@ -423,26 +436,20 @@ def _entries(rng, kind: str, count: int) -> list:
 
 class TestTheRead:
     @pytest.mark.parametrize("kind", ["seeded", "tie", "hostile"])
-    def test_the_kept_read_is_the_common_denominator_form_of_what_it_covers(self, kind):
-        # what a value keeps when it is built, and what `Cone._read` cuts
-        # from it, must be `_over_common_denominator` of exactly the
-        # entries covered, however the entries were written
-        from betticone.cones import _over_common_denominator
+    def test_the_read_is_entries_0_to_n_over_their_least_common_denominator(self, kind):
+        # `Cone._read` is the one place a point becomes integers: each
+        # numerator c over q is its entry, and q is the lcm of the
+        # denominators of exactly entries 0..n, however they were written
         rng = random.Random(f"read-{kind}")
         for _ in range(120):
             v = BettiVector.of(_entries(rng, kind, rng.randint(1, 9)))
-            assert v._ints[0] == tuple(_over_common_denominator(v.entries)[0])
-            assert v._ints[1] == _over_common_denominator(v.entries)[1]
-            assert regular.cone(v.n)._read(v) == v._ints
+            _assert_read(regular.cone(v.n), v, v.entries)
             head, even, odd = _entries(rng, kind, rng.randint(0, 8)), *_entries(rng, kind, 2)
             w = TailPeriodicSequence(len(head), head, even, odd)
-            nums, q = _over_common_denominator(w.head + (w.tail_even, w.tail_odd))
-            assert w._ints == (tuple(nums), q)
             # n from 2 up to past the stab: a head past n, a tail that no
             # entry 0..n takes, then both tails among entries 0..n
             for n in range(2, w.stab + 4):
-                nums, q = _over_common_denominator(w.prefix(n + 1))
-                assert hyper_total.cone(n)._read(w) == (tuple(nums), q), (w, n)
+                _assert_read(hyper_total.cone(n), w, [w.entry(i) for i in range(n + 1)])
 
     def test_entries_read_as_the_fractions_their_forms_denote(self):
         rng = random.Random("read-forms")
@@ -466,15 +473,13 @@ class TestTheRead:
             assert hash(got) == hash(want) and repr(got) == repr(want)
             assert pickle.loads(pickle.dumps(got)) == want and got + 0 == want
 
-    def test_the_read_is_not_a_field(self):
-        w = TailPeriodicSequence(3, [" 1 ", "2/4", "06/04"], "1/3", 5)
-        assert w._ints == ((6, 3, 9, 2, 30), 6)
-        assert "_ints" not in repr(w) and w == tail_seq([1, Fraction(1, 2), Fraction(3, 2)],
-                                                        Fraction(1, 3), 5)
-        rebuilt = pickle.loads(pickle.dumps(w))
-        assert rebuilt == w and rebuilt._ints == w._ints and hash(rebuilt) == hash(w)
-        with pytest.raises(AttributeError):
-            w._ints = ((), 1)
+    def test_a_value_built_from_fractions_keeps_them(self):
+        given = [Fraction(1, 3), Fraction(-2, 5), Fraction(10**40 + 1, 10**40), Fraction(7)]
+        v = BettiVector(3, given)
+        assert all(v.entries[k] is given[k] for k in range(4))
+        w = TailPeriodicSequence(4, given, given[1], given[0])
+        assert all(w.head[k] is given[k] for k in range(4))
+        assert w.tail_even is given[1] and w.tail_odd is given[0]
 
     def test_a_prefix_is_the_entries_one_by_one(self):
         rng = random.Random("prefix")
