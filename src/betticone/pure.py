@@ -14,7 +14,7 @@ from .sequences import BettiVector, Frozen, described
 # limit_gap is O(n^2) in big integers (about 40 ms at n = 400 and t = 2,
 # 1.5 s at n = 1600), so its ambient length is capped.  Its exact answer
 # grows with the digits of t: at n = 400 and t = LIMIT_MAX_T the worst j
-# (j = 0) takes 0.4-0.55 s end to end and prints a numerator of 3,884
+# (j = 0) takes 0.35-0.55 s end to end and prints a numerator of 3,884
 # digits, and from t = 10**11 on the numerator passes the interpreter's
 # 4,300-digit int-string limit.
 LIMIT_MAX_N = 400
@@ -25,7 +25,7 @@ LIMIT_MAX_T = 10**9
 # runs for over a minute before its answer is refused as unprintable.  The
 # CLI accepts |degree| <= HK_MAX_DEGREE; at n = 500 the worst degrees
 # measured (501 drawn at random over +-10**12) take 0.3-0.5 s end to end,
-# and 0.7-1.0 s with --normalize-at 0, on a shared 2-vCPU VM, before the
+# and 0.55-1.0 s with --normalize-at 0, on a shared 2-vCPU VM, before the
 # answer is refused as unprintable (exit 2).
 HK_MAX_DEGREE = 10**12
 

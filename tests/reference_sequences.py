@@ -77,17 +77,28 @@ def tail_sum(u: TailPeriodicSequence, w: TailPeriodicSequence) -> TailPeriodicSe
     return TailPeriodicSequence(stab, head, u.tail_even + w.tail_even, u.tail_odd + w.tail_odd)
 
 
+def primes(count: int) -> list[int]:
+    """The first ``count`` primes, by a sieve doubled until it holds them."""
+    limit = 16
+    while True:
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for i in range(2, int(limit ** 0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+        found = [k for k in range(limit) if sieve[k]]
+        if len(found) >= count:
+            return found[:count]
+        limit *= 2
+
+
 def coprime_entries(n: int) -> list[Fraction]:
     """Entries 0..n of bench/record.py's "coprime" point: level at
     2(n+1), moved off the integers by a seeded fraction of the k-th prime
     at each entry k < n, so the denominators are pairwise coprime."""
-    primes, k = [], 2
-    while len(primes) < n:
-        if all(k % p for p in primes if p * p <= k):
-            primes.append(k)
-        k += 1
     rng = random.Random(n)
-    return [2 * (n + 1) + Fraction(rng.randrange(p), p) for p in primes] + [Fraction(2 * (n + 1))]
+    level = 2 * (n + 1)
+    return [level + Fraction(rng.randrange(p), p) for p in primes(n)] + [Fraction(level)]
 
 
 def unit_rays(cone) -> list:

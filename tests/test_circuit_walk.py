@@ -27,7 +27,7 @@ from betticone.sequences import BettiVector, TailPeriodicSequence
 
 from reference_certificate import fraction_decompose, fraction_reconstructs
 from reference_linalg import linear_relation, solve_columns
-from reference_sequences import constant_tail, evaluate, row
+from reference_sequences import constant_tail, evaluate, primes, row
 
 CONES = {"total": hyper_total.cone,
          **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
@@ -100,16 +100,6 @@ def test_certificates_match_the_simplex_search(name):
             dec = cone.decompose(w, which)
             assert (dec.label, dec.simplex_used, dec.coefficients) == \
                 reference_decompose(cone, w, which), (name, n, kind, which)
-
-
-def primes(count):
-    """The first ``count`` primes."""
-    out, k = [], 2
-    while len(out) < count:
-        if all(k % p for p in out if p * p <= k):
-            out.append(k)
-        k += 1
-    return out
 
 
 def point(cone, head):

@@ -22,7 +22,7 @@ from betticone.hyper_total import phi
 from betticone.sequences import (BettiVector, TailPeriodicSequence, embed, rational_str,
                                  sequence_from_json, sequence_to_json)
 
-from reference_sequences import ray, rho_vector, tail_sum
+from reference_sequences import primes, ray, rho_vector, tail_sum
 
 
 def run(capsys, *argv):
@@ -459,7 +459,6 @@ class TestHkCap:
                            "--normalize-at", "1")
         assert code == 0 and json.loads(out)["entries"] == ["1/2", "1", "1/2"]
 
-
     def test_spread_degrees_at_the_cap_print_in_under_2_s(self, capsys):
         # 201 degrees at random over +-HK_MAX_DEGREE: the entries'
         # denominators share few factors, and the shape is printed as it is
@@ -603,12 +602,7 @@ class TestInputHandling:
         # 32,000 head entries 1/p for distinct primes p in 373 KB: their
         # least common denominator has about 190,000 digits, so nothing
         # before the cap may put the entries over it
-        limit = 400_000
-        sieve = bytearray([1]) * limit
-        for i in range(2, int(limit ** 0.5) + 1):
-            if sieve[i]:
-                sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
-        head = [f"1/{p}" for p in range(2, limit) if sieve[p]][:32_000]
+        head = [f"1/{p}" for p in primes(32_000)]
         path = tmp_path / "seq.json"
         path.write_text(json.dumps({"kind": "tail", "stab": len(head), "head": head,
                                     "tail_even": "1", "tail_odd": "1"}))
