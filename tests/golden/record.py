@@ -5,8 +5,9 @@ at n = 48, the command line's usage errors and parsing rules, a tail
 input refused for its head length, and `split` and multiplicity-3
 certificates on rational and tie-heavy members at n = 8 and 48, and
 `classify` at n = 48 on a rational non-member and on the coprime point
-that `bench/record.py` times, `verify` at its defaults, and the entry
-forms the parser accepts and refuses.
+that `bench/record.py` times, `verify` at its defaults, the entry
+forms the parser accepts and refuses, and `verify` on the grid CI runs
+(n up to 11, multiplicities up to 7).
 
 Each case runs in process through ``betticone.cli.main``; the inputs are
 fixed combinations of each cone's rays through ``Cone.combine``, the named
@@ -264,6 +265,8 @@ def cases() -> list[list[str]]:
     out.append(["member", "--cone", "total", "--n", "2", "--inline", json.dumps(
         {"kind": "tail", "stab": 3, "head": ["1", "2/2", " +1"],
          "tail_even": "1", "tail_odd": "01"})])
+    # verify up to the oracle's cap: the 56 checks CI runs
+    out.append(["verify", "--n-max", "11", "--mult-max", "7"])
     return out
 
 
