@@ -14,8 +14,10 @@ one more child per side times direct calls by n (see DIRECT): the
 multiplicity-3 certificates and regular classifications up to n = 500,
 past the workloads' n <= 48, best of DIRECT_CALLS each, and each also
 scaled by the machine-speed reference that perfbench scales end-to-end
-latencies by. Children run with PYTHONDONTWRITEBYTECODE=1, so no
-checkout gains `__pycache__` files.
+latencies by. Children run with PYTHONDONTWRITEBYTECODE=1, which stops
+them writing `__pycache__` files but not reading them, so a side whose
+`src/` or `perfbench/` holds a `__pycache__` directory is refused before
+any run: every side compiles its own sources in every child.
 
 The output JSON holds, per side, the checkout's commit (when it is a git
 checkout, with a flag for uncommitted changes), every run's end-to-end
@@ -265,6 +267,10 @@ def main(argv=None) -> int:
         if not sep or not (Path(path) / "perfbench" / "run.py").is_file():
             parser.error(f"--side needs NAME=DIR with DIR a source checkout, got {spec!r}")
         checkouts[name] = Path(path).resolve()
+        for top in ("src", "perfbench"):
+            if cached := sorted((checkouts[name] / top).rglob("__pycache__")):
+                parser.error(f"--side {name}: {cached[0]} holds bytecode that the runs "
+                             "would read instead of the sources; remove it first")
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 

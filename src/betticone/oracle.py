@@ -16,11 +16,12 @@ from the sides of its ray relation.
 
 The core primitive is extreme-ray enumeration for a pointed cone given by
 halfspaces, by the classical double description method with the
-combinatorial adjacency test; facet enumeration runs it on the dual
-cone.  Each public function scales every input ray or facet once
-(`_canonical`) to its primitive integer form, by a positive rational,
-which keeps the sign of every inner product; the steps below take those
-integer lists as they are.  Desk scale only: ambient dimension is capped.
+combinatorial adjacency test; facet enumeration runs it on the dual cone,
+and `cone_equal` needs one conversion.  Each public function scales every
+input ray or facet once (`_canonical`) to its primitive integer form, by a
+positive rational, which keeps the sign of every inner product; the steps
+below take those integer lists as they are.  Desk scale only: ambient
+dimension is capped.
 """
 
 from __future__ import annotations
@@ -202,22 +203,20 @@ def facets_to_rays(cone: ConeDescription) -> ConeDescription:
     return ConeDescription(cone.dim, rays, cone.facets)
 
 
-def _rays_and_facets(cone: ConeDescription) -> tuple[list[IntVector], list[IntVector]]:
-    """Both presentations in primitive integer form: each given one
-    canonicalized once, the missing one converted from it."""
-    rays, facets = (None if v is None else _canonical(v) for v in (cone.rays, cone.facets))
-    if rays is None:
-        return _extreme_rays_from_halfspaces(facets, cone.dim), facets
-    return rays, (_facets_from_rays(rays, cone.dim) if facets is None else facets)
-
-
 def cone_equal(a: ConeDescription, b: ConeDescription) -> bool:
-    """Mutual containment, checked exactly: every ray of each cone must
-    satisfy every facet inequality of the other."""
+    """Whether two presentations give one cone, by one conversion.  The
+    rays of the side that gives them (else the first side's facets,
+    converted) must span a full-dimensional cone, and every inequality
+    description of that cone lists each of its facets up to positive scale
+    (Ziegler, *Lectures on Polytopes*, 1995).  So the cones are equal
+    exactly when each facet of the rays is in the other side's canonical
+    list (its rays' facets, if it gives only rays) and every listed facet
+    holds on every ray; the other side's cone may contain a line."""
     if a.dim != b.dim:
         raise ConeInputError("cone comparison needs matching ambient dimensions")
-    rays_a, facets_a = _rays_and_facets(a)
-    rays_b, facets_b = _rays_and_facets(b)
-    return (all(dot(f, r) >= 0 for r in rays_a for f in facets_b)
-            and all(dot(f, r) >= 0 for r in rays_b for f in facets_a))
-
+    if a.rays is None and b.rays is not None:
+        a, b = b, a
+    rays = _canonical(a.rays) if a.rays is not None else facets_to_rays(a).rays
+    listed = _canonical(b.facets) if b.facets is not None else rays_to_facets(b).facets
+    return (set(_facets_from_rays(rays, a.dim)) <= set(listed)
+            and all(dot(f, r) >= 0 for r in rays for f in listed))

@@ -18,8 +18,8 @@ from .oracle import ConeDescription
 from .sequences import Frozen
 
 # The sweep runs 5(mult_max - 1) fixed-cone checks: the worst accepted one,
-# n_max = 11 and mult_max = MAX_MULT, takes 0.65-0.8 s end to end on a
-# shared 2-vCPU VM (1.5 s at mult_max = 200).
+# n_max = 11 and mult_max = MAX_MULT, takes 0.27-0.29 s end to end on a
+# 2-vCPU Xeon VM, 0.20 s of it in process (0.40 s at mult_max = 200).
 MAX_MULT = 100
 
 

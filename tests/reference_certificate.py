@@ -7,10 +7,13 @@ integer core, kept as a reference for the tests.
 least (positive side) or greatest (negative side) taken, and a tie
 broken by `ratios.index`, so the first omitted position wins.
 `fraction_reconstructs` is the exact reconstruction check it ran after
-them: the ray sum written out by `Cone.combine` and compared with the
-point as a sequence.  `fraction_split_reconstructs` is the check that
-`hyper_total.split` ran before its integer pullback check: the transform
-of the first part plus the embedded second part, as sequences.
+them, on a ray sum that shares nothing with the package's layout: each
+ray built by name in `reference_sequences` (`rho_vector` in the finite
+cone, `ray` in a tail cone), scaled entry by entry, summed (`tail_sum`
+for tail sequences) and compared with the point as a sequence.
+`fraction_split_reconstructs` is the check that `hyper_total.split` ran
+before its integer pullback check: the transform of the first part plus
+the embedded second part, as sequences.
 `fraction_classify_coefficients` is how `regular.classify` listed its
 ray coefficients before it solved on the integer read: the regular
 cone's window values on the point's `Fraction` entries.
@@ -20,12 +23,13 @@ that check `verify` catches one.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from betticone import regular
 from betticone.hyper_total import phi
-from betticone.sequences import _set, embed
-from reference_sequences import tail_sum
+from betticone.sequences import BettiVector, TailPeriodicSequence, _set, embed
+from reference_sequences import constant_tail, ray, rho_vector, tail_sum
 
 
 def fraction_solve(cone, w) -> list[Fraction]:
@@ -58,10 +62,29 @@ def fraction_decompose(cone, w, which) -> tuple[str, tuple[int, ...], tuple[Frac
     return tri.label, simplex, tuple(c - t * r for c, r in zip(coeffs, relation))
 
 
+def named_ray(cone, name):
+    """The ray called ``name`` ("rho[0]", "tau_d[3]", ...) in the cone,
+    built by `reference_sequences`; a multiplicity is read off the title."""
+    kind, i = name[:-1].split("[")
+    if cone.tail is None:
+        return rho_vector(int(i), cone.n)
+    d = re.search(r"multiplicity-(\d+)", cone.title)
+    return ray(kind, int(i), cone.n, d and int(d[1]))
+
+
 def fraction_reconstructs(cone, w, x, q) -> bool:
     """Whether the coefficients x / q (integer numerators over q) rebuild
-    w, as `Cone.decompose` checked before its integer reconstruction."""
-    return cone.combine([Fraction(c, q) for c in x]) == w
+    w, as `Cone.decompose` checked before its integer reconstruction, on
+    the named rays."""
+    terms = [(Fraction(c, q), named_ray(cone, name)) for c, name in zip(x, cone.names)]
+    if cone.tail is None:
+        return BettiVector(cone.n, tuple(sum(c * r.entries[k] for c, r in terms)
+                                         for k in range(cone.n + 1))) == w
+    total = constant_tail((), 0)
+    for c, r in terms:
+        total = tail_sum(total, TailPeriodicSequence(
+            r.stab, tuple(c * e for e in r.head), c * r.tail_even, c * r.tail_odd))
+    return total == w
 
 
 def fraction_split_reconstructs(w, v1, v2) -> bool:

@@ -12,7 +12,8 @@ the index-label parity rule that defined the two triangulations before
 `Cone.triangulation` read them off the signs of the ray relation, and
 `fraction_decompose` the `Fraction` solve and ratio test that the
 integer certificate replaced, and `fraction_reconstructs` the `Fraction`
-reconstruction check that the integer one replaced.
+reconstruction check that the integer one replaced, on rays built by
+name, so it shares no code with the integer check.
 """
 
 import random
@@ -182,6 +183,22 @@ def test_the_integer_reconstruction_check_matches_the_fraction_check(name):
                     (name, n, kind, numerators, denominator)
                 verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def test_the_reconstruction_reference_does_not_share_the_layout_sum(monkeypatch):
+    # with the tail-corner term at n-2 dropped from the layout, the integer
+    # check refuses a true certificate; the reference, on the named rays,
+    # still accepts it, so the two disagree and the mutation shows
+    cone = hyper_total.cone(6)
+    rng = random.Random("layout-sum-mutation")
+    w = cone.combine([rng.randint(1, 9) for _ in cone.names])
+    x, q = cones._over_common_denominator(cone.decompose(w).coefficients)
+    assert cone._reconstructs(w, cone._read(w), x, q) and fraction_reconstructs(cone, w, x, q)
+    layout_sum = cones.Cone._layout_sum
+    monkeypatch.setattr(cones.Cone, "_layout_sum", lambda self, coeffs, corners, s: layout_sum(
+        self, coeffs, [0] * len(corners), s))
+    assert not cone._reconstructs(w, cone._read(w), x, q)
+    assert fraction_reconstructs(cone, w, x, q)
 
 
 def test_certificates_solve_no_dense_system(monkeypatch):

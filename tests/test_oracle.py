@@ -9,7 +9,7 @@ from betticone.errors import ConeInputError
 from betticone.oracle import ConeDescription, cone_equal, facets_to_rays, rays_to_facets
 
 import reference_linalg
-from reference_oracle import reference_validate_triangulation
+from reference_oracle import reference_cone_equal, reference_validate_triangulation
 
 
 def basis_rays(dim):
@@ -244,6 +244,30 @@ class TestConeEqual:
         projected = ConeDescription(
             n + 1, rays=tuple(hyper_total.ray_basis(n).projected()))
         assert not cone_equal(finite, projected)
+
+    def test_a_facet_list_with_a_line_is_answered(self):
+        # the cone of these rays is the upper half-plane, which contains
+        # the x0 axis; only the rays are converted, so the facet lists,
+        # which the reference refuses as not pointed, are compared as given
+        rays = ConeDescription(2, rays=((1, 0), (-1, 0), (0, 1)))
+        for facet, equal in (((0, 1), True), ((1, 0), False)):
+            facets = ConeDescription(2, facets=(facet,))
+            assert cone_equal(rays, facets) is equal and cone_equal(facets, rays) is equal
+            with pytest.raises(ConeInputError, match="not pointed"):
+                reference_cone_equal(rays, facets)
+
+
+@pytest.mark.parametrize("check, args", [(verification.check_regular, (8,)),
+                                         (verification.check_total, (8,)),
+                                         (verification.check_fixed, (5, 4))],
+                         ids=["regular", "total", "fixed"])
+def test_each_sweep_check_runs_one_double_description(monkeypatch, check, args):
+    calls = []
+    convert = oracle._extreme_rays_from_halfspaces
+    monkeypatch.setattr(oracle, "_extreme_rays_from_halfspaces",
+                        lambda *a: calls.append(1) or convert(*a))
+    assert check(*args).ok
+    assert len(calls) == 1
 
 
 class TestValidateTriangulation:
