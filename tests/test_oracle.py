@@ -256,6 +256,13 @@ class TestConeEqual:
             with pytest.raises(ConeInputError, match="not pointed"):
                 reference_cone_equal(rays, facets)
 
+    def test_a_ray_side_of_lower_rank_is_refused(self):
+        # the facets cut out the ray (0, 1) alone, whose facets the one
+        # conversion cannot list
+        ray = ConeDescription(2, facets=((1, 0), (-1, 0), (0, 1)))
+        with pytest.raises(ConeInputError, match="not full-dimensional"):
+            cone_equal(ray, ray)
+
 
 @pytest.mark.parametrize("check, args", [(verification.check_regular, (8,)),
                                          (verification.check_total, (8,)),
