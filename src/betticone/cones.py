@@ -319,23 +319,21 @@ class Cone(Frozen):
         keeps it, and membership and certificates never build it."""
         return tuple(window for span in self.spans for window in _written_out(span, self.n))
 
-    def values(self, entries, windows: Optional[tuple[Window, ...]] = None) -> list:
+    def values(self, entries) -> list:
         """This cone's own window values on entries 0..n, in `windows`
         order and in the entries' own type; the enclosing cone's are not
-        included.  A caller that evaluates several points may pass the
-        `windows` it wrote out once."""
-        windows = self.windows if windows is None else windows
-        return _evaluate(windows, _prefix_sums(entries), entries)
+        included."""
+        return _evaluate(self.windows, _prefix_sums(entries), entries)
 
     def normals(self) -> list[tuple[int, ...]]:
         """Every facet's integer normal on coordinates 0..n, the enclosing
         cone's first: a window's value is linear in the entries, so its
-        normal is its `values` on the n+1 unit tuples, with the windows
-        written out once."""
+        normal is its value (the evaluator of `values`) on the n+1 unit
+        tuples, with the windows written out once."""
         inherited = self.within.normals() if self.within is not None else []
         dim, windows = self.n + 1, self.windows
-        columns = [self.values(tuple(int(k == m) for k in range(dim)), windows)
-                   for m in range(dim)]
+        units = [tuple(int(k == m) for k in range(dim)) for m in range(dim)]
+        columns = [_evaluate(windows, _prefix_sums(unit), unit) for unit in units]
         return inherited + list(zip(*columns))
 
     def violations(self, w: Sequence) -> list[tuple[str, Fraction]]:
@@ -364,7 +362,7 @@ class Cone(Frozen):
             out += [(window_name(window), v) for window, v in zip(negative, values)]
         if self.tail is not None and self.within is None and (
                 w.stab > self.n or w.tail_even != w.tail_odd):
-            # entry(i) = entry(i+1) for all i >= n exactly when the canonical
+            # w_i = w_(i+1) for all i >= n exactly when the canonical
             # form (see `TailPeriodicSequence`) has no head past n and equal
             # tails; otherwise the gaps up to two indices past the
             # stabilization point are all of them, the tail being 2-periodic.

@@ -2,71 +2,40 @@
 
 Everything else in the package describes specific cones through closed
 formulas; this module re-derives ray/facet presentations from scratch so
-those formulas can be cross-checked.  Its arithmetic still comes only
-from `dot` and `primitive` in the tiny `linalg` module, so a bug
-elsewhere cannot leak in here; `ConeDescription` is a `sequences.Frozen`
-value, which stores fields and brings no arithmetic.  It holds the
+those formulas can be cross-checked.  Its public functions take plain
+lists of rational vectors of one length, the ambient dimension, and its
+arithmetic still comes only from `dot` and `primitive` in the tiny
+`linalg` module, so a bug elsewhere cannot leak in here.  It holds the
 package's two exact eliminations, both fraction-free: `_independent`
-serves `rank` (which `verification` proves the ray relation with), the
-double description's starting basis and its full-dimension check;
-`_primitive_inverse_rows` gives the starting rays (one pass for both
-needs a flag and was no faster on the `verify` sweep).  No search here
-checks triangulations: `verification` proves both of the total cone's
-from the sides of its ray relation.
+serves `rank` (which `verification` proves the ray relation with) and
+the double description's starting basis, which is also the check that
+rays span the space; `_primitive_inverse_rows` gives the starting rays
+(one pass for both needs a flag and was no faster on the `verify`
+sweep).  No search here checks triangulations: `verification` proves
+both of the total cone's from the sides of its ray relation.
 
 The core primitive is extreme-ray enumeration for a pointed cone given by
 halfspaces, by the classical double description method with the
-combinatorial adjacency test; facet enumeration runs it on the dual cone,
-and `cone_equal` needs one conversion.  Each public function scales every
-input ray or facet once (`_canonical`) to its primitive integer form, by a
-positive rational, which keeps the sign of every inner product; the steps
-below take those integer lists as they are.  Desk scale only: ambient
-dimension is capped.
+combinatorial adjacency test; `rays_to_facets` runs it on the dual cone,
+and `cone_equal` needs that one conversion.  Each public function scales
+every input ray or facet once (`_canonical`) to its primitive integer
+form, by a positive rational, which keeps the sign of every inner
+product; the steps below take those integer lists as they are.  Desk
+scale only: ambient dimension is capped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import ConeInputError
 from .linalg import dot, primitive
-from .sequences import Frozen
 
 MAX_DIM = 12
 
 IntVector = tuple[int, ...]
-
-
-class ConeDescription(Frozen):
-    """A pointed polyhedral cone, by generators and/or inequalities.
-
-    ``rays`` generate the cone; ``facets`` are inward normals (the cone is
-    where all of them are nonnegative).  At least one presentation must be
-    given.  Each is stored as the tuples it was given, integers or
-    `Fraction`s, with no coercion: the functions below scale each vector
-    once per call, and the conversions return canonical primitive-integer,
-    lexicographically sorted lists.
-    """
-
-    __slots__ = ("dim", "rays", "facets")
-    dim: int
-    rays: Optional[tuple[tuple[Fraction, ...], ...]]
-    facets: Optional[tuple[tuple[Fraction, ...], ...]]
-
-    def __init__(self, dim: int, rays=None, facets=None):
-        if dim < 1:
-            raise ConeInputError("ambient dimension must be positive")
-        if dim > MAX_DIM:
-            raise ConeInputError(f"ambient dimension {dim} exceeds the desk-scale cap {MAX_DIM}")
-        if rays is None and facets is None:
-            raise ConeInputError("a cone needs rays or facets")
-        given = [None if vecs is None else tuple(map(tuple, vecs)) for vecs in (rays, facets)]
-        for name, vecs in zip(("rays", "facets"), given):
-            if vecs is not None and any(len(v) != dim for v in vecs):
-                raise ConeInputError(f"every {name[:-1]} must have length {dim}")
-        super().__init__(dim, *given)
 
 
 def _canonical(vectors) -> list[IntVector]:
@@ -176,47 +145,45 @@ def _extreme_rays_from_halfspaces(hs: list[IntVector], dim: int) -> list[IntVect
     return sorted(rays)
 
 
-def _facets_from_rays(gens: list[IntVector], dim: int) -> list[IntVector]:
-    """The facets of the cone the canonical generators gens span."""
-    if len(_independent(gens, dim)) < dim:
-        raise ConeInputError(
-            "cone is not full-dimensional; facet conversion is unsupported")
-    return _extreme_rays_from_halfspaces(gens, dim)
+def _length(vectors, name: str) -> int:
+    """The one length of ``vectors`` (0 for none), within the desk-scale cap."""
+    dim = len(vectors[0]) if vectors else 0
+    if dim > MAX_DIM:
+        raise ConeInputError(f"ambient dimension {dim} exceeds the desk-scale cap {MAX_DIM}")
+    if any(len(v) != dim for v in vectors):
+        raise ConeInputError(f"every {name} must have length {dim}")
+    return dim
 
 
-def rays_to_facets(cone: ConeDescription) -> ConeDescription:
-    """Irredundant facet normals of a full-dimensional cone given by rays.
-
-    Facets of the cone are exactly the extreme rays of its dual, so this
-    is double description run on {y : r.y >= 0 for every generator r}.
-    """
-    if cone.rays is None:
-        raise ConeInputError("rays_to_facets needs a ray presentation")
-    return ConeDescription(cone.dim, cone.rays, _facets_from_rays(_canonical(cone.rays), cone.dim))
-
-
-def facets_to_rays(cone: ConeDescription) -> ConeDescription:
-    """Irredundant extreme rays of a pointed cone given by facet normals."""
-    if cone.facets is None:
-        raise ConeInputError("facets_to_rays needs a facet presentation")
-    rays = _extreme_rays_from_halfspaces(_canonical(cone.facets), cone.dim)
-    return ConeDescription(cone.dim, rays, cone.facets)
+def _facets(rays: list[IntVector], dim: int) -> list[IntVector]:
+    """The facets of the cone the canonical rays span: the extreme rays of
+    its dual {y : r.y >= 0 for every ray r}, whose starting basis is also
+    the check that the rays span the space."""
+    if dim:
+        try:
+            return _extreme_rays_from_halfspaces(rays, dim)
+        except ConeInputError:
+            pass  # the dual is not pointed: the rays have lower rank
+    raise ConeInputError("cone is not full-dimensional; facet conversion is unsupported")
 
 
-def cone_equal(a: ConeDescription, b: ConeDescription) -> bool:
-    """Whether two presentations give one cone, by one conversion.  The
-    rays of the side that gives them (else the first side's facets,
-    converted) must span a full-dimensional cone, and every inequality
-    description of that cone lists each of its facets up to positive scale
-    (Ziegler, *Lectures on Polytopes*, 1995).  So the cones are equal
-    exactly when each facet of the rays is in the other side's canonical
-    list (its rays' facets, if it gives only rays) and every listed facet
-    holds on every ray; the other side's cone may contain a line."""
-    if a.dim != b.dim:
+def rays_to_facets(rays: Sequence[Sequence[Fraction]]) -> list[IntVector]:
+    """The irredundant facet normals of the full-dimensional cone that
+    rational rays of one length span, a canonical sorted list."""
+    return _facets(_canonical(rays), _length(rays, "ray"))
+
+
+def cone_equal(rays: Sequence[Sequence[Fraction]], facets: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether the rays span the cone the facet normals cut out, by one
+    conversion.  The rays must span a full-dimensional cone, and every
+    inequality description of that cone lists each of its facets up to
+    positive scale (Ziegler, *Lectures on Polytopes*, 1995).  So the cones
+    are equal exactly when each facet of the rays is in the canonical
+    facet list and every listed facet holds on every ray; the facets' cone
+    may contain a line."""
+    dim = _length(rays, "ray")
+    if _length(facets, "facet") not in (0, dim):
         raise ConeInputError("cone comparison needs matching ambient dimensions")
-    if a.rays is None and b.rays is not None:
-        a, b = b, a
-    rays = _canonical(a.rays) if a.rays is not None else facets_to_rays(a).rays
-    listed = _canonical(b.facets) if b.facets is not None else rays_to_facets(b).facets
-    return (set(_facets_from_rays(rays, a.dim)) <= set(listed)
-            and all(dot(f, r) >= 0 for r in rays for f in listed))
+    gens, listed = _canonical(rays), _canonical(facets)
+    return (set(_facets(gens, dim)) <= set(listed)
+            and all(dot(f, r) >= 0 for r in gens for f in listed))

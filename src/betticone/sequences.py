@@ -208,13 +208,6 @@ class TailPeriodicSequence(Frozen):
             stab -= 1
         super().__init__(stab, values[:stab], *values[-2:])
 
-    def entry(self, i: int) -> Fraction:
-        if i < 0:
-            raise ConeInputError(f"sequence index must be nonnegative, got {i}")
-        if i < self.stab:
-            return self.head[i]
-        return self.tail_even if i % 2 == 0 else self.tail_odd
-
     def prefix(self, length: int) -> tuple[Fraction, ...]:
         """Entries 0..length-1: the head, then the tails by parity."""
         rest = max(length - self.stab, 0)

@@ -1,5 +1,7 @@
 """Oracle sweep: re-derive every rays/facets equivalence from scratch and
-compare with the closed-form modules.
+compare with the closed-form modules: a cone's rays (`Cone.projected`)
+with the normals of the windows membership evaluates (`Cone.normals`),
+both on coordinates 0..n, where flatness vanishes.
 
 Each case is independent; a failure is reported, never raised, so the CLI
 can print the whole table and exit nonzero at the end.
@@ -14,7 +16,6 @@ from .cones import Cone
 from .errors import ConeInputError, MalformedInputError, bounded
 from .hyper_fixed import FixedConeParams
 from .linalg import dot, primitive
-from .oracle import ConeDescription
 from .sequences import Frozen
 
 # The sweep runs 5(mult_max - 1) fixed-cone checks: the worst accepted one,
@@ -35,14 +36,6 @@ class SweepResult(Frozen):
         super().__init__(name, ok, detail)
 
 
-def _description_pair(cone: Cone, rays) -> tuple[ConeDescription, ConeDescription]:
-    """The cone from its rays (``cone.projected()``, read once by the
-    caller) and from the normals of the windows that membership
-    evaluates, both on coordinates 0..n (flatness vanishes there)."""
-    dim = cone.n + 1
-    return ConeDescription(dim, rays=rays), ConeDescription(dim, facets=cone.normals())
-
-
 def _relation_failure(cone: Cone, rays, relation) -> Optional[str]:
     """Why the closed-form ``relation`` that certificates walk is not the
     one relation among the cone's n+2 ``rays``, or None.  Rank n+1 leaves
@@ -60,15 +53,14 @@ def _relation_failure(cone: Cone, rays, relation) -> Optional[str]:
 def check_regular(n: int) -> SweepResult:
     # the rays' irredundant facets are the normals, each vector scaled once
     cone = regular.cone(n)
-    a, b = _description_pair(cone, cone.projected())
-    ok = list(oracle.rays_to_facets(a).facets) == sorted(map(primitive, b.facets))
+    ok = oracle.rays_to_facets(cone.projected()) == sorted(map(primitive, cone.normals()))
     return SweepResult(f"regular n={n}: rays <-> facets", ok)
 
 
 def check_total(n: int) -> SweepResult:
     cone = hyper_total.cone(n)
     rays, relation = cone.projected(), cone.relation
-    if not oracle.cone_equal(*_description_pair(cone, rays)):
+    if not oracle.cone_equal(rays, cone.normals()):
         return SweepResult(f"total n={n}: rays <-> facets", False, "cones differ")
     if (failure := _relation_failure(cone, rays, relation)) is not None:
         return SweepResult(f"total n={n}: ray relation", False, failure)
@@ -83,7 +75,7 @@ def check_fixed(n: int, d: int) -> SweepResult:
     n+1 rays are independent."""
     cone = hyper_fixed.cone(FixedConeParams(n, d))
     rays = cone.projected()
-    ok = oracle.cone_equal(*_description_pair(cone, rays))
+    ok = oracle.cone_equal(rays, cone.normals())
     if ok and d >= 3 and (failure := _relation_failure(cone, rays, cone.relation)) is not None:
         return SweepResult(f"fixed n={n} d={d}: ray relation", False, failure)
     return SweepResult(f"fixed n={n} d={d}: rays <-> facets", ok)

@@ -10,7 +10,8 @@ any list of simplices against a cone's rays by search (simplex checks,
 pairwise common faces by double description, ridge matching and
 `COVERAGE_SAMPLES` seeded coverage points); it is the tests' only
 triangulation validator, the independent check on the proof in
-`verification.check_triangulations` for n <= 6.
+`verification.check_triangulations` for n <= 6.  `ConeDescription`
+holds the dimension and vector lists that all of them read.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from betticone.errors import ConeInputError
-from betticone.oracle import ConeDescription
 
 from reference_linalg import invert, rank
 
@@ -30,6 +30,16 @@ COVERAGE_SAMPLES = 40  # random ray combinations `reference_validate_triangulati
 COVERAGE_SEED = 20240817
 
 IntVector = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class ConeDescription:
+    """A cone as the `reference_*` functions read it: its ambient
+    dimension and its rays, its inward facet normals, or both, as given
+    (the package's oracle takes the vector lists themselves)."""
+    dim: int
+    rays: Optional[tuple] = None
+    facets: Optional[tuple] = None
 
 
 def reference_dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:

@@ -2,8 +2,10 @@
 
 `ray` builds each named extremal ray one by one from `rho_vector` and
 `constant_tail`, the reference that the layout's two writers,
-`Cone.projected` and `Cone.combine`, are checked against; `tail_sum`
-adds two tail-periodic sequences, which the package never needs;
+`Cone.projected` and `Cone.combine`, are checked against; `entry` reads
+a tail-periodic sequence index by index, the reference for its
+`prefix`, and `tail_sum` adds two of them, which the package never
+needs;
 `coprime_entries` writes out a point whose common denominator grows
 fast with n; `unit_rays` reads a cone's rays through `Cone.combine` for
 the tests.  `row` writes a facet window's coefficients out one by one,
@@ -69,11 +71,19 @@ def ray(kind: str, i: int, n: int, d: int | None = None) -> TailPeriodicSequence
     raise ConeInputError(f"unknown ray kind: {quoted(kind)}")
 
 
+def entry(w: TailPeriodicSequence, i: int) -> Fraction:
+    """Entry i >= 0 of a tail-periodic sequence: the head below the stab,
+    then the tail of i's parity."""
+    if i < w.stab:
+        return w.head[i]
+    return w.tail_even if i % 2 == 0 else w.tail_odd
+
+
 def tail_sum(u: TailPeriodicSequence, w: TailPeriodicSequence) -> TailPeriodicSequence:
     """The entrywise sum of two tail-periodic sequences: the head runs to
     the later stab, and the tails add by parity."""
     stab = max(u.stab, w.stab)
-    head = tuple(u.entry(i) + w.entry(i) for i in range(stab))
+    head = tuple(entry(u, i) + entry(w, i) for i in range(stab))
     return TailPeriodicSequence(stab, head, u.tail_even + w.tail_even, u.tail_odd + w.tail_odd)
 
 

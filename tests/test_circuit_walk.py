@@ -28,7 +28,7 @@ from betticone.sequences import BettiVector, TailPeriodicSequence
 
 from reference_certificate import fraction_decompose, fraction_reconstructs
 from reference_linalg import linear_relation, solve_columns
-from reference_sequences import constant_tail, evaluate, primes, row
+from reference_sequences import constant_tail, entry, evaluate, primes, row
 
 CONES = {"total": hyper_total.cone,
          **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
@@ -65,8 +65,8 @@ def reference_violations(cone, w):
             out.append((name, value))
     if cone.tail is not None and cone.within is None:
         last = max(cone.n, w.stab) + 2
-        out += [(window_name((i, i + 1, None)), w.entry(i) - w.entry(i + 1))
-                for i in range(cone.n, last) if w.entry(i) != w.entry(i + 1)]
+        out += [(window_name((i, i + 1, None)), entry(w, i) - entry(w, i + 1))
+                for i in range(cone.n, last) if entry(w, i) != entry(w, i + 1)]
     return out
 
 

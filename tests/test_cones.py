@@ -168,7 +168,8 @@ def test_a_tail_that_is_not_flat_fails_the_reconstruction_check(family, n):
     cone = build(family, n)
     w = cone.combine(range(1, len(cone.names) + 1))
     x, q = cones._over_common_denominator(cone.decompose(w).coefficients)
-    head, top = w.prefix(n + 1), w.entry(n)
+    head = w.prefix(n + 1)
+    top = head[n]
     assert cone._reconstructs(w, cone._read(w), x, q)
     other = (top, top + 1) if n % 2 == 0 else (top + 1, top)  # entry n stays at top
     for bent in (TailPeriodicSequence(n, head[:n], *other),
@@ -212,7 +213,8 @@ def reference_value(cone, name, w):
     if kind == "xi":
         return evaluate((i, j, cone.windows[-1][2]), w), False
     if cone.tail is not None and i >= cone.n and j == i + 1:
-        return w.entry(i) - w.entry(i + 1), True
+        here, after = w.prefix(i + 2)[i:]
+        return here - after, True
     return evaluate((i, j, None), w), False
 
 
@@ -443,24 +445,25 @@ def test_normals_are_the_closed_form_functionals():
 
 
 def misstate(monkeypatch, window_of, slip_of):
-    """Patch `Cone.values` so that the window ``window_of(cone)``, where a
-    cone has it, reads ``slip_of(cone)`` times entry n more than it is."""
-    values = Cone.values
+    """Patch the window evaluator, which `Cone.values` and `Cone.normals`
+    share, so that the window ``window_of(n)``, where it is evaluated on
+    entries 0..n, reads ``slip_of(n)`` times entry n more than it is."""
+    evaluate = cones._evaluate
 
-    def misstated(self, entries, windows=None):
-        out = values(self, entries, windows)
-        window = window_of(self)
-        if window in self.windows:
-            out[self.windows.index(window)] += slip_of(self) * entries[self.n]
+    def misstated(windows, sums, entries):
+        out = evaluate(windows, sums, entries)
+        n = len(entries) - 1
+        if (window := window_of(n)) in windows:
+            out[windows.index(window)] += slip_of(n) * entries[n]
         return out
-    monkeypatch.setattr(Cone, "values", misstated)
+    monkeypatch.setattr(cones, "_evaluate", misstated)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_a_chi_slip_in_the_evaluator_fails_verify(monkeypatch, n):
     assert verification.check_regular(n).ok and verification.check_total(n).ok
     # chi[0,n] read as chi[0,n-1]: entry n's coefficient (-1)^n dropped
-    misstate(monkeypatch, lambda cone: (0, cone.n, None), lambda cone: -(-1) ** cone.n)
+    misstate(monkeypatch, lambda n: (0, n, None), lambda n: -(-1) ** n)
     assert regular.cone(n).values((0,) * n + (1,))[0] == 0
     assert not verification.check_regular(n).ok
     assert not verification.check_total(n).ok
@@ -471,8 +474,7 @@ def test_a_chi_slip_in_the_evaluator_fails_verify(monkeypatch, n):
 def test_an_xi_slip_in_the_evaluator_fails_verify(monkeypatch, n, d):
     assert verification.check_fixed(n, d).ok
     # xi[0,n]'s end coefficient read as d+1 (it is d-1 for n even, -1 for n odd)
-    misstate(monkeypatch, lambda cone: (0, cone.n, d),
-             lambda cone: d + 1 - (d - 1 if cone.n % 2 == 0 else -1))
+    misstate(monkeypatch, lambda n: (0, n, d), lambda n: d + 1 - (d - 1 if n % 2 == 0 else -1))
     assert not verification.check_fixed(n, d).ok
 
 

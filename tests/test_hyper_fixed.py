@@ -6,11 +6,10 @@ import pytest
 from betticone import hyper_fixed, hyper_total, oracle, verification
 from betticone.errors import ConeInputError, NotInConeError
 from betticone.hyper_fixed import FixedConeParams, decompose, member, rays
-from betticone.oracle import ConeDescription
 from betticone.sequences import TailPeriodicSequence, embed
 
 from reference_certificate import misrelate
-from reference_oracle import reference_validate_triangulation
+from reference_oracle import ConeDescription, reference_validate_triangulation
 from reference_sequences import constant_tail, evaluate, ray, rho_vector, tail_sum, unit_rays
 
 
@@ -181,8 +180,8 @@ class TestSweepIntegration:
         # the functional cone's rays must reproduce the list exactly
         from betticone.linalg import primitive
         n, d = 3, 3
-        facets = tuple(hyper_fixed.cone(FixedConeParams(n, d)).normals())
-        found = list(oracle.facets_to_rays(ConeDescription(n + 1, facets=facets)).rays)
+        facets = hyper_fixed.cone(FixedConeParams(n, d)).normals()
+        found = oracle._extreme_rays_from_halfspaces(oracle._canonical(facets), n + 1)
         expected = sorted(primitive(r) for r in rays(FixedConeParams(n, d)))
         assert found == expected
 

@@ -1,4 +1,3 @@
-import pickle
 import random
 from fractions import Fraction
 
@@ -6,10 +5,11 @@ import pytest
 
 from betticone import hyper_fixed, hyper_total, linalg, oracle, regular, verification
 from betticone.errors import ConeInputError
-from betticone.oracle import ConeDescription, cone_equal, facets_to_rays, rays_to_facets
+from betticone.oracle import cone_equal, rays_to_facets
 
 import reference_linalg
-from reference_oracle import reference_cone_equal, reference_validate_triangulation
+from reference_oracle import (ConeDescription, reference_cone_equal,
+                              reference_validate_triangulation)
 
 
 def basis_rays(dim):
@@ -25,7 +25,13 @@ def random_pointed_cone(rng, dim, n_extra):
         rays += [tuple(Fraction(9 if i == j else 1) for j in range(dim))
                  for i in range(dim)]
         if reference_linalg.rank(rays) == dim:
-            return ConeDescription(dim, rays=tuple(rays))
+            return rays
+
+
+def halfspace_rays(facets, dim):
+    """The extreme rays of the pointed cone the facet normals cut out: the
+    double description `rays_to_facets` runs on the dual cone."""
+    return oracle._extreme_rays_from_halfspaces(oracle._canonical(facets), dim)
 
 
 class TestRank:
@@ -53,56 +59,13 @@ class TestRank:
 
 class TestOrthant:
     def test_rays_to_facets(self):
-        cone = rays_to_facets(ConeDescription(3, rays=basis_rays(3)))
-        assert sorted(cone.facets) == sorted(basis_rays(3))
+        assert rays_to_facets(basis_rays(3)) == sorted(basis_rays(3))
 
     def test_facets_to_rays(self):
-        cone = facets_to_rays(ConeDescription(3, facets=basis_rays(3)))
-        assert sorted(cone.rays) == sorted(basis_rays(3))
+        assert halfspace_rays(basis_rays(3), 3) == sorted(basis_rays(3))
 
     def test_self_equality(self):
-        a = ConeDescription(4, rays=basis_rays(4))
-        b = ConeDescription(4, facets=basis_rays(4))
-        assert cone_equal(a, b)
-
-
-class TestValue:
-    RAYS = ((1, 0, 0), (Fraction(1, 2), 1, 0), (0, 0, 3))
-
-    def test_a_description_keeps_the_tuples_it_is_given(self):
-        cone = ConeDescription(3, self.RAYS)
-        assert (cone.dim, cone.rays, cone.facets) == (3, self.RAYS, None)
-        assert all(got is given for got, given in zip(cone.rays, self.RAYS))
-        # no coercion: integers stay integers, the one Fraction stays one
-        assert [type(x) for r in cone.rays for x in r] == [int] * 3 + [Fraction] + [int] * 5
-        by_facets = ConeDescription(3, facets=self.RAYS)
-        assert by_facets.rays is None and by_facets.facets == self.RAYS
-
-    def test_equality_hash_repr_and_pickle(self):
-        cone = ConeDescription(3, rays=self.RAYS)
-        twin = ConeDescription(3, [list(r) for r in self.RAYS])  # rows become tuples
-        assert cone == twin and hash(cone) == hash(twin) and twin.rays == self.RAYS
-        # equal numbers are equal coordinates, as in the tuples themselves
-        assert cone == ConeDescription(3, tuple(tuple(map(Fraction, r)) for r in self.RAYS))
-        assert cone != ConeDescription(3, facets=self.RAYS)
-        assert cone != ConeDescription(3, self.RAYS[:2]) and cone != (3, self.RAYS, None)
-        assert repr(cone) == f"ConeDescription(dim=3, rays={self.RAYS!r}, facets=None)"
-        back = pickle.loads(pickle.dumps(cone))
-        assert back == cone and back.rays == self.RAYS and type(back.rays[0][0]) is int
-        with pytest.raises(AttributeError):
-            cone.dim = 4
-
-    @pytest.mark.parametrize("args, kwargs, text", [
-        ((0,), {"rays": ((1,),)}, "ambient dimension must be positive"),
-        ((13,), {"rays": ((1,) * 13,)}, "ambient dimension 13 exceeds the desk-scale cap 12"),
-        ((3,), {}, "a cone needs rays or facets"),
-        ((3, None, None), {}, "a cone needs rays or facets"),
-        ((3,), {"rays": ((1, 0, 0), (1,))}, "every ray must have length 3"),
-        ((3, ((1, 0, 0),)), {"facets": ((1, 0),)}, "every facet must have length 3")])
-    def test_refusals_keep_their_texts(self, args, kwargs, text):
-        with pytest.raises(ConeInputError) as caught:
-            ConeDescription(*args, **kwargs)
-        assert str(caught.value) == text
+        assert cone_equal(basis_rays(4), basis_rays(4))
 
 
 def scaled_tuples(monkeypatch) -> list:
@@ -123,13 +86,11 @@ class TestCanonicalOnce:
                                       hyper_fixed.cone(hyper_fixed.FixedConeParams(5, 3))],
                              ids=lambda c: c.title)
     def test_each_call_scales_each_supplied_vector_once(self, monkeypatch, cone):
-        by_rays, by_facets = verification._description_pair(cone, cone.projected())
+        rays, normals = cone.projected(), cone.normals()
         seen = scaled_tuples(monkeypatch)
-        for call, supplied in ((lambda: oracle.cone_equal(by_rays, by_facets),
-                                by_rays.rays + by_facets.facets),
-                               (lambda: rays_to_facets(by_rays), by_rays.rays),
-                               (lambda: facets_to_rays(by_facets), by_facets.facets),
-                               (lambda: oracle.rank(by_rays.rays), by_rays.rays)):
+        for call, supplied in ((lambda: oracle.cone_equal(rays, normals), rays + normals),
+                               (lambda: rays_to_facets(rays), rays),
+                               (lambda: oracle.rank(rays), rays)):
             seen.clear()
             call()
             assert sorted(map(id, seen)) == sorted(map(id, supplied))
@@ -150,27 +111,59 @@ class TestCanonicalOnce:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("call, text", [
+        (lambda: rays_to_facets(basis_rays(13)),
+         "ambient dimension 13 exceeds the desk-scale cap 12"),
+        (lambda: cone_equal(basis_rays(2), ((1,) * 13,)),
+         "ambient dimension 13 exceeds the desk-scale cap 12"),
+        (lambda: rays_to_facets(((1, 0, 0), (1,))), "every ray must have length 3"),
+        (lambda: cone_equal(basis_rays(3), ((1, 0, 0), (1, 0))), "every facet must have length 3"),
+        (lambda: cone_equal(basis_rays(3), ((1,),)),
+         "cone comparison needs matching ambient dimensions"),
+        (lambda: rays_to_facets(((1, 0),)),
+         "cone is not full-dimensional; facet conversion is unsupported"),
+        (lambda: rays_to_facets(()), "cone is not full-dimensional; facet conversion is unsupported"),
+        (lambda: cone_equal(((0, 0), (0, 0)), basis_rays(2)),
+         "cone is not full-dimensional; facet conversion is unsupported")],
+        ids=["cap", "cap-facets", "ray-lengths", "facet-lengths", "dimensions",
+             "lower-rank", "no-rays", "zero-rays"])
+    def test_refusals_keep_their_texts(self, call, text):
+        with pytest.raises(ConeInputError) as caught:
+            call()
+        assert str(caught.value) == text
+
     def test_dimension_cap(self):
         with pytest.raises(ConeInputError):
-            ConeDescription(13, rays=basis_rays(13))
-
-    def test_needs_some_presentation(self):
-        with pytest.raises(ConeInputError):
-            ConeDescription(3)
+            rays_to_facets(basis_rays(13))
 
     def test_not_pointed_rejected(self):
         # halfspaces x0 >= 0 in Q^2: the cone contains the x1 axis line
         with pytest.raises(ConeInputError):
-            facets_to_rays(ConeDescription(2, facets=((Fraction(1), Fraction(0)),)))
+            halfspace_rays(((Fraction(1), Fraction(0)),), 2)
 
     def test_not_full_dimensional_rejected(self):
         with pytest.raises(ConeInputError):
-            rays_to_facets(ConeDescription(
-                2, rays=((Fraction(1), Fraction(0)),)))
+            rays_to_facets(((Fraction(1), Fraction(0)),))
 
     def test_mismatched_lengths(self):
         with pytest.raises(ConeInputError):
-            ConeDescription(3, rays=((Fraction(1),),))
+            cone_equal(basis_rays(3), ((Fraction(1),),))
+
+
+@pytest.mark.parametrize("call", [lambda: rays_to_facets(basis_rays(4)),
+                                  lambda: cone_equal(basis_rays(4), basis_rays(4)),
+                                  lambda: rays_to_facets(((1, 0, 0), (0, 1, 0)))],
+                         ids=["rays_to_facets", "cone_equal", "lower-rank"])
+def test_each_conversion_runs_one_elimination(monkeypatch, call):
+    # the double description's starting basis is also the full-dimension check
+    calls = []
+    independent = oracle._independent
+    monkeypatch.setattr(oracle, "_independent", lambda *a: calls.append(1) or independent(*a))
+    try:
+        call()
+    except ConeInputError:
+        pass
+    assert len(calls) == 1
 
 
 class TestDuality:
@@ -179,89 +172,83 @@ class TestDuality:
         for _ in range(50):
             dim = rng.randint(2, 6)
             cone = random_pointed_cone(rng, dim, rng.randint(1, 8 - dim + 1))
-            completed = rays_to_facets(cone)
-            back = facets_to_rays(ConeDescription(dim, facets=completed.facets))
+            facets = rays_to_facets(cone)
+            back = halfspace_rays(facets, dim)
             # the extreme rays are primitive generators that span the same cone
-            assert {tuple(map(int, r)) for r in back.rays} <= {
-                oracle.primitive(r) for r in cone.rays}
-            assert cone_equal(cone, back)
+            assert set(back) <= {oracle.primitive(r) for r in cone}
+            assert cone_equal(cone, facets) and cone_equal(back, facets)
+            assert rays_to_facets(back) == facets
 
     def test_every_output_facet_is_irredundant(self):
         rng = random.Random(77)
         for _ in range(15):
             dim = rng.randint(2, 4)
             cone = random_pointed_cone(rng, dim, rng.randint(1, 4))
-            both = facets_to_rays(rays_to_facets(cone))
-            facets, rays = list(both.facets), list(both.rays)
+            facets = rays_to_facets(cone)
+            rays = halfspace_rays(facets, dim)
             for k in range(len(facets)):
                 if len(facets) == dim:
                     break  # simplicial: dropping a facet unpoints the cone
                 rest = facets[:k] + facets[k + 1:]
                 try:
-                    bigger = facets_to_rays(ConeDescription(dim, facets=tuple(rest)))
+                    bigger = halfspace_rays(rest, dim)
                 except ConeInputError:
                     continue  # cone became unpointed: the facet was essential
                 # some ray of the enlarged cone must violate the dropped facet
                 dropped = facets[k]
-                assert any(linalg.dot(dropped, r) < 0 for r in bigger.rays)
-                assert sorted(tuple(map(int, r)) for r in bigger.rays) != sorted(rays)
+                assert any(linalg.dot(dropped, r) < 0 for r in bigger)
+                assert sorted(bigger) != sorted(rays)
 
     def test_output_ordering_is_deterministic(self):
         rays = (tuple(map(Fraction, (2, 1, 0))), tuple(map(Fraction, (0, 1, 1))),
                 tuple(map(Fraction, (1, 0, 3))))
-        first = rays_to_facets(ConeDescription(3, rays=rays)).facets
-        second = rays_to_facets(ConeDescription(3, rays=tuple(reversed(rays)))).facets
+        first = rays_to_facets(rays)
+        second = rays_to_facets(tuple(reversed(rays)))
         assert first == second
-        assert list(first) == sorted(first)
+        assert first == sorted(first)
 
     def test_redundant_generator_removed(self):
         # (1,1) is inside the cone of (1,0) and (0,1)
-        cone = ConeDescription(2, rays=(
-            (Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)),
-            (Fraction(0), Fraction(1))))
-        assert list(facets_to_rays(rays_to_facets(cone)).rays) == [(0, 1), (1, 0)]
+        cone = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)),
+                (Fraction(0), Fraction(1)))
+        assert halfspace_rays(rays_to_facets(cone), 2) == [(0, 1), (1, 0)]
 
 
 class TestConeEqual:
     def test_dim_mismatch(self):
         with pytest.raises(ConeInputError):
-            cone_equal(ConeDescription(2, rays=basis_rays(2)),
-                       ConeDescription(3, rays=basis_rays(3)))
+            cone_equal(basis_rays(2), basis_rays(3))
 
     def test_strict_containment_is_not_equality(self):
-        small = ConeDescription(2, rays=((Fraction(1), Fraction(0)),
-                                         (Fraction(1), Fraction(1))))
-        big = ConeDescription(2, rays=basis_rays(2))
-        assert not cone_equal(small, big)
-        assert cone_equal(big, ConeDescription(2, facets=basis_rays(2)))
+        small = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)))
+        big = basis_rays(2)
+        assert not cone_equal(small, rays_to_facets(big))
+        assert not cone_equal(big, rays_to_facets(small))
+        assert cone_equal(big, basis_rays(2))
 
     def test_finite_cone_differs_from_projected_tail_cone(self):
         # the tail rays break the ending-partial-Euler inequalities
-        from betticone import hyper_total, regular
         n = 3
-        finite = ConeDescription(
-            n + 1, rays=tuple(regular.rays(n)))
-        projected = ConeDescription(
-            n + 1, rays=tuple(hyper_total.ray_basis(n).projected()))
-        assert not cone_equal(finite, projected)
+        finite = regular.rays(n)
+        projected = hyper_total.ray_basis(n).projected()
+        assert not cone_equal(finite, rays_to_facets(projected))
 
     def test_a_facet_list_with_a_line_is_answered(self):
         # the cone of these rays is the upper half-plane, which contains
         # the x0 axis; only the rays are converted, so the facet lists,
         # which the reference refuses as not pointed, are compared as given
-        rays = ConeDescription(2, rays=((1, 0), (-1, 0), (0, 1)))
+        rays = ((1, 0), (-1, 0), (0, 1))
         for facet, equal in (((0, 1), True), ((1, 0), False)):
-            facets = ConeDescription(2, facets=(facet,))
-            assert cone_equal(rays, facets) is equal and cone_equal(facets, rays) is equal
+            assert cone_equal(rays, (facet,)) is equal
             with pytest.raises(ConeInputError, match="not pointed"):
-                reference_cone_equal(rays, facets)
+                reference_cone_equal(ConeDescription(2, rays=rays),
+                                     ConeDescription(2, facets=(facet,)))
 
     def test_a_ray_side_of_lower_rank_is_refused(self):
         # the facets cut out the ray (0, 1) alone, whose facets the one
         # conversion cannot list
-        ray = ConeDescription(2, facets=((1, 0), (-1, 0), (0, 1)))
         with pytest.raises(ConeInputError, match="not full-dimensional"):
-            cone_equal(ray, ray)
+            cone_equal(((0, 1),), ((1, 0), (-1, 0), (0, 1)))
 
 
 @pytest.mark.parametrize("check, args", [(verification.check_regular, (8,)),

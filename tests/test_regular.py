@@ -6,7 +6,6 @@ import pytest
 from betticone import oracle, regular, verification
 from betticone.cones import Cone
 from betticone.errors import NotInConeError
-from betticone.oracle import ConeDescription
 from betticone.sequences import BettiVector
 
 from reference_certificate import fraction_classify_coefficients
@@ -42,15 +41,14 @@ class TestFacetsAndRays:
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_oracle_equivalence(self, n):
-        rays = ConeDescription(n + 1, rays=tuple(regular.rays(n)))
-        facets = ConeDescription(
-            n + 1, facets=tuple(row(f, n) for f in regular.facets(n)))
+        rays = regular.rays(n)
+        facets = [row(f, n) for f in regular.facets(n)]
         assert oracle.cone_equal(rays, facets)
         # and as canonical sets, each presentation derives the other exactly
-        assert sorted(oracle.rays_to_facets(rays).facets) == sorted(
+        assert sorted(oracle.rays_to_facets(rays)) == sorted(
             oracle.primitive(row(f, n)) for f in regular.facets(n))
-        assert sorted(oracle.facets_to_rays(facets).rays) == sorted(
-            oracle.primitive(r) for r in regular.rays(n))
+        found = oracle._extreme_rays_from_halfspaces(oracle._canonical(facets), n + 1)
+        assert sorted(found) == sorted(oracle.primitive(r) for r in regular.rays(n))
 
     def test_sweep_check_converts_once_and_keeps_both_checks(self, monkeypatch):
         calls = []

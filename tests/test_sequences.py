@@ -15,7 +15,7 @@ from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, embed,
                                  rational_str, sequence_from_json, sequence_to_json)
 
-from reference_sequences import constant_tail, evaluate, ray, rho_vector, row, tail_sum
+from reference_sequences import constant_tail, entry, evaluate, ray, rho_vector, row, tail_sum
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -55,29 +55,19 @@ class TestRationalStrings:
 
 
 class TestTailPeriodicSequence:
-    def test_entry_by_convention(self):
-        s = tail_seq([1, 3], 4, 5)
-        assert [s.entry(i) for i in range(6)] == [1, 3, 4, 5, 4, 5]
-
-    def test_entry_example_from_prefix_sums(self):
+    def test_prefix_by_convention(self):
+        assert tail_seq([1, 3], 4, 5).prefix(6) == (1, 3, 4, 5, 4, 5)
         # expansion of the prefix-sum transform of (1,3,3,1): 1,3,4,4,4,...
-        s = tail_seq([1, 3], 4, 4)
-        assert s.entry(7) == 4
-
-    def test_entry_below_stab_is_head(self):
-        s = tail_seq([7, 9, 11], 0, 0)
-        assert s.entry(0) == 7 and s.entry(2) == 11
-
-    def test_entry_rejects_negative_index(self):
-        with pytest.raises(ConeInputError):
-            tail_seq([1], 2, 3).entry(-1)
+        assert tail_seq([1, 3], 4, 4).prefix(8)[7] == 4
+        # below the stab, the head
+        assert tail_seq([7, 9, 11], 0, 0).prefix(3) == (7, 9, 11)
 
     def test_canonical_minimal_stab(self):
         # head entries that the tail reproduces get absorbed
         s = TailPeriodicSequence(4, (Fraction(1), Fraction(0), Fraction(1), Fraction(0)),
                                  Fraction(1), Fraction(0))
         assert s.stab == 0 and s.head == ()
-        assert [s.entry(i) for i in range(4)] == [1, 0, 1, 0]
+        assert s.prefix(4) == (1, 0, 1, 0)
 
     def test_canonicalization_is_idempotent_and_preserves_entries(self):
         raw = TailPeriodicSequence(3, (Fraction(2), Fraction(5), Fraction(5)),
@@ -90,8 +80,7 @@ class TestTailPeriodicSequence:
         a = tail_seq([1], 2, 3)
         b = tail_seq([0, 1, 5], 0, 1)
         total = tail_sum(a, b)
-        assert total.prefix(6) == tuple(
-            a.entry(i) + b.entry(i) for i in range(6))
+        assert total.prefix(6) == tuple(x + y for x, y in zip(a.prefix(6), b.prefix(6)))
 
     def test_structural_equality_is_value_equality(self):
         assert tail_seq([], 1, 1) == constant_tail([], 1)
@@ -224,8 +213,8 @@ class TestRays:
         i = n - 2 if upper else n - 1
         td = ray("tau_d", i, n, d)
         ti = ray("tau_inf", i, n)
-        diffs = [(k, td.entry(k) - ti.entry(k))
-                 for k in range(n + 3) if td.entry(k) != ti.entry(k)]
+        diffs = [(k, x - y) for k, (x, y) in enumerate(zip(td.prefix(n + 3), ti.prefix(n + 3)))
+                 if x != y]
         assert [k for k, _ in diffs] == [n - 2]
         assert abs(diffs[0][1]) == Fraction(1, d)
 
@@ -449,7 +438,7 @@ class TestTheRead:
             # n from 2 up to past the stab: a head past n, a tail that no
             # entry 0..n takes, then both tails among entries 0..n
             for n in range(2, w.stab + 4):
-                _assert_read(hyper_total.cone(n), w, [w.entry(i) for i in range(n + 1)])
+                _assert_read(hyper_total.cone(n), w, [entry(w, i) for i in range(n + 1)])
 
     def test_entries_read_as_the_fractions_their_forms_denote(self):
         rng = random.Random("read-forms")
@@ -487,4 +476,4 @@ class TestTheRead:
             head = _entries(rng, "tie", rng.randint(0, 7))
             w = TailPeriodicSequence(len(head), head, *_entries(rng, "seeded", 2))
             for length in range(-2, w.stab + 5):
-                assert w.prefix(length) == tuple(w.entry(i) for i in range(length)), (w, length)
+                assert w.prefix(length) == tuple(entry(w, i) for i in range(length)), (w, length)
