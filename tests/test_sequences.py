@@ -57,9 +57,12 @@ class TestRationalStrings:
 class TestTailPeriodicSequence:
     def test_prefix_by_convention(self):
         assert tail_seq([1, 3], 4, 5).prefix(6) == (1, 3, 4, 5, 4, 5)
+
+    def test_prefix_example_from_prefix_sums(self):
         # expansion of the prefix-sum transform of (1,3,3,1): 1,3,4,4,4,...
         assert tail_seq([1, 3], 4, 4).prefix(8)[7] == 4
-        # below the stab, the head
+
+    def test_prefix_below_stab_is_head(self):
         assert tail_seq([7, 9, 11], 0, 0).prefix(3) == (7, 9, 11)
 
     def test_canonical_minimal_stab(self):
