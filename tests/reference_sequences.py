@@ -10,7 +10,9 @@ needs;
 fast with n; `unit_rays` reads a cone's rays through `Cone.combine` for
 the tests.  `row` writes a facet window's coefficients out one by one,
 and `evaluate` pairs a row with a sequence by a plain dot product, so
-neither shares the alternating prefix sums that `Cone.values` runs.
+neither shares the alternating prefix sums that `window_values` and
+membership run.  `window_values` lists a cone's window values through
+the package's own evaluator, which no package module lists in full.
 `hk_residual` evaluates the defining equations of a pure shape.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from betticone import cones
 from betticone.errors import ConeInputError, quoted
 from betticone.pure import DegreeSequence
 from betticone.sequences import BettiVector, TailPeriodicSequence, embed
@@ -158,3 +161,12 @@ def hk_residual(v: BettiVector, d: DegreeSequence, k: int) -> Fraction:
         power = 1 if k == 0 else di ** k
         total += Fraction((-1) ** i) * power * v[i]
     return total
+
+
+def window_values(cone, entries) -> list:
+    """The cone's own window values on entries 0..n, in `Cone.windows`
+    order and in the entries' own type, by the package's evaluator
+    (`cones._evaluate` on the alternating prefix sums, looked up at each
+    call so a patched evaluator is used); the enclosing cone's are not
+    included."""
+    return cones._evaluate(cone.windows, cones._prefix_sums(entries), entries)

@@ -4,8 +4,8 @@
 before the circuit walk: solve each simplex of the triangulation in turn
 with dense elimination and keep the first nonnegative solution.
 `reference_violations` evaluates the reference row of every window in
-`Cone.windows` one by one, and `listing` is the full `Cone.values`
-listing, which membership reads only from the starts it finds crossed.
+`Cone.windows` one by one, and `listing` is the full listing of the
+package's evaluator (`window_values`), which membership reads only from the starts it finds crossed.
 They must agree exactly with the fast paths, tie-breaking and report
 order included.  `reference_omitted` is
 the index-label parity rule that defined the two triangulations before
@@ -28,7 +28,7 @@ from betticone.sequences import BettiVector, TailPeriodicSequence
 
 from reference_certificate import fraction_decompose, fraction_reconstructs
 from reference_linalg import linear_relation, solve_columns
-from reference_sequences import constant_tail, entry, evaluate, primes, row
+from reference_sequences import constant_tail, entry, evaluate, primes, row, window_values
 
 CONES = {"total": hyper_total.cone,
          **{f"fixed_d{d}": (lambda n, d=d: hyper_fixed.cone(FixedConeParams(n, d)))
@@ -204,7 +204,7 @@ def test_the_reconstruction_reference_does_not_share_the_layout_sum(monkeypatch)
 def test_certificates_solve_no_dense_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("linalg on the certificate path")
-    for attr in ("dot", "primitive"):
+    for attr in ("dot", "primitive", "scaled_combination", "all_nonnegative"):
         monkeypatch.setattr(linalg, attr, refuse)
     for name, build in CONES.items():
         for n in (2, 3, 8):
@@ -316,7 +316,7 @@ def test_regular_facet_values_are_the_ray_coefficients():
         cone = regular.cone(n)
         coeffs = coefficients(rng, "rational", n + 1)
         v = cone.combine(coeffs)
-        assert cone.values(v.entries) == coeffs
+        assert window_values(cone, v.entries) == coeffs
         assert regular.decompose(v).a == tuple(coeffs)
         assert regular.classify(v).decomposition.a == tuple(coeffs)
 
@@ -325,10 +325,10 @@ TIES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2))
 
 
 def listing(cone, entries):
-    """The full `Cone.values` listing, window by window, the enclosing
+    """The full `window_values` listing, window by window, the enclosing
     cone's first."""
     out = listing(cone.within, entries) if cone.within is not None else []
-    return out + list(zip(cone.windows, cone.values(entries)))
+    return out + list(zip(cone.windows, window_values(cone, entries)))
 
 
 def _listing_probes(rng, cone, every_kind):

@@ -15,7 +15,7 @@ from betticone.sequences import BettiVector, TailPeriodicSequence, as_fraction, 
 
 from reference_certificate import fraction_reconstructs
 from reference_sequences import (constant_tail, evaluate, ray, rho_vector, row, tail_sum,
-                                 unit_rays)
+                                 unit_rays, window_values)
 
 
 def reference_rays(family, n):
@@ -410,7 +410,7 @@ def test_membership_and_certificates_build_no_window_list(monkeypatch):
     monkeypatch.setattr(Cone, "windows", property(refuse))
     assert answers() == expected
     with pytest.raises(AssertionError, match="window list"):
-        hyper_total.cone(n).values((0,) * (n + 1))
+        window_values(hyper_total.cone(n), (0,) * (n + 1))
 
 
 def test_triangulation_input_handling():
@@ -445,8 +445,8 @@ def test_normals_are_the_closed_form_functionals():
 
 
 def misstate(monkeypatch, window_of, slip_of):
-    """Patch the window evaluator, which `Cone.values` and `Cone.normals`
-    share, so that the window ``window_of(n)``, where it is evaluated on
+    """Patch the window evaluator, which membership, `Cone.normals` and
+    `window_values` share, so that the window ``window_of(n)``, where it is evaluated on
     entries 0..n, reads ``slip_of(n)`` times entry n more than it is."""
     evaluate = cones._evaluate
 
@@ -464,7 +464,7 @@ def test_a_chi_slip_in_the_evaluator_fails_verify(monkeypatch, n):
     assert verification.check_regular(n).ok and verification.check_total(n).ok
     # chi[0,n] read as chi[0,n-1]: entry n's coefficient (-1)^n dropped
     misstate(monkeypatch, lambda n: (0, n, None), lambda n: -(-1) ** n)
-    assert regular.cone(n).values((0,) * n + (1,))[0] == 0
+    assert window_values(regular.cone(n), (0,) * n + (1,))[0] == 0
     assert not verification.check_regular(n).ok
     assert not verification.check_total(n).ok
 
@@ -540,14 +540,14 @@ def test_each_builder_keeps_a_bounded_cache_and_shares_the_enclosing_cone():
 
 def test_a_cached_cone_keeps_no_window_list():
     # the n = 500 total cone's 63,002 windows take about 5.9 MB as a list;
-    # `values` writes them out and lets them go
+    # `window_values` writes them out and lets them go
     n = 500
     cone = hyper_total.cone(n)
     entries = tuple(range(n + 1))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert len(cone.values(entries)) == 63002
+        assert len(window_values(cone, entries)) == 63002
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:

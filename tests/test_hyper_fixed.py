@@ -163,13 +163,19 @@ class TestSweepIntegration:
     @pytest.mark.parametrize("n", [3, 6])
     @pytest.mark.parametrize("d", [3, 6])
     @pytest.mark.parametrize("wrong, detail", [
-        ("flipped", "coefficient -1"), ("scaled", "coefficient 2")])
+        ("flipped", "coefficient -1"), ("scaled", "coefficient 2"),
+        ("moved", "does not sum the rays to zero"), ("negated", "does not sum the rays to zero")])
     def test_a_wrong_closed_form_relation_fails(self, monkeypatch, n, d, wrong, detail):
+        # "moved" (rho[-1]'s coefficient plus 1/d) and "negated" (rho[0]'s
+        # sign flipped) keep the last coefficient 1, so only the zero sum,
+        # on the relation's `Fraction`s, can catch them
         cone = hyper_fixed.cone.__wrapped__(FixedConeParams(n, d))  # not the shared one
         relation = cone.relation
         misrelate(cone, {
             "flipped": tuple(-c for c in relation),
-            "scaled": tuple(2 * c for c in relation)}[wrong])
+            "scaled": tuple(2 * c for c in relation),
+            "moved": (relation[0] + Fraction(1, d),) + relation[1:],
+            "negated": relation[:1] + (-relation[1],) + relation[2:]}[wrong])
         monkeypatch.setattr(hyper_fixed, "cone", lambda p: cone)
         result = verification.check_fixed(n, d)
         assert not result.ok and result.name == f"fixed n={n} d={d}: ray relation"

@@ -18,8 +18,9 @@ from betticone.cones import Triangulation
 from betticone.errors import ConeInputError
 from betticone.hyper_fixed import FixedConeParams
 
-from reference_oracle import (ConeDescription, reference_cone_equal, reference_extreme_rays,
-                              reference_facets_to_rays, reference_primitive,
+from reference_oracle import (ConeDescription, fraction_primitive, reference_cone_equal,
+                              reference_extreme_rays, reference_facets_to_rays,
+                              reference_primitive,
                               reference_rays_to_facets, reference_validate_triangulation)
 
 # ---------------------------------------------------------------------------
@@ -197,3 +198,85 @@ def test_primitive_agrees_with_the_fraction_round_trip():
         assert linalg.primitive(fracs) == reference_primitive(fracs)
     with pytest.raises(ValueError):
         linalg.primitive((0, 0))
+
+
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def random_entry(rng, kind):
+    """A small entry, zero a third of the time, of the given kind: "int",
+    "fraction" (denominators up to 6, so some are whole), or either."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "fraction"))
+    x = rng.choice((0, rng.randint(-9, 9), rng.randint(-10**12, 10**12)))
+    return x if kind == "int" else Fraction(x, rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_primitive_is_its_fraction_body(kind):
+    rng = random.Random(271)
+    for _ in range(400):
+        vec = [random_entry(rng, kind) for _ in range(rng.randint(1, 8))]
+        for form in (tuple(vec), vec):
+            expected = outcome(fraction_primitive, form)
+            got = outcome(linalg.primitive, form)
+            assert got == expected, form
+            if got[0] == "value":
+                assert type(got[1]) is tuple and all(type(x) is int for x in got[1])
+    for zero in ((), (0,), (0, 0), (Fraction(0), 0), [Fraction(0)] * 3):
+        assert outcome(linalg.primitive, zero) == outcome(fraction_primitive, zero) == (
+            "error", "ValueError", "zero vector has no primitive representative")
+
+
+def test_scaled_combination_has_the_signs_of_the_fraction_sum():
+    rng = random.Random(272)
+    zero_sums = 0
+    for _ in range(300):
+        dim, count = rng.randint(1, 6), rng.randint(1, 6)
+        vectors = [[random_entry(rng, "mixed") for _ in range(dim)] for _ in range(count)]
+        coeffs = [random_entry(rng, "mixed") for _ in range(count)]
+        if rng.random() < 0.4:
+            # make the last vector a combination of the others, and the
+            # coefficients that relation, so every coordinate sums to 0
+            mults = [random_entry(rng, "fraction") for _ in range(count - 1)]
+            vectors[-1] = [sum((m * v[i] for m, v in zip(mults, vectors)), Fraction(0))
+                           for i in range(dim)]
+            coeffs = mults + [Fraction(-1)]
+        exact = [sum((c * v[i] for c, v in zip(coeffs, vectors)), Fraction(0))
+                 for i in range(dim)]
+        got = linalg.scaled_combination(coeffs, vectors)
+        assert all(type(x) is int for x in got) and list(map(sign, got)) == list(map(sign, exact))
+        zero_sums += not any(exact)
+    assert zero_sums > 100
+    with pytest.raises(ValueError):
+        linalg.scaled_combination((1, 2), [(1, 0)])
+
+
+def dense_verdict(facets, rays) -> bool:
+    return all(linalg.dot(f, r) >= 0 for r in rays for f in facets)
+
+
+def test_all_nonnegative_is_the_dense_verdict_on_random_cones():
+    rng = random.Random(273)
+    verdicts = []
+    for _ in range(600):
+        dim = rng.randint(1, 7)
+        # zero-heavy entries; nonnegative ones hold on every ray
+        entries = (0, 0, 0, 1) + tuple(range(rng.choice((0, -1, -3)), 6))
+        facets = [tuple(rng.choice(entries) for _ in range(dim))
+                  for _ in range(rng.randint(0, 9))]
+        rays = [tuple(rng.choice(entries) for _ in range(dim)) for _ in range(rng.randint(0, 9))]
+        verdict = dense_verdict(facets, rays)
+        assert linalg.all_nonnegative(facets, rays) is verdict, (facets, rays)
+        verdicts.append(verdict)
+    assert verdicts.count(True) > 150 and verdicts.count(False) > 150
+
+
+def test_all_nonnegative_is_the_dense_verdict_with_a_facet_negated():
+    for cone in sweep_cones():
+        rays, facets = oracle._canonical(cone.projected()), oracle._canonical(cone.normals())
+        assert linalg.all_nonnegative(facets, rays) is dense_verdict(facets, rays) is True
+        for k, f in enumerate(facets):
+            negated = facets[:k] + [tuple(-x for x in f)] + facets[k + 1:]
+            assert linalg.all_nonnegative(negated, rays) is dense_verdict(negated, rays) is False

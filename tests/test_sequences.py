@@ -15,7 +15,8 @@ from betticone.hyper_fixed import FixedConeParams
 from betticone.sequences import (BettiVector, TailPeriodicSequence, as_fraction, embed,
                                  rational_str, sequence_from_json, sequence_to_json)
 
-from reference_sequences import constant_tail, entry, evaluate, ray, rho_vector, row, tail_sum
+from reference_sequences import (constant_tail, entry, evaluate, ray, rho_vector, row, tail_sum,
+                                 window_values)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -167,25 +168,27 @@ class TestXi:
 
 
 class TestLinearFunctional:
-    """Each facet window is a linear functional; `Cone.values` evaluates
-    the windows of a cone on its entries 0..n."""
+    """Each facet window is a linear functional; `window_values`
+    evaluates the windows of a cone on its entries 0..n."""
 
     @given(st.lists(rationals, min_size=6, max_size=6),
            st.lists(rationals, min_size=6, max_size=6),
            rationals, rationals)
     @settings(max_examples=60)
     def test_linearity(self, xs, ys, a, b):
-        values = hyper_fixed.cone(FixedConeParams(5, 3)).values
+        cone = hyper_fixed.cone(FixedConeParams(5, 3))
         x = BettiVector.of(xs)
         y = BettiVector.of(ys)
-        assert values(tuple(a * p + b * q for p, q in zip(x.entries, y.entries))) == [
-            a * u + b * v for u, v in zip(values(x.entries), values(y.entries))]
+        combined = tuple(a * p + b * q for p, q in zip(x.entries, y.entries))
+        assert window_values(cone, combined) == [
+            a * u + b * v for u, v in zip(window_values(cone, x.entries),
+                                          window_values(cone, y.entries))]
 
     def test_evaluation_on_tail(self):
         w = tail_seq([3], 10, 20)
         assert evaluate((0, 5, None), w) == 3 - 20 + 10 - 20 + 10 - 20
         cone = hyper_total.cone(5)
-        assert cone.values(w.prefix(6)) == [evaluate(window, w) for window in cone.windows]
+        assert window_values(cone, w.prefix(6)) == [evaluate(window, w) for window in cone.windows]
 
 
 class TestRays:
